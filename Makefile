@@ -38,8 +38,9 @@ sweep-par:
 
 # Cluster-scale fleet sweep: routing policies, arrival shapes, and
 # backend mechanisms vs fleet-merged tail latency, rendered with the
-# per-instance saturation view. Fleet cells shard their engine
-# advances across the cores -parallel leaves free (see -shards).
+# per-instance saturation view. Fleet cells fan their window advances
+# (and a lookahead policy's whole arrival phase) out across the cores
+# -parallel leaves free (see -shards).
 fleet:
 	$(GO) run ./cmd/killerusec -fleet -json fleet_run.json
 	$(GO) run ./cmd/kurec fleet fleet_run.json -instances
@@ -53,9 +54,9 @@ fleet-shards:
 	cmp fleet_s1.txt fleet_s4.txt
 	@echo "fleet reports byte-identical at -shards 1 and -shards 4"
 
-# Sharded fleet benchmarks, gated against the committed baseline
-# (rate floors everywhere; on >=4-proc machines also a >=2x shards=4
-# speedup on the mechs and prerouted configurations).
+# Fleet benchmarks, gated against the committed baseline (rate floors
+# everywhere; on >=4-proc machines also a >=2x shards=4 speedup on the
+# prerouted configuration).
 bench-cluster:
 	$(GO) test -bench BenchmarkFleet -benchtime=0.3s -count=3 -run '^$$' ./internal/cluster/ | tee bench_cluster.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_cluster.json -input bench_cluster.txt

@@ -14,14 +14,14 @@
 // cache and the parallel sweep executor unchanged.
 //
 // Config.Shards spreads one fleet run across OS cores without touching
-// that property: instance engines share no state between routing
-// decisions, so a shard pool advances them concurrently to each
-// barrier (the next arrival, or the next saturation window boundary)
-// and the driver performs routing and window accounting serially at
-// the barrier, in fixed instance order. Policies that declare
-// Lookahead pre-route entire arrival batches, collapsing the whole
-// arrival phase into a single barrier; see shard.go for the protocol
-// and DESIGN.md §15 for the equivalence argument.
+// that property. Instance engines share no state between routing
+// decisions, so fanOut advances them concurrently to each saturation
+// window boundary and the driver closes the windows serially, in fixed
+// instance order. Policies that declare Lookahead pre-route the whole
+// arrival timeline and run every instance's batch behind one join;
+// state-dependent policies route each arrival on live queue state, so
+// their per-arrival advances stay serial. See DESIGN.md §15 for the
+// equivalence argument.
 package cluster
 
 import (
@@ -53,12 +53,13 @@ type Config struct {
 	RatePerSec float64 // fleet-wide offered load (ignored by shape saturate)
 	Rho        float64 // informational: offered load / measured capacity
 
-	// Shards is the number of OS worker goroutines advancing instance
-	// engines between barriers. 0 or 1 runs the serial lockstep driver;
-	// higher values use all the cores you give them. Shards is an
-	// execution knob, never a parameter: the summary is byte-identical
-	// at every value (property-tested, CI-gated), so it is excluded
-	// from cell cache keys.
+	// Shards is the number of goroutines that advance instance engines
+	// together: every window boundary, and the whole arrival phase of
+	// a Lookahead policy. 0 or 1 runs everything serially; values above
+	// Instances clamp to it. Shards is an execution knob, never a
+	// parameter: the summary is byte-identical at every value
+	// (property-tested, CI-gated), so it is excluded from cell cache
+	// keys.
 	Shards int
 
 	// BurstPeriod and BurstDuty shape the bursty arrival process: the
@@ -203,20 +204,15 @@ func Run(cfg Config) (*stats.FleetSummary, error) {
 		return nil, err
 	}
 
-	d := &driver{cfg: cfg, insts: insts}
-	if shards := min(cfg.Shards, cfg.Instances); shards > 1 {
-		d.pool = newShardPool(insts, shards)
-		defer d.pool.close()
-	}
+	d := &driver{cfg: cfg, insts: insts, shards: min(cfg.Shards, cfg.Instances)}
 
 	// Arrival phase. Policies that declare lookahead pre-route the
-	// whole batch when a shard pool is attached, so engines run many
-	// arrivals between barriers; state-dependent policies barrier per
-	// arrival so routing sees live queue state, but the N engine
-	// advances to each barrier still run concurrently.
+	// whole batch when sharded, so each engine runs its own arrivals
+	// with no barrier between them; state-dependent policies route
+	// every arrival on live queue state, advancing engines serially.
 	perArrived := make([]uint64, cfg.Instances)
 	var nextWindow sim.Time
-	if d.pool != nil && Lookahead(cfg.Policy) {
+	if d.shards > 1 && Lookahead(cfg.Policy) {
 		nextWindow = d.runPrerouted(router, arrivals, perArrived)
 	} else {
 		nextWindow = d.runLockstep(router, arrivals, perArrived)
@@ -260,20 +256,22 @@ func Run(cfg Config) (*stats.FleetSummary, error) {
 	return sum, nil
 }
 
-// driver runs the fleet's barrier schedule: serially when pool is nil,
-// across shard workers otherwise. Either way the observable schedule —
+// driver runs the fleet's barrier schedule, fanning engine advances
+// out across shards goroutines where it can. The observable schedule —
 // which engine reaches which timestamp before which routing decision
-// and window close — is identical; the pool only changes which OS
-// thread does the advancing.
+// and window close — is identical at every shard count; sharding only
+// changes which OS thread does the advancing.
 type driver struct {
-	cfg   Config
-	insts []*instance
-	pool  *shardPool
+	cfg    Config
+	insts  []*instance
+	shards int
 }
 
 // runLockstep is the per-arrival barrier schedule: advance every
 // engine to each arrival's timestamp (closing out saturation windows
 // on the way), then route on the instances' now-current queue state.
+// The per-arrival advance is serial: a barrier per arrival carries
+// only tens of events, too little work to pay for a goroutine join.
 // It returns the window cursor for the drain phase.
 func (d *driver) runLockstep(rt *router, arrivals []arrival, perArrived []uint64) sim.Time {
 	nextWindow := d.cfg.Window
@@ -282,7 +280,9 @@ func (d *driver) runLockstep(rt *router, arrivals []arrival, perArrived []uint64
 			d.advanceAll(nextWindow)
 			nextWindow += d.cfg.Window
 		}
-		d.advanceEngines(a.at)
+		for _, in := range d.insts {
+			in.env.Engine().RunUntil(a.at)
+		}
 		target := rt.pick(d.insts, a.key)
 		perArrived[target]++
 		d.insts[target].srv.Submit(a.key)
@@ -292,9 +292,9 @@ func (d *driver) runLockstep(rt *router, arrivals []arrival, perArrived []uint64
 
 // runPrerouted is the batched arrival phase for lookahead policies:
 // the routing sequence is precomputed with no engine state, each
-// instance receives its own arrival batch, and the shard pool runs
-// every instance's full timeline — self-paced window closes included —
-// behind a single barrier. Per instance this executes exactly the
+// instance receives its own arrival batch, and fanOut runs every
+// instance's full timeline — self-paced window closes included —
+// behind a single join. Per instance this executes exactly the
 // lockstep schedule (same submits at the same local clock, same window
 // closes at the same boundaries); advances to *other* instances'
 // arrival times are dropped, which only moves the clock of eventless
@@ -310,38 +310,20 @@ func (d *driver) runPrerouted(rt *router, arrivals []arrival, perArrived []uint6
 	// arrival during the arrival phase, whichever instance the
 	// arrivals went to; the batch runner reproduces that cutoff.
 	last := arrivals[len(arrivals)-1].at
-	d.pool.runBatches(batches, d.cfg.Window, last)
+	fanOut(d.insts, d.shards, func(i int, in *instance) {
+		runBatch(in, batches[i], d.cfg.Window, last)
+	})
 	return (last/d.cfg.Window + 1) * d.cfg.Window
 }
 
 // advanceAll runs every engine to the window boundary, then closes the
 // window's saturation accounting in fixed instance order.
 func (d *driver) advanceAll(boundary sim.Time) {
-	d.advanceEngines(boundary)
+	fanOut(d.insts, d.shards, func(_ int, in *instance) {
+		in.env.Engine().RunUntil(boundary)
+	})
 	for _, in := range d.insts {
 		in.closeWindow()
-	}
-}
-
-// advanceEngines moves every engine to the deadline — through the
-// shard pool when at least two instances have events to execute before
-// it, serially otherwise. The lookahead probe keeps barrier overhead
-// off quiet gaps: an engine whose next event lies past the deadline
-// needs only a clock bump, which is far cheaper than a worker handoff.
-func (d *driver) advanceEngines(deadline sim.Time) {
-	if d.pool != nil {
-		busy := 0
-		for _, in := range d.insts {
-			if t, ok := in.env.Engine().NextEventAt(); ok && t <= deadline {
-				if busy++; busy == 2 {
-					d.pool.advance(deadline)
-					return
-				}
-			}
-		}
-	}
-	for _, in := range d.insts {
-		in.env.Engine().RunUntil(deadline)
 	}
 }
 

@@ -1,187 +1,50 @@
 package cluster
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/sim"
 )
 
-// Worker wake-up tuning. A state-dependent policy barriers at every
-// arrival, so a fleet run is thousands of job publications; a blocking
-// channel wake costs a futex round-trip (microseconds) per worker per
-// barrier, which would rival the simulation work between barriers.
-// Workers therefore spin briefly on the round counter before parking:
-// spinRounds bounds the spin, and every spinYield iterations the
-// worker yields its OS thread so a spinning worker never starves the
-// driver's serial routing section. On a single-proc machine spinning
-// can only steal time from the driver, so it is disabled.
-const (
-	spinRounds = 1024
-	spinYield  = 64
-)
-
-// shardPool advances a fleet's instance engines across OS cores. The
-// pool holds persistent worker goroutines; each barrier round the
-// driver publishes a job, bumps the round counter, and blocks until
-// all workers finish. Workers claim instances with an atomic cursor —
-// work stealing, so one slow engine doesn't idle the other workers
-// behind a static partition.
+// fanOut calls fn for every instance, spread across up to shards
+// goroutines: shards-1 helpers plus the caller claim instances from an
+// atomic cursor — work stealing, so one slow engine doesn't idle the
+// others behind a static partition — and a WaitGroup joins them before
+// fanOut returns. With shards <= 1 it runs inline in instance order.
 //
-// Synchronization per round: the job fields are written before the
-// round bump (publish → observe, plus the channel send for parked
-// workers), and every engine mutation happens before the worker's
-// wg.Done (Done → Wait). Between rounds only the driver touches the
-// instances, so no engine is ever driven by two goroutines at once —
-// the pool moves engines between OS threads, which Engine documents
-// as safe when the caller orders the calls.
-type shardPool struct {
-	insts []*instance
-
-	// Job for the current round, written by the driver before the
-	// round bump. Exactly one of the two modes is active: batches ==
-	// nil advances every engine to deadline; otherwise each instance
-	// runs its own pre-routed arrival batch through runBatch.
-	deadline sim.Time
-	batches  [][]arrival
-	window   sim.Time
-	last     sim.Time
-
-	cursor atomic.Int64  // next instance index to claim this round
-	round  atomic.Uint32 // job publication counter
-
-	// Parking: a worker that exhausts its spin budget raises its
-	// parked flag and blocks on its channel; the driver wakes exactly
-	// the workers whose flags it observes raised. The flag store and
-	// the round load are both sequentially consistent, so either the
-	// driver sees the flag (and sends) or the worker's post-flag
-	// round recheck sees the new round — never neither.
-	parked []atomic.Bool
-	start  []chan struct{} // one per worker: wake after parking
-	spin   int             // per-worker spin budget before parking
-
-	wg sync.WaitGroup // round completion
-}
-
-// newShardPool starts shards persistent workers over insts. The caller
-// has already clamped shards to [2, len(insts)].
-func newShardPool(insts []*instance, shards int) *shardPool {
-	p := &shardPool{
-		insts:  insts,
-		parked: make([]atomic.Bool, shards),
-		start:  make([]chan struct{}, shards),
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		p.spin = spinRounds
-	}
-	for w := range p.start {
-		p.start[w] = make(chan struct{}, 1)
-		go p.worker(w)
-	}
-	return p
-}
-
-func (p *shardPool) worker(w int) {
-	var seen uint32
-	for {
-		// Fast path: the driver published a new round since we last
-		// worked. The seq-cst round load orders after the driver's job
-		// writes (they happen before its round bump).
-		if r := p.round.Load(); r != seen {
-			seen = r
-			p.work()
-			continue
+// fn must touch only its own instance. Every engine mutation happens
+// before the helper's wg.Done (Done → Wait), so after fanOut returns
+// only the caller touches the instances again. fanOut thereby moves
+// engines between OS threads, which Engine documents as safe when the
+// caller orders the calls.
+func fanOut(insts []*instance, shards int, fn func(i int, in *instance)) {
+	if shards <= 1 {
+		for i, in := range insts {
+			fn(i, in)
 		}
-		spun := 0
-		for ; spun < p.spin; spun++ {
-			if p.round.Load() != seen {
-				break
+		return
+	}
+	var cursor atomic.Int64
+	work := func() {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(insts) {
+				return
 			}
-			if spun%spinYield == spinYield-1 {
-				runtime.Gosched()
-			}
-		}
-		if spun < p.spin {
-			continue
-		}
-		// Park. Recheck after raising the flag: a round published
-		// between our last load and the flag store would otherwise
-		// strand the driver (it saw the flag down and skipped the
-		// send).
-		p.parked[w].Store(true)
-		if p.round.Load() != seen {
-			p.parked[w].Store(false)
-			continue
-		}
-		if _, ok := <-p.start[w]; !ok {
-			return
-		}
-		p.parked[w].Store(false)
-		// The token may be stale (we cleared a previous park via the
-		// recheck path after the driver had already sent); looping
-		// re-reads the round and either works or re-parks.
-	}
-}
-
-// work claims and runs instances until the round's cursor is drained.
-func (p *shardPool) work() {
-	for {
-		i := int(p.cursor.Add(1)) - 1
-		if i >= len(p.insts) {
-			break
-		}
-		in := p.insts[i]
-		if p.batches == nil {
-			in.env.Engine().RunUntil(p.deadline)
-		} else {
-			runBatch(in, p.batches[i], p.window, p.last)
+			fn(i, insts[i])
 		}
 	}
-	p.wg.Done()
-}
-
-// run executes one published job to completion across all workers.
-func (p *shardPool) run() {
-	p.cursor.Store(0)
-	p.wg.Add(len(p.start))
-	p.round.Add(1)
-	for w := range p.start {
-		if p.parked[w].Load() {
-			select {
-			case p.start[w] <- struct{}{}:
-			default: // a stale token is already waiting; it will wake them
-			}
-		}
+	var wg sync.WaitGroup
+	wg.Add(shards - 1)
+	for w := 1; w < shards; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	p.wg.Wait()
-}
-
-// advance moves every instance engine to deadline concurrently.
-func (p *shardPool) advance(deadline sim.Time) {
-	p.deadline = deadline
-	p.batches = nil
-	p.run()
-}
-
-// runBatches runs every instance's pre-routed arrival batch — submits,
-// self-paced window closes, and the final advance to the last window
-// boundary at or before last — behind a single barrier.
-func (p *shardPool) runBatches(batches [][]arrival, window, last sim.Time) {
-	p.batches = batches
-	p.window = window
-	p.last = last
-	p.run()
-	p.batches = nil
-}
-
-// close shuts the workers down. The pool must be idle (no round in
-// flight); spinning workers drain their budget, park, and exit on the
-// closed channel.
-func (p *shardPool) close() {
-	for _, c := range p.start {
-		close(c)
-	}
+	work()
+	wg.Wait()
 }
 
 // runBatch replays one instance's slice of the arrival timeline,

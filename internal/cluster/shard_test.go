@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -119,29 +121,69 @@ func TestPrerouteMatchesPick(t *testing.T) {
 	}
 }
 
+// A sharded fleet run must leave no goroutines behind: fanOut joins
+// its helpers before returning. Round-robin covers the prerouted
+// arrival phase, least-outstanding the serial arrival phase with
+// fanned-out window advances, and both end in the drain phase's
+// fanned-out window advances — the config guarantees each path runs.
+func TestFleetLeavesNoGoroutines(t *testing.T) {
+	for _, policy := range []string{PolicyRoundRobin, PolicyLeastOutstanding} {
+		cfg := quickCfg()
+		cfg.Policy = policy
+		cfg.Shards = 4
+		cfg.RatePerSec = 4e6 // past capacity: a backlog is left to drain
+		full := cfg.withDefaults()
+		arrivals := generateArrivals(full)
+		arrivalWindows := int(arrivals[len(arrivals)-1].at / full.Window)
+
+		before := runtime.NumGoroutine()
+		sum, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		if arrivalWindows == 0 || sum.Instances[0].Windows <= arrivalWindows {
+			t.Fatalf("%s: %d windows over %d arrival-phase boundaries; config no longer exercises both the arrival and drain fan-outs",
+				policy, sum.Instances[0].Windows, arrivalWindows)
+		}
+		// Goroutines exit after wg.Done, so give stragglers a moment
+		// to be reaped before counting.
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > before {
+			t.Fatalf("%s: %d goroutines after Run, %d before", policy, n, before)
+		}
+	}
+}
+
 func BenchmarkFleet(b *testing.B) {
-	// Three barrier regimes, each at 1/4/8 shards so BENCH_cluster.json
-	// can gate both absolute rates and measured speedups:
+	// Three barrier regimes, gated by BENCH_cluster.json on absolute
+	// rates and, for prerouted, a measured shards=4 speedup:
 	//
 	//   - mechs: the cluster-mechs table's top cell — least-outstanding
 	//     at the 4us device latency, offered past capacity, so most
-	//     completions happen in chunky window-sized drain barriers;
+	//     completions happen in chunky window-sized drain advances,
+	//     the ones fanOut spreads across shards;
 	//   - lockstep: least-outstanding near saturation at 1us — the
-	//     per-arrival barrier worst case (tens of events per barrier);
+	//     per-arrival barrier worst case (tens of events per barrier).
+	//     Per-arrival advances are serial at every shard count, so
+	//     only shards=1 runs;
 	//   - prerouted: round-robin, whole arrival batch behind one
-	//     barrier — the policy-lookahead best case.
+	//     join — the policy-lookahead best case.
 	for _, bc := range []struct {
 		name   string
 		policy string
 		shape  string
 		lat    sim.Time
 		rate   float64
+		shards []int
 	}{
-		{"mechs", PolicyLeastOutstanding, ShapePoisson, 4 * sim.Microsecond, 1.8 * 4.82e6},
-		{"lockstep", PolicyLeastOutstanding, ShapePoisson, sim.Microsecond, 0.9 * 2 * 9.33e6},
-		{"prerouted", PolicyRoundRobin, ShapePoisson, sim.Microsecond, 0.9 * 2 * 9.33e6},
+		{"mechs", PolicyLeastOutstanding, ShapePoisson, 4 * sim.Microsecond, 1.8 * 4.82e6, []int{1, 4, 8}},
+		{"lockstep", PolicyLeastOutstanding, ShapePoisson, sim.Microsecond, 0.9 * 2 * 9.33e6, []int{1}},
+		{"prerouted", PolicyRoundRobin, ShapePoisson, sim.Microsecond, 0.9 * 2 * 9.33e6, []int{1, 4, 8}},
 	} {
-		for _, shards := range []int{1, 4, 8} {
+		for _, shards := range bc.shards {
 			b.Run(fmt.Sprintf("%s/shards=%d", bc.name, shards), func(b *testing.B) {
 				cfg := quickCfg()
 				cfg.Base = cfg.Base.WithLatency(bc.lat)

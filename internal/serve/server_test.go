@@ -688,10 +688,18 @@ func TestJournalRecovery(t *testing.T) {
 	rresp.Body.Close()
 
 	// Swap in a blocking runner for the remaining jobs so they are
-	// mid-flight when the "process" dies.
+	// mid-flight when the "process" dies. Once block is released at
+	// test end the dead process must stay dead: its runner returns
+	// without touching job state or the shared journal, so it cannot
+	// race srv2 or the temp-dir cleanup.
 	started := make(chan string, 8)
 	block := make(chan struct{})
 	srv1.run = func(j *job) {
+		select {
+		case <-block:
+			return
+		default:
+		}
 		j.mu.Lock()
 		if j.state != StateQueued {
 			j.mu.Unlock()
@@ -728,6 +736,15 @@ func TestJournalRecovery(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer close(block)
+	// Registered after t.TempDir, so it runs before the directory is
+	// removed: srv2 must finish every job and close its journal first.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := srv2.Drain(ctx); err != nil {
+			t.Errorf("drain srv2: %v", err)
+		}
+	})
 
 	// Done job: restored with byte-identical report, not re-run.
 	st := pollDone(t, ts2, id1)
@@ -769,6 +786,9 @@ func TestJournalRecovery(t *testing.T) {
 	id5 := decode[map[string]string](t, r5)["id"]
 	if id5 != "job-0005" {
 		t.Errorf("post-replay id = %s, want job-0005", id5)
+	}
+	if st5 := pollDone(t, ts2, id5); st5.State != StateDone {
+		t.Fatalf("job 5 = %s (err %q)", st5.State, st5.Error)
 	}
 }
 

@@ -29,8 +29,8 @@ func (a event) less(b event) bool {
 // synchronize with the engine in strict handoff, so user code never runs
 // concurrently with engine code). The driving goroutine may change
 // between calls when the caller provides the ordering — the sharded
-// fleet driver moves engines between barrier workers this way — but two
-// goroutines must never drive one engine concurrently.
+// fleet driver moves engines between fan-out goroutines this way — but
+// two goroutines must never drive one engine concurrently.
 //
 // Internally the engine keeps two pending-event structures:
 //
@@ -289,21 +289,6 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 
 // Pending returns the number of scheduled events not yet executed.
 func (e *Engine) Pending() int { return len(e.heap) + len(e.nowq) - e.nowHead }
-
-// NextEventAt returns the timestamp of the earliest pending event and
-// whether one exists. It is the conservative-lookahead probe of the
-// sharded fleet driver: an engine whose next event lies past a barrier
-// deadline needs only a clock bump to reach it, so the driver can
-// advance it inline instead of paying for a worker handoff.
-func (e *Engine) NextEventAt() (Time, bool) {
-	if e.nowHead < len(e.nowq) {
-		return e.now, true
-	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
-	}
-	return 0, false
-}
 
 // LiveProcs returns the number of processes started with Go that have
 // not yet returned. A non-zero value after Run indicates a process
