@@ -126,7 +126,7 @@ func TestSpuriousRequestDuringReplayRun(t *testing.T) {
 	// Recording pass.
 	recEnv := NewEnv(cfg, m.Backing())
 	recEnv.dev.EnableRecording(0)
-	if _, err := launch(recEnv, m, 4, runPrefetchCore); err != nil {
+	if err := launch(recEnv, m, 4, runPrefetchCore); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,11 +139,10 @@ func TestSpuriousRequestDuringReplayRun(t *testing.T) {
 		e.dev.MMIORead(0, 0xDEAD0000, trace.Span{}, nil, func([]byte) {})
 	})
 	m.Reset()
-	c, err := launch(e, m, 4, runPrefetchCore)
-	if err != nil {
+	if err := launch(e, m, 4, runPrefetchCore); err != nil {
 		t.Fatal(err)
 	}
-	diag := e.diagnostics(c)
+	diag := e.diagnostics()
 
 	if diag.OnDemand != 1 {
 		t.Errorf("on-demand served %d, want exactly the spurious request", diag.OnDemand)
@@ -151,8 +150,8 @@ func TestSpuriousRequestDuringReplayRun(t *testing.T) {
 	if m.BadValues != 0 || m.Hits != 200 {
 		t.Errorf("spurious request corrupted lookups: hits=%d bad=%d", m.Hits, m.BadValues)
 	}
-	if c.accesses != 800 {
-		t.Errorf("accesses = %d", c.accesses)
+	if e.c.accesses != 800 {
+		t.Errorf("accesses = %d", e.c.accesses)
 	}
 }
 

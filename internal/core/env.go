@@ -42,8 +42,8 @@ type Env struct {
 	trCore []trace.Track // per-core access-span tracks
 
 	// rec is nil unless the config enables the flight recorder
-	// (MetricsWindow > 0); like tr, disabled telemetry costs the
-	// mechanisms exactly one nil check per event.
+	// (MetricsWindow > 0). A nil recorder ignores every call, so the
+	// mechanisms feed it unconditionally through the edge methods.
 	rec *telemetry.Recorder
 
 	// at is nil unless the config enables latency attribution; the
@@ -52,9 +52,9 @@ type Env struct {
 	// no-ops, so disabled attribution costs one nil check per access.
 	at *attrib.Probe
 
-	// Pre-rendered per-core counter-track names, so the state-change
-	// hooks never format strings on the hot path.
-	lfbName, sqName, cqName, runnableName []string
+	// c accumulates the run's totals; the edge methods below update it
+	// together with the flight recorder.
+	c counters
 }
 
 func NewEnv(cfg platform.Config, backing replay.Backing) *Env {
@@ -146,6 +146,46 @@ func (c *counters) coreFinished(at sim.Time) {
 	}
 }
 
+// The edge methods below are the one place each access or scheduler
+// edge is counted: each bumps the run total and the flight-recorder
+// window together, so the two agree by construction.
+
+// issued counts one access entering a mechanism.
+func (e *Env) issued(at sim.Time) {
+	e.c.accesses++
+	e.rec.Started(at)
+}
+
+// switched counts one context switch.
+func (e *Env) switched(at sim.Time) {
+	e.c.switches++
+	e.rec.Switches(at, 1)
+}
+
+// delivered samples one host-observed access latency, observed at at.
+func (e *Env) delivered(at, lat sim.Time) {
+	e.c.recordLatency(lat)
+	e.rec.Sample(at, lat)
+}
+
+// timedOut counts one access timeout that fired.
+func (e *Env) timedOut(at sim.Time) {
+	e.c.timeouts++
+	e.rec.Timeouts(at, 1)
+}
+
+// retried counts one access re-issued after a timeout.
+func (e *Env) retried(at sim.Time) {
+	e.c.retries++
+	e.rec.Retries(at, 1)
+}
+
+// abandoned counts one access given up after the retry budget.
+func (e *Env) abandoned(at sim.Time) {
+	e.c.abandoned++
+	e.rec.Abandoned(at, 1)
+}
+
 // Diagnostics exposes the run's internal occupancy and traffic
 // statistics; experiments use them for figure notes and tests use them
 // to pin the bottleneck mechanics down.
@@ -201,7 +241,8 @@ type Diagnostics struct {
 	Timeline []OccupancySample
 }
 
-func (e *Env) diagnostics(c *counters) Diagnostics {
+func (e *Env) diagnostics() Diagnostics {
+	c := &e.c
 	d := Diagnostics{
 		MaxChipQueue: e.chip.MaxInUse(),
 		ChipStalls:   e.chip.Stalls(),
@@ -253,10 +294,11 @@ func (e *Env) diagnostics(c *counters) Diagnostics {
 
 // startSampler arms the periodic occupancy sampler; it re-arms itself
 // while any core is still running, so the simulation still drains.
-func (e *Env) startSampler(c *counters) {
+func (e *Env) startSampler() {
 	if e.cfg.SamplePeriod <= 0 {
 		return
 	}
+	c := &e.c
 	var tick func()
 	tick = func() {
 		lfb := 0
@@ -295,95 +337,76 @@ func (e *Env) startTrace(label string) {
 	}
 	e.link.SetTrace(e.tr.NewTrack("pcie-down"), e.tr.NewTrack("pcie-up"))
 
-	// Occupancy counter tracks, sampled on state change. Names are
-	// pre-rendered so the hot-path hooks never call fmt.
-	e.lfbName = make([]string, cores)
-	e.sqName = make([]string, cores)
-	e.cqName = make([]string, cores)
-	e.runnableName = make([]string, cores)
+	// Occupancy counter tracks start at zero; the gauges sample them on
+	// state change.
 	for i := 0; i < cores; i++ {
-		e.lfbName[i] = fmt.Sprintf("lfb/core%d", i)
-		e.sqName[i] = fmt.Sprintf("sq/core%d", i)
-		e.cqName[i] = fmt.Sprintf("cq/core%d", i)
-		e.runnableName[i] = fmt.Sprintf("runnable/core%d", i)
-		e.tr.Counter(0, e.lfbName[i], 0)
-		e.tr.Counter(0, e.sqName[i], 0)
-		e.tr.Counter(0, e.cqName[i], 0)
-		e.tr.Counter(0, e.runnableName[i], 0)
+		for _, queue := range [...]string{"lfb", "sq", "cq", "runnable"} {
+			e.tr.Counter(0, fmt.Sprintf("%s/core%d", queue, i), 0)
+		}
 	}
 	e.tr.Counter(0, "chipq", 0)
 }
 
-// startRecorder attaches the flight recorder when the config enables it
-// (MetricsWindow > 0). The recorder only aggregates values the
-// simulation already computes and never schedules events, so recorded
-// and unrecorded runs are timing-identical.
-func (e *Env) startRecorder(label string) {
-	if e.cfg.MetricsWindow <= 0 {
-		return
+// newRecorder returns the flight recorder for one labeled run, nil
+// unless the config enables it (MetricsWindow > 0). The recorder only
+// aggregates values the simulation already computes and never
+// schedules events, so recorded and unrecorded runs are
+// timing-identical.
+func newRecorder(cfg platform.Config, label string) *telemetry.Recorder {
+	if cfg.MetricsWindow <= 0 {
+		return nil
 	}
-	e.rec = telemetry.NewRecorder(label, e.cfg.MetricsWindow, e.cfg.MetricsMaxWindows, e.cfg.MetricsSink)
+	return telemetry.NewRecorder(label, cfg.MetricsWindow, cfg.MetricsMaxWindows, cfg.MetricsSink)
 }
 
-// installPoolHooks installs the single-slot state-change observers on
-// the LFB pools and the chip-level queue, fanning out to whichever of
-// the trace run and the flight recorder are attached. The trace wants
-// absolute occupancy; the recorder wants deltas, converted with a
-// closure-captured previous value per pool.
-func (e *Env) installPoolHooks() {
+// newProbe returns the latency-attribution probe for one labeled run,
+// nil unless the config enables it. Like the trace and recorder layers
+// it only observes timestamps the simulation already computes and
+// never schedules events, so attributed and unattributed runs are
+// timing-identical. When the flight recorder is also on, every closed
+// ledger feeds the recorder's per-window phase columns.
+func newProbe(cfg platform.Config, label string, rec *telemetry.Recorder) *attrib.Probe {
+	if !cfg.Attribution {
+		return nil
+	}
+	at := attrib.NewProbe(label)
+	if rec != nil {
+		rec.SetPhaseNames(attrib.Names())
+		at.SetOnClose(func(end sim.Time, ph *[attrib.NumPhases]int64) {
+			rec.PhaseSample(end, ph[:])
+		})
+	}
+	return at
+}
+
+// gauge returns a state-change observer for one occupancy quantity,
+// feeding the trace counter track (absolute value) and the recorder
+// gauge (delta from the previous sample). It reads the engine clock
+// because queue transitions happen in both core and device contexts.
+// It returns nil when neither layer is attached, so an unobserved
+// hook costs its owner one nil check.
+func (e *Env) gauge(id telemetry.GaugeID, track string) func(int) {
 	if e.tr == nil && e.rec == nil {
-		return
+		return nil
 	}
-	for i := range e.lfb {
-		i := i
-		prev := 0
-		e.lfb[i].SetOnChange(func(inUse int) {
-			if e.tr != nil {
-				e.tr.Counter(e.eng.Now(), e.lfbName[i], inUse)
-			}
-			if e.rec != nil {
-				e.rec.GaugeAdd(telemetry.GaugeLFB, e.eng.Now(), inUse-prev)
-			}
-			prev = inUse
-		})
-	}
-	prevChip := 0
-	e.chip.SetOnChange(func(inUse int) {
-		if e.tr != nil {
-			e.tr.Counter(e.eng.Now(), "chipq", inUse)
-		}
-		if e.rec != nil {
-			e.rec.GaugeAdd(telemetry.GaugeChip, e.eng.Now(), inUse-prevChip)
-		}
-		prevChip = inUse
-	})
-}
-
-// startAttrib attaches the latency-attribution probe when the config
-// enables it. Like the trace and recorder layers it only observes
-// timestamps the simulation already computes and never schedules
-// events, so attributed and unattributed runs are timing-identical.
-// When the flight recorder is also on, every closed ledger feeds the
-// recorder's per-window phase columns.
-func (e *Env) startAttrib(label string) {
-	if !e.cfg.Attribution {
-		return
-	}
-	e.at = attrib.NewProbe(label)
-	if e.rec != nil {
-		e.rec.SetPhaseNames(attrib.Names())
-		e.at.SetOnClose(func(end sim.Time, ph *[attrib.NumPhases]int64) {
-			e.rec.PhaseSample(end, ph[:])
-		})
+	prev := 0
+	return func(n int) {
+		e.tr.Counter(e.eng.Now(), track, n)
+		e.rec.GaugeAdd(id, e.eng.Now(), n-prev)
+		prev = n
 	}
 }
 
 // startObservability attaches every enabled observability layer — the
 // Perfetto trace run, the flight recorder, the attribution probe, and
-// the shared pool hooks that feed them — for one measured run.
+// the occupancy gauges on the LFB pools and the chip-level queue — for
+// one measured run.
 func (e *Env) startObservability(label string) {
 	e.startTrace(label)
-	e.startRecorder(label)
-	e.startAttrib(label)
-	e.installPoolHooks()
+	e.rec = newRecorder(e.cfg, label)
+	e.at = newProbe(e.cfg, label, e.rec)
+	for i, pool := range e.lfb {
+		pool.SetOnChange(e.gauge(telemetry.GaugeLFB, fmt.Sprintf("lfb/core%d", i)))
+	}
+	e.chip.SetOnChange(e.gauge(telemetry.GaugeChip, "chipq"))
 }

@@ -170,3 +170,22 @@ func TestFaultRunsAreSeedDeterministic(t *testing.T) {
 		t.Error("different seeds produced identical fault draws (suspicious)")
 	}
 }
+
+// An abandoned prefetch line lands zero-filled but is never cached: a
+// later lookup must go back to the device rather than hit a line the
+// device never sent. Every completion is dropped and there are no
+// retries, so every access is abandoned and none may ever hit.
+func TestAbandonedLinesStayOutOfCache(t *testing.T) {
+	cfg := platform.Default()
+	cfg.DeviceCacheLines = 1 << 14 // big enough to hold the whole filter
+	cfg.Faults = fault.Plan{Seed: 3, DropCompletionProb: 1}
+	cfg.MaxRetries = 0
+	bloom := workload.NewBloom(1<<15, 4, 128, 600, workload.DefaultWorkCount)
+	r := must(RunPrefetch(cfg, bloom, 4, false))
+	if r.Accesses != 600*4 || r.Diag.Abandoned != uint64(r.Accesses) {
+		t.Errorf("abandoned %d of %d accesses, want all %d probes", r.Diag.Abandoned, r.Accesses, 600*4)
+	}
+	if r.Diag.CacheHits != 0 {
+		t.Errorf("%d cache hits on lines that were only ever abandoned", r.Diag.CacheHits)
+	}
+}

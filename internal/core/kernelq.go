@@ -2,10 +2,8 @@ package core
 
 import (
 	"repro/internal/attrib"
-	"repro/internal/hostmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/uthread"
 )
 
@@ -21,84 +19,40 @@ import (
 // kernel-mode context switch, and on the device's completion interrupt
 // pays the interrupt cost plus another kernel switch before the thread
 // returns from its syscall.
-func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, c *counters) {
-	rq := hostmem.NewRequestQueue()
-	cq := hostmem.NewCompletionQueue()
-	ep := e.dev.NewSWQEndpoint(coreID, rq, cq)
-	defer ep.Stop()
-	defer func() {
-		c.fetchBursts += ep.FetchBursts()
-		c.emptyBursts += ep.EmptyBursts()
-		if rq.MaxDepth() > c.maxRQDepth {
-			c.maxRQDepth = rq.MaxDepth()
-		}
-	}()
-
-	ready := uthread.NewFIFO()
-	installQueueHooks(e, coreID, rq, cq, ready)
-	states := make(map[*uthread.Thread]*swqThreadState, len(threads))
-	waiting := make(map[uint64]descWait)
-	for _, th := range threads {
-		states[th] = &swqThreadState{}
-		ready.Push(th)
-	}
+func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread) {
+	q := newDescQueue(e, coreID, threads)
+	defer q.stop()
 	live := len(threads)
 
 	for live > 0 {
-		th := ready.Pop()
+		th := q.ready.Pop()
 		if th == nil {
 			// The OS idles (or runs unrelated processes) until the
 			// device raises a completion interrupt.
-			gate := ep.CompletionGate()
-			compls := cq.Drain()
+			gate := q.ep.CompletionGate()
+			compls := q.cq.Drain()
 			if len(compls) == 0 {
 				// Recovery backstop: the kernel arms a timer at the
 				// earliest descriptor deadline in case the completion
 				// interrupt never comes.
-				waitCompletionOrRecover(p, e, rq, ep, gate, waiting, states, ready, c)
+				q.waitOrRecover(p, gate)
 				continue
 			}
 			// Interrupt delivery + handler, then wake the syscall
 			// waiters; completions present in the queue coalesce into
-			// one interrupt.
+			// one interrupt. Time until the interrupt fired is
+			// completion wait; the interrupt delivery + handler is
+			// switch overhead.
 			intStart := p.Now()
 			p.Sleep(e.cfg.InterruptCost)
-			for _, compl := range compls {
-				w, ok := waiting[compl.ID]
-				if !ok {
-					continue
-				}
-				delete(waiting, compl.ID)
-				c.recordLatency(compl.Posted - w.submitted)
-				if e.rec != nil {
-					e.rec.Finished(p.Now())
-					e.rec.Sample(p.Now(), compl.Posted-w.submitted)
-				}
-				w.sp.End(compl.Posted)
-				st := states[w.th]
-				// Time until the interrupt fired is completion wait; the
-				// interrupt delivery + handler is switch overhead. The
-				// ledger parks on the thread state until the syscall
-				// returns.
-				w.aw.To(attrib.PhaseComplWait, intStart)
-				w.aw.To(attrib.PhaseSwitch, p.Now())
-				if w.aw != nil && st.atr == nil {
-					st.atr = make([]*attrib.Access, len(st.data))
-				}
-				if st.atr != nil {
-					st.atr[w.slot] = w.aw
-				}
-				st.data[w.slot] = ep.Data(compl.ID)
-				st.remaining--
-				if st.remaining == 0 {
-					st.payload = st.data
-					ready.Push(w.th)
-				}
-			}
+			q.deliver(p, compls, func(aw *attrib.Access) {
+				aw.To(attrib.PhaseComplWait, intStart)
+				aw.To(attrib.PhaseSwitch, p.Now())
+			})
 			continue
 		}
 
-		st := states[th]
+		st := q.states[th]
 		var req uthread.Request
 		if st.started {
 			// The thread was de-scheduled inside its syscall; resuming
@@ -106,10 +60,7 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, 
 			// thread was switched away from), then the syscall returns.
 			resumeStart := p.Now()
 			p.Sleep(e.cfg.KernelCtxSwitch)
-			c.switches++
-			if e.rec != nil {
-				e.rec.Switches(p.Now(), 1)
-			}
+			e.switched(p.Now())
 			p.Sleep(e.cfg.SyscallCost)
 			// Ready-queue time is completion wait; the kernel switch
 			// plus syscall return is switch overhead, closing the batch's
@@ -128,7 +79,7 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, 
 
 		for req.Kind == uthread.KindWork {
 			p.Sleep(e.cfg.WorkTime(req.Instr))
-			c.workInstr += int64(req.Instr)
+			e.c.workInstr += int64(req.Instr)
 			req = th.Resume(nil)
 		}
 
@@ -137,38 +88,14 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, 
 			// Syscall entry, kernel queueing, unconditional doorbell,
 			// then the kernel de-schedules the thread.
 			p.Sleep(e.cfg.SyscallCost)
-			st.data = make([][]byte, len(req.Addrs))
-			st.remaining = len(req.Addrs)
-			for i, addr := range req.Addrs {
-				aw := e.at.Open(p.Now())
-				p.Sleep(e.cfg.SWQPerAccessOverhead)
-				aw.To(attrib.PhaseIssue, p.Now())
-				c.accesses++
-				if e.rec != nil {
-					e.rec.Started(p.Now())
-				}
-				target := responseTarget(coreID, th.ID(), i)
-				var sp trace.Span
-				if e.tr != nil {
-					sp = e.trCore[coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
-				}
-				id := rq.PushTracked(addr, target, p.Now(), sp, aw)
-				waiting[id] = descWait{
-					th: th, slot: i, submitted: p.Now(),
-					addr: addr, target: target,
-					deadline: p.Now() + e.cfg.RetryTimeout(0),
-					sp:       sp, aw: aw,
-				}
-			}
-			p.Sleep(e.cfg.DoorbellMMIO)
-			rq.ClearDoorbellRequested()
-			ep.Doorbell()
+			q.submit(p, th, req.Addrs)
+			q.doorbell(p)
 			p.Sleep(e.cfg.KernelCtxSwitch) // de-schedule
 		case uthread.KindDone:
 			live--
 		}
 	}
-	c.coreFinished(p.Now())
+	e.c.coreFinished(p.Now())
 }
 
 // RunKernelQueue measures the kernel-managed software-queue interface —

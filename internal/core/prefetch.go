@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/attrib"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -27,7 +29,7 @@ type pendingAccess struct {
 // context switch. The round-robin scheduler later resumes the thread,
 // whose demand load either hits in the L1 (the fill arrived) or blocks
 // the core until the in-flight miss completes (MSHR merge).
-func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, c *counters) {
+func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread) {
 	initial := make(map[*uthread.Thread]uthread.Request, len(threads))
 	pending := make(map[*uthread.Thread]*pendingAccess, len(threads))
 	for _, th := range threads {
@@ -36,20 +38,11 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 	rr := uthread.NewRoundRobin(threads)
 	var cur *uthread.Thread
 
-	// Runnable-set observability: the trace counter wants the absolute
-	// live count, the recorder gauge a delta from the previous sample.
-	prevLive := 0
-	setLive := func(n int) {
-		if e.tr != nil {
-			e.tr.Counter(p.Now(), e.runnableName[coreID], n)
-		}
-		if e.rec != nil {
-			e.rec.GaugeAdd(telemetry.GaugeRunnable, p.Now(), n-prevLive)
-		}
-		prevLive = n
-	}
-	if e.tr != nil || e.rec != nil {
-		setLive(rr.Live())
+	// The round-robin set has no change hook; the scheduler samples its
+	// gauge by hand (nil when no layer observes it).
+	live := e.gauge(telemetry.GaugeRunnable, fmt.Sprintf("runnable/core%d", coreID))
+	if live != nil {
+		live(rr.Live())
 	}
 
 	for {
@@ -65,10 +58,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 			switchStart = p.Now()
 			p.Sleep(e.cfg.CtxSwitch)
 			switchEnd = p.Now()
-			c.switches++
-			if e.rec != nil {
-				e.rec.Switches(p.Now(), 1)
-			}
+			e.switched(p.Now())
 		}
 		cur = th
 
@@ -83,10 +73,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 				}
 				p.Wait(g) // demand load; no cost if the line already filled
 			}
-			c.recordLatency(p.Now() - pa.issued)
-			if e.rec != nil {
-				e.rec.Sample(p.Now(), p.Now()-pa.issued)
-			}
+			e.delivered(p.Now(), p.Now()-pa.issued)
 			// Close each line's ledger at consumption. The unconditional
 			// marks rely on the clamp: a line that landed before the
 			// switch charges it to the switch phase, a line that was
@@ -110,7 +97,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 			switch req.Kind {
 			case uthread.KindWork:
 				p.Sleep(e.cfg.WorkTime(req.Instr))
-				c.workInstr += int64(req.Instr)
+				e.c.workInstr += int64(req.Instr)
 				req = th.Resume(nil)
 			case uthread.KindWrite:
 				// Posted stores: each takes a store-buffer entry (a
@@ -121,7 +108,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 				for _, addr := range req.Addrs {
 					p.AcquireToken(e.storeBuf[coreID])
 					p.Sleep(e.cfg.WriteIssue)
-					c.writes++
+					e.c.writes++
 					e.invalidateAll(addr)
 					sb := e.storeBuf[coreID]
 					e.dev.MMIOWrite(coreID, addr, sb.Release)
@@ -170,55 +157,25 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 				aw.To(attrib.PhaseQueueWait, p.Now())
 				p.Sleep(e.cfg.PrefetchIssue)
 				aw.To(attrib.PhaseIssue, p.Now())
-				c.accesses++
-				if e.rec != nil {
-					e.rec.Started(p.Now())
-				}
+				e.issued(p.Now())
 
 				g := e.eng.NewGate()
 				pa.gates[i] = g
-				i, addr := i, addr
 				lfb := e.lfb[coreID]
-				// The request proceeds to the device once a slot in the
-				// chip-level shared queue frees; the wait happens in the
-				// hardware queues, not on the core.
-				if e.faults == nil {
-					e.chip.OnAcquire(func() {
-						sp.Point(e.eng.Now(), "chipq-acquired")
-						aw.To(attrib.PhaseQueueWait, e.eng.Now())
-						e.dev.MMIORead(coreID, addr, sp, aw, func(data []byte) {
-							aw.To(attrib.PhaseTransit, e.eng.Now())
-							pa.data[i] = data
-							if cc := e.caches[coreID]; cc != nil {
-								cc.Insert(addr, data)
-							}
-							e.chip.Release()
-							lfb.Release()
-							g.Fire()
-							if e.rec != nil {
-								e.rec.Finished(e.eng.Now())
-							}
-							sp.End(e.eng.Now())
-						})
-					})
-					continue
-				}
-				// Fault-aware path: the in-flight line gets a timeout;
-				// on expiry the host re-issues the read (the LFB entry
-				// and chip-queue slot stay allocated across retries),
-				// backing off until the retry budget runs out, then
-				// abandons with a zero-filled line. finish is guarded
-				// because a duplicated or straggling response can race a
-				// retry's response — only the first delivery counts.
-				completed := false
-				finish := func(data []byte, genuine bool) {
-					if completed {
+				// land is the line's one completion path. Under fault
+				// injection a duplicated or straggling response can race
+				// a retry's response or an abandon; the gate is the
+				// deliver-once guard. An abandoned line lands as nil: the
+				// thread gets a zero-filled line that is never cached.
+				land := func(data []byte) {
+					if g.Fired() {
 						return
 					}
-					completed = true
 					aw.To(attrib.PhaseTransit, e.eng.Now())
-					pa.data[i] = data
-					if genuine {
+					if data == nil {
+						pa.data[i] = make([]byte, platform.CacheLineBytes)
+					} else {
+						pa.data[i] = data
 						if cc := e.caches[coreID]; cc != nil {
 							cc.Insert(addr, data)
 						}
@@ -226,55 +183,66 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 					e.chip.Release()
 					lfb.Release()
 					g.Fire()
-					if e.rec != nil {
-						e.rec.Finished(e.eng.Now())
-					}
+					e.rec.Finished(e.eng.Now())
 					sp.End(e.eng.Now())
 				}
-				var attempt func(n int)
-				attempt = func(n int) {
-					e.dev.MMIORead(coreID, addr, sp, aw, func(data []byte) {
-						finish(data, true)
-					})
-					e.eng.After(e.cfg.RetryTimeout(n), func() {
-						if completed {
-							return
-						}
-						aw.To(attrib.PhaseRetry, e.eng.Now())
-						c.timeouts++
-						if e.rec != nil {
-							e.rec.Timeouts(e.eng.Now(), 1)
-						}
-						sp.Point(e.eng.Now(), "timeout")
-						if n >= e.cfg.MaxRetries {
-							c.abandoned++
-							if e.rec != nil {
-								e.rec.Abandoned(e.eng.Now(), 1)
-							}
-							sp.Point(e.eng.Now(), "abandoned")
-							finish(make([]byte, platform.CacheLineBytes), false)
-							return
-						}
-						c.retries++
-						if e.rec != nil {
-							e.rec.Retries(e.eng.Now(), 1)
-						}
-						sp.Point(e.eng.Now(), "retry")
-						attempt(n + 1)
-					})
-				}
+				// The request proceeds to the device once a slot in the
+				// chip-level shared queue frees; the wait happens in the
+				// hardware queues, not on the core.
 				e.chip.OnAcquire(func() {
 					sp.Point(e.eng.Now(), "chipq-acquired")
 					aw.To(attrib.PhaseQueueWait, e.eng.Now())
-					attempt(0)
+					e.dev.MMIORead(coreID, addr, sp, aw, land)
+					if e.faults != nil {
+						e.armLineTimeout(lineRead{coreID, addr, sp, aw, g, land}, 0)
+					}
 				})
 			}
 			pending[th] = pa
 			// userctx_yield(): fall through to the scheduler.
-		} else if e.tr != nil || e.rec != nil {
+		} else if live != nil {
 			// The thread just finished; record the shrunk runnable set.
-			setLive(rr.Live())
+			live(rr.Live())
 		}
 	}
-	c.coreFinished(p.Now())
+	e.c.coreFinished(p.Now())
+}
+
+// lineRead is one in-flight prefetch line's device read: what the retry
+// timeout needs to re-issue it, and the gate and completion path it
+// lands through.
+type lineRead struct {
+	coreID int
+	addr   uint64
+	sp     trace.Span
+	aw     *attrib.Access
+	g      *sim.Gate
+	land   func(data []byte)
+}
+
+// armLineTimeout arms attempt n's retry timeout under fault injection.
+// If the line has not landed when it expires, the host re-issues the
+// read (the LFB entry and chip-queue slot stay allocated across
+// retries), backing off until the retry budget runs out, then abandons
+// the line.
+func (e *Env) armLineTimeout(r lineRead, n int) {
+	e.eng.After(e.cfg.RetryTimeout(n), func() {
+		if r.g.Fired() {
+			return
+		}
+		now := e.eng.Now()
+		r.aw.To(attrib.PhaseRetry, now)
+		e.timedOut(now)
+		r.sp.Point(now, "timeout")
+		if n >= e.cfg.MaxRetries {
+			e.abandoned(now)
+			r.sp.Point(now, "abandoned")
+			r.land(nil)
+			return
+		}
+		e.retried(now)
+		r.sp.Point(now, "retry")
+		e.dev.MMIORead(r.coreID, r.addr, r.sp, r.aw, r.land)
+		e.armLineTimeout(r, n+1)
+	})
 }

@@ -4,18 +4,14 @@ import (
 	"sort"
 
 	"repro/internal/attrib"
-	"repro/internal/device"
-	"repro/internal/hostmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/uthread"
 )
 
-// This file holds the descriptor-timeout recovery machinery shared by
-// the software-queue and kernel-queue schedulers: the deadline scan,
-// the resubmit/abandon state machine, and the park-or-recover wait both
-// schedulers enter when no thread is ready and the completion queue is
-// empty.
+// This file holds the descQueue's descriptor-timeout recovery: the
+// deadline scan, the resubmit/abandon state machine, and the
+// park-or-recover wait both queue schedulers enter when no thread is
+// ready and the completion queue is empty.
 
 // minDeadline returns the earliest recovery deadline among outstanding
 // descriptors (order-independent, so map iteration is safe).
@@ -31,23 +27,21 @@ func minDeadline(waiting map[uint64]descWait) sim.Time {
 	return min
 }
 
-// waitCompletionOrRecover parks the scheduler on the completion gate
-// when it has nothing runnable. Fault-free (or with nothing
-// outstanding) it waits indefinitely — a completion must eventually
-// arrive. Under fault injection it bounds the wait by the earliest
-// descriptor deadline, so a lost completion or a swallowed doorbell
-// cannot hang the core: on expiry it runs timeout recovery over every
-// overdue descriptor. Callers must obtain the gate before their final
-// completion-queue drain to avoid a lost wakeup.
-func waitCompletionOrRecover(p *sim.Proc, e *Env, rq *hostmem.RequestQueue, ep *device.SWQEndpoint,
-	gate *sim.Gate, waiting map[uint64]descWait, states map[*uthread.Thread]*swqThreadState,
-	ready *uthread.FIFO, c *counters) {
-	if e.faults == nil || len(waiting) == 0 {
+// waitOrRecover parks the scheduler on the completion gate when it has
+// nothing runnable. Fault-free (or with nothing outstanding) it waits
+// indefinitely — a completion must eventually arrive. Under fault
+// injection it bounds the wait by the earliest descriptor deadline, so
+// a lost completion or a swallowed doorbell cannot hang the core: on
+// expiry it runs timeout recovery over every overdue descriptor.
+// Callers must obtain the gate before their final completion-queue
+// drain to avoid a lost wakeup.
+func (q *descQueue) waitOrRecover(p *sim.Proc, gate *sim.Gate) {
+	if q.e.faults == nil || len(q.waiting) == 0 {
 		p.Wait(gate)
 		return
 	}
-	if !p.WaitTimeout(gate, minDeadline(waiting)-p.Now()) {
-		resubmitOverdue(p, e, rq, ep, waiting, states, ready, c)
+	if !p.WaitTimeout(gate, minDeadline(q.waiting)-p.Now()) {
+		q.resubmitOverdue(p)
 	}
 }
 
@@ -60,26 +54,22 @@ func waitCompletionOrRecover(p *sim.Proc, e *Env, rq *hostmem.RequestQueue, ep *
 // unconditionally — the fetcher may be parked on a doorbell that a
 // fault swallowed. Descriptor IDs are scanned in sorted order to keep
 // the run deterministic.
-func resubmitOverdue(p *sim.Proc, e *Env, rq *hostmem.RequestQueue, ep *device.SWQEndpoint,
-	waiting map[uint64]descWait, states map[*uthread.Thread]*swqThreadState,
-	ready *uthread.FIFO, c *counters) {
-	ids := make([]uint64, 0, len(waiting))
-	for id := range waiting {
+func (q *descQueue) resubmitOverdue(p *sim.Proc) {
+	e := q.e
+	ids := make([]uint64, 0, len(q.waiting))
+	for id := range q.waiting {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	resubmitted := false
 	for _, id := range ids {
-		w := waiting[id]
+		w := q.waiting[id]
 		if w.deadline > p.Now() {
 			continue
 		}
-		delete(waiting, id)
-		c.timeouts++
-		if e.rec != nil {
-			e.rec.Timeouts(p.Now(), 1)
-		}
+		delete(q.waiting, id)
+		e.timedOut(p.Now())
 		w.sp.Point(p.Now(), "timeout")
 		// Waiting out the timeout is retry backoff; the gap between the
 		// deadline expiring and the host acting on it is timeout slop.
@@ -87,41 +77,26 @@ func resubmitOverdue(p *sim.Proc, e *Env, rq *hostmem.RequestQueue, ep *device.S
 		w.aw.To(attrib.PhaseSlop, p.Now())
 		if w.attempts >= e.cfg.MaxRetries {
 			// Out of budget: abandon with a zero-filled line.
-			c.abandoned++
-			c.recordLatency(p.Now() - w.submitted)
-			if e.rec != nil {
-				e.rec.Abandoned(p.Now(), 1)
-				e.rec.Finished(p.Now())
-				e.rec.Sample(p.Now(), p.Now()-w.submitted)
-			}
+			e.abandoned(p.Now())
+			e.rec.Finished(p.Now())
+			e.delivered(p.Now(), p.Now()-w.submitted)
 			w.sp.Point(p.Now(), "abandoned")
 			w.sp.End(p.Now())
 			w.aw.Close(attrib.PhaseSlop, p.Now())
-			st := states[w.th]
-			st.data[w.slot] = make([]byte, platform.CacheLineBytes)
-			st.remaining--
-			if st.remaining == 0 {
-				st.payload = st.data
-				ready.Push(w.th)
-			}
+			q.fill(w, make([]byte, platform.CacheLineBytes))
 			continue
 		}
-		c.retries++
-		if e.rec != nil {
-			e.rec.Retries(p.Now(), 1)
-		}
+		e.retried(p.Now())
 		p.Sleep(e.cfg.SWQPerAccessOverhead)
 		w.attempts++
 		w.deadline = p.Now() + e.cfg.RetryTimeout(w.attempts)
 		w.sp.Point(p.Now(), "retry")
 		w.aw.To(attrib.PhaseRetry, p.Now())
-		newID := rq.PushTracked(w.addr, w.target, p.Now(), w.sp, w.aw)
-		waiting[newID] = w
+		newID := q.rq.PushTracked(w.addr, w.target, p.Now(), w.sp, w.aw)
+		q.waiting[newID] = w
 		resubmitted = true
 	}
 	if resubmitted {
-		p.Sleep(e.cfg.DoorbellMMIO)
-		rq.ClearDoorbellRequested()
-		ep.Doorbell()
+		q.doorbell(p)
 	}
 }

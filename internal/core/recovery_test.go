@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"repro/internal/device"
 	"repro/internal/fault"
-	"repro/internal/hostmem"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/sim"
@@ -14,32 +12,21 @@ import (
 )
 
 // recoveryHarness assembles the minimal scheduler state the shared
-// park-or-recover wait operates on: an Env (faulty or not), the host
-// queues, a device endpoint, and one thread with a single-slot batch.
+// park-or-recover wait operates on: an Env (faulty or not), a core's
+// descriptor queue, and one thread with a single-slot batch that is
+// not yet on the ready FIFO.
 type recoveryHarness struct {
-	e       *Env
-	rq      *hostmem.RequestQueue
-	cq      *hostmem.CompletionQueue
-	ep      *device.SWQEndpoint
-	th      *uthread.Thread
-	states  map[*uthread.Thread]*swqThreadState
-	waiting map[uint64]descWait
-	ready   *uthread.FIFO
-	c       counters
+	e  *Env
+	q  *descQueue
+	th *uthread.Thread
+	c  *counters
 }
 
 func newRecoveryHarness(cfg platform.Config) *recoveryHarness {
-	h := &recoveryHarness{
-		e:       NewEnv(cfg, replay.ZeroBacking{}),
-		rq:      hostmem.NewRequestQueue(),
-		cq:      hostmem.NewCompletionQueue(),
-		states:  map[*uthread.Thread]*swqThreadState{},
-		waiting: map[uint64]descWait{},
-		ready:   uthread.NewFIFO(),
-	}
-	h.ep = h.e.dev.NewSWQEndpoint(0, h.rq, h.cq)
+	e := NewEnv(cfg, replay.ZeroBacking{})
+	h := &recoveryHarness{e: e, q: newDescQueue(e, 0, nil), c: &e.c}
 	h.th = uthread.New(0, func(*uthread.API) {})
-	h.states[h.th] = &swqThreadState{data: make([][]byte, 1), remaining: 1}
+	h.q.states[h.th] = &swqThreadState{data: make([][]byte, 1), remaining: 1}
 	return h
 }
 
@@ -47,9 +34,9 @@ func newRecoveryHarness(cfg platform.Config) *recoveryHarness {
 // and registers it as outstanding with the given attempt count and a
 // deadline d from now.
 func (h *recoveryHarness) submit(p *sim.Proc, attempts int, d sim.Time) uint64 {
-	id := h.rq.PushTracked(0x1000, 0x2000, p.Now(), trace.Span{}, nil)
-	h.rq.PopBurst(1) // descriptor is at the device; host queue is empty
-	h.waiting[id] = descWait{
+	id := h.q.rq.PushTracked(0x1000, 0x2000, p.Now(), trace.Span{}, nil)
+	h.q.rq.PopBurst(1) // descriptor is at the device; host queue is empty
+	h.q.waiting[id] = descWait{
 		th: h.th, slot: 0, submitted: p.Now(),
 		addr: 0x1000, target: 0x2000,
 		attempts: attempts,
@@ -75,19 +62,19 @@ func TestWaitCompletionOrRecoverParksWhenFaultFree(t *testing.T) {
 	var woke sim.Time
 	h.e.eng.Go("core", func(p *sim.Proc) {
 		h.submit(p, 0, 2*sim.Microsecond)
-		gate := h.ep.CompletionGate()
+		gate := h.q.ep.CompletionGate()
 		h.e.eng.After(7*sim.Microsecond, gate.Fire) // completion long past the deadline
-		waitCompletionOrRecover(p, h.e, h.rq, h.ep, gate, h.waiting, h.states, h.ready, &h.c)
+		h.q.waitOrRecover(p, gate)
 		woke = p.Now()
-		h.ep.Stop()
+		h.q.ep.Stop()
 	})
 	h.e.eng.Run()
 	if woke != 7*sim.Microsecond {
 		t.Errorf("fault-free wait woke at %v, want the gate fire at 7us", woke)
 	}
-	if h.c.timeouts != 0 || h.c.retries != 0 || len(h.waiting) != 1 {
+	if h.c.timeouts != 0 || h.c.retries != 0 || len(h.q.waiting) != 1 {
 		t.Errorf("fault-free wait ran recovery: timeouts=%d retries=%d waiting=%d",
-			h.c.timeouts, h.c.retries, len(h.waiting))
+			h.c.timeouts, h.c.retries, len(h.q.waiting))
 	}
 }
 
@@ -99,19 +86,19 @@ func TestWaitCompletionOrRecoverReturnsOnCompletion(t *testing.T) {
 	var woke sim.Time
 	h.e.eng.Go("core", func(p *sim.Proc) {
 		h.submit(p, 0, 5*sim.Microsecond)
-		gate := h.ep.CompletionGate()
+		gate := h.q.ep.CompletionGate()
 		h.e.eng.After(1*sim.Microsecond, gate.Fire)
-		waitCompletionOrRecover(p, h.e, h.rq, h.ep, gate, h.waiting, h.states, h.ready, &h.c)
+		h.q.waitOrRecover(p, gate)
 		woke = p.Now()
-		h.ep.Stop()
+		h.q.ep.Stop()
 	})
 	h.e.eng.Run()
 	if woke != 1*sim.Microsecond {
 		t.Errorf("woke at %v, want the completion at 1us", woke)
 	}
-	if h.c.timeouts != 0 || len(h.waiting) != 1 {
+	if h.c.timeouts != 0 || len(h.q.waiting) != 1 {
 		t.Errorf("completion before deadline still recovered: timeouts=%d waiting=%d",
-			h.c.timeouts, len(h.waiting))
+			h.c.timeouts, len(h.q.waiting))
 	}
 }
 
@@ -127,13 +114,13 @@ func TestWaitCompletionOrRecoverResubmitsOverdue(t *testing.T) {
 	var woke sim.Time
 	h.e.eng.Go("core", func(p *sim.Proc) {
 		oldID = h.submit(p, 0, 2*sim.Microsecond)
-		gate := h.ep.CompletionGate() // never fires: the completion was lost
-		waitCompletionOrRecover(p, h.e, h.rq, h.ep, gate, h.waiting, h.states, h.ready, &h.c)
+		gate := h.q.ep.CompletionGate() // never fires: the completion was lost
+		h.q.waitOrRecover(p, gate)
 		woke = p.Now()
-		for id, w := range h.waiting {
+		for id, w := range h.q.waiting {
 			newID, neww = id, w
 		}
-		h.ep.Stop()
+		h.q.ep.Stop()
 	})
 	h.e.eng.Run()
 
@@ -144,8 +131,8 @@ func TestWaitCompletionOrRecoverResubmitsOverdue(t *testing.T) {
 		t.Errorf("counters = (timeouts %d, retries %d, abandoned %d), want (1, 1, 0)",
 			h.c.timeouts, h.c.retries, h.c.abandoned)
 	}
-	if len(h.waiting) != 1 {
-		t.Fatalf("%d outstanding descriptors after resubmit, want 1", len(h.waiting))
+	if len(h.q.waiting) != 1 {
+		t.Fatalf("%d outstanding descriptors after resubmit, want 1", len(h.q.waiting))
 	}
 	if newID == oldID {
 		t.Error("resubmission reused the old descriptor ID; a straggling old completion would match it")
@@ -163,7 +150,7 @@ func TestWaitCompletionOrRecoverResubmitsOverdue(t *testing.T) {
 	if neww.deadline < min || neww.deadline > max {
 		t.Errorf("backed-off deadline %v outside [%v, %v]", neww.deadline, min, max)
 	}
-	if h.ep.DoorbellHits() == 0 {
+	if h.q.ep.DoorbellHits() == 0 {
 		t.Error("resubmission never re-rang the doorbell")
 	}
 }
@@ -175,19 +162,19 @@ func TestWaitCompletionOrRecoverAbandonsPastBudget(t *testing.T) {
 	h := newRecoveryHarness(faultyRecoveryCfg())
 	h.e.eng.Go("core", func(p *sim.Proc) {
 		h.submit(p, h.e.cfg.MaxRetries, 2*sim.Microsecond)
-		gate := h.ep.CompletionGate()
-		waitCompletionOrRecover(p, h.e, h.rq, h.ep, gate, h.waiting, h.states, h.ready, &h.c)
-		h.ep.Stop()
+		gate := h.q.ep.CompletionGate()
+		h.q.waitOrRecover(p, gate)
+		h.q.ep.Stop()
 	})
 	h.e.eng.Run()
 
 	if h.c.abandoned != 1 || h.c.retries != 0 {
 		t.Errorf("counters = (abandoned %d, retries %d), want (1, 0)", h.c.abandoned, h.c.retries)
 	}
-	if len(h.waiting) != 0 || h.rq.Len() != 0 {
-		t.Errorf("abandoned descriptor still tracked: waiting=%d rq=%d", len(h.waiting), h.rq.Len())
+	if len(h.q.waiting) != 0 || h.q.rq.Len() != 0 {
+		t.Errorf("abandoned descriptor still tracked: waiting=%d rq=%d", len(h.q.waiting), h.q.rq.Len())
 	}
-	st := h.states[h.th]
+	st := h.q.states[h.th]
 	if st.remaining != 0 || st.payload == nil {
 		t.Fatalf("thread batch not completed: remaining=%d payload=%v", st.remaining, st.payload)
 	}
@@ -200,7 +187,7 @@ func TestWaitCompletionOrRecoverAbandonsPastBudget(t *testing.T) {
 			t.Fatal("abandoned slot not zero-filled")
 		}
 	}
-	if got := h.ready.Pop(); got != h.th {
+	if got := h.q.ready.Pop(); got != h.th {
 		t.Error("abandoning the last slot did not make the thread runnable")
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/uthread"
 )
 
@@ -68,78 +66,48 @@ func RunOnDemandDevice(cfg platform.Config, w Workload) (Result, error) {
 	inj := fault.NewInjector(cfg.Faults)
 	label := fmt.Sprintf("ondemand/%s lat=%v", w.Name(), cfg.DeviceLatency)
 
-	// The analytic interval model has no engine events to hook, so the
-	// trace layer synthesizes one access span per load from the model's
-	// per-load observer; the observer never affects timing.
-	var run *trace.Run
+	// The analytic interval model has no engine events to hook, so one
+	// per-load observer synthesizes every enabled layer's view of each
+	// load; it never affects timing.
+	//
+	//   - Trace: one access span per load.
+	//   - Flight recorder: issue times are monotone, so windows advance
+	//     with issue order, and completion times that regress under
+	//     recovery reordering fall into the current window (see
+	//     telemetry.Recorder.advance).
+	//   - Attribution: each load's closed-form latency decomposes the
+	//     way HostAccessLatency assembled it. The failed attempts'
+	//     timeouts are retry backoff, the PCIe round trip of the
+	//     successful attempt is transit, and the remainder is device
+	//     service. The decomposition telescopes exactly because the
+	//     model's complete-issue window equals the outcome latency
+	//     (device loads issue back-to-back with no issue gap).
+	run := cfg.Trace.NewRun(label)
+	tk := run.NewTrack("core0")
+	rec := newRecorder(cfg, label)
+	at := newProbe(cfg, label, rec)
 	var observe cpu.LoadObserver
-	if cfg.Trace != nil {
-		run = cfg.Trace.NewRun(label)
-		tk := run.NewTrack("core0")
+	if run != nil || rec != nil || at != nil {
+		rtt := 2*cfg.PCIePropagation + cfg.TLPTime(0) + cfg.TLPTime(platform.CacheLineBytes)
 		observe = func(issue, complete sim.Time, out fault.AccessOutcome) {
 			sp := tk.BeginSpan(issue, "access", "")
-			if out.Timeouts > 0 {
-				sp.Point(complete, "timeout")
-			}
-			if out.Retries > 0 {
-				sp.Point(complete, "retry")
-			}
-			if out.Abandoned {
-				sp.Point(complete, "abandoned")
-			}
-			sp.End(complete)
-		}
-	}
-
-	// The flight recorder hooks the same per-load observer: issue times
-	// are monotone, so windows advance with issue order, and completion
-	// times that regress under recovery reordering fall into the current
-	// window (see telemetry.Recorder.advance).
-	var rec *telemetry.Recorder
-	if cfg.MetricsWindow > 0 {
-		rec = telemetry.NewRecorder(label, cfg.MetricsWindow, cfg.MetricsMaxWindows, cfg.MetricsSink)
-		traced := observe
-		observe = func(issue, complete sim.Time, out fault.AccessOutcome) {
-			if traced != nil {
-				traced(issue, complete, out)
-			}
 			rec.Started(issue)
 			rec.Finished(complete)
 			rec.Sample(complete, complete-issue)
 			if out.Timeouts > 0 {
+				sp.Point(complete, "timeout")
 				rec.Timeouts(complete, out.Timeouts)
 			}
 			if out.Retries > 0 {
+				sp.Point(complete, "retry")
 				rec.Retries(complete, out.Retries)
 			}
 			if out.Abandoned {
+				sp.Point(complete, "abandoned")
 				rec.Abandoned(complete, 1)
 			}
-		}
-	}
+			sp.End(complete)
 
-	// Attribution for the analytic model decomposes each load's closed-
-	// form latency the same way HostAccessLatency assembled it: the
-	// failed attempts' timeouts are retry backoff, the PCIe round trip
-	// of the successful attempt is transit, and the remainder is device
-	// service. The decomposition telescopes exactly because the model's
-	// complete-issue window equals the outcome latency (device loads
-	// issue back-to-back with no issue gap).
-	var at *attrib.Probe
-	if cfg.Attribution {
-		at = attrib.NewProbe(label)
-		if rec != nil {
-			rec.SetPhaseNames(attrib.Names())
-			at.SetOnClose(func(end sim.Time, ph *[attrib.NumPhases]int64) {
-				rec.PhaseSample(end, ph[:])
-			})
-		}
-		rtt := 2*cfg.PCIePropagation + cfg.TLPTime(0) + cfg.TLPTime(platform.CacheLineBytes)
-		prev := observe
-		observe = func(issue, complete sim.Time, out fault.AccessOutcome) {
-			if prev != nil {
-				prev(issue, complete, out)
-			}
 			aw := at.Open(issue)
 			if out.Abandoned {
 				aw.Close(attrib.PhaseRetry, complete)
@@ -187,7 +155,7 @@ func RunOnDemandDevice(cfg platform.Config, w Workload) (Result, error) {
 }
 
 // coreRunner is one mechanism's per-core executor.
-type coreRunner func(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, c *counters)
+type coreRunner func(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 
 // RunPrefetch measures the prefetch + user-level-context-switch
 // mechanism with threadsPerCore threads on each of cfg.Cores cores.
@@ -229,7 +197,7 @@ func runThreaded(cfg platform.Config, w Workload, mech string, threadsPerCore in
 		for coreID := 0; coreID < cfg.Cores; coreID++ {
 			rec.dev.EnableRecording(coreID)
 		}
-		if _, err := launch(rec, w, threadsPerCore, run); err != nil {
+		if err := launch(rec, w, threadsPerCore, run); err != nil {
 			return Result{}, fmt.Errorf("core: recording run: %w", err)
 		}
 		for coreID := 0; coreID < cfg.Cores; coreID++ {
@@ -245,11 +213,11 @@ func runThreaded(cfg platform.Config, w Workload, mech string, threadsPerCore in
 	label := fmt.Sprintf("%s/%s lat=%v cores=%d threads=%d",
 		mech, w.Name(), cfg.DeviceLatency, cfg.Cores, threadsPerCore)
 	e.startObservability(label)
-	c, err := launch(e, w, threadsPerCore, run)
-	if err != nil {
+	if err := launch(e, w, threadsPerCore, run); err != nil {
 		return Result{}, err
 	}
-	diag := e.diagnostics(c)
+	c := &e.c
+	diag := e.diagnostics()
 	res := Result{
 		Measurement: stats.Measurement{
 			Label:             label,
@@ -307,7 +275,7 @@ func RecordAccessTrace(cfg platform.Config, w Workload, threadsPerCore int, mech
 	for coreID := 0; coreID < cfg.Cores; coreID++ {
 		e.dev.EnableRecording(coreID)
 	}
-	if _, err := launch(e, w, threadsPerCore, run); err != nil {
+	if err := launch(e, w, threadsPerCore, run); err != nil {
 		return nil, err
 	}
 	out := make(map[int]*replay.Recording, cfg.Cores)
@@ -319,14 +287,14 @@ func RecordAccessTrace(cfg platform.Config, w Workload, threadsPerCore int, mech
 }
 
 // launch starts one executor process per core, each driving its own set
-// of user-level threads, runs the simulation to completion, and returns
-// the accumulated counters. The watchdog in RunChecked turns a core
-// that deadlocks (e.g. waiting forever on a completion that a fault
-// swallowed and recovery failed to replace) into an error naming the
-// stuck process instead of a silently truncated measurement.
-func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) (*counters, error) {
-	c := &counters{liveCores: e.cfg.Cores}
-	e.startSampler(c)
+// of user-level threads, and runs the simulation to completion,
+// accumulating the run's totals in e.c. The watchdog in RunChecked
+// turns a core that deadlocks (e.g. waiting forever on a completion
+// that a fault swallowed and recovery failed to replace) into an error
+// naming the stuck process instead of a silently truncated measurement.
+func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) error {
+	e.c.liveCores = e.cfg.Cores
+	e.startSampler()
 	for coreID := 0; coreID < e.cfg.Cores; coreID++ {
 		threads := make([]*uthread.Thread, threadsPerCore)
 		for t := range threads {
@@ -334,12 +302,10 @@ func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) (*counters, 
 		}
 		coreID, threads := coreID, threads
 		e.eng.Go(fmt.Sprintf("core%d", coreID), func(p *sim.Proc) {
-			run(p, e, coreID, threads, c)
-			c.liveCores--
+			run(p, e, coreID, threads)
+			e.c.liveCores--
 		})
 	}
-	if _, err := e.eng.RunChecked(); err != nil {
-		return c, err
-	}
-	return c, nil
+	_, err := e.eng.RunChecked()
+	return err
 }

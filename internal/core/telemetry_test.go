@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -33,54 +34,76 @@ func TestRecorderSeriesPresentOnlyWhenEnabled(t *testing.T) {
 }
 
 // TestRecorderTotalsMatchCounters cross-checks the flight recorder
-// against the mechanisms' own counters for every threaded mechanism:
-// the windowed starts must sum to the measured access count, and
-// completions must match starts on fault-free runs.
+// against the mechanisms' own counters for every mechanism, fault-free
+// and under fault injection (which drives the timeout, retry, and
+// abandon edges): the windowed starts must sum to the measured access
+// count, the recovery and switch totals must equal the diagnostics'
+// counts, and every started access must complete exactly once.
 func TestRecorderTotalsMatchCounters(t *testing.T) {
 	w := ubench(testIters)
-	cfg := metricsCfg()
-	runs := map[string]Result{
-		"prefetch": must(RunPrefetch(cfg, w, 4, false)),
-		"swqueue":  must(RunSWQueue(cfg, w, 4, false)),
-		"kernelq":  must(RunKernelQueue(cfg, w, 2, false)),
-		"ondemand": must(RunOnDemandDevice(cfg, w)),
-	}
-	for name, r := range runs {
-		ts := r.Series
-		if ts == nil {
-			t.Errorf("%s: no series", name)
-			continue
+	faulty := metricsCfg()
+	faulty.Faults = fault.Plan{Seed: 7, DropCompletionProb: 0.3, StragglerProb: 0.05, DuplicateProb: 0.05}
+	faulty.MaxRetries = 1
+	for _, tc := range []struct {
+		name string
+		cfg  platform.Config
+	}{{"fault-free", metricsCfg()}, {"faulty", faulty}} {
+		cfg := tc.cfg
+		runs := map[string]Result{
+			"prefetch": must(RunPrefetch(cfg, w, 4, false)),
+			"swqueue":  must(RunSWQueue(cfg, w, 4, false)),
+			"kernelq":  must(RunKernelQueue(cfg, w, 2, false)),
+			"ondemand": must(RunOnDemandDevice(cfg, w)),
 		}
-		if ts.TotalStarts != uint64(r.Accesses) {
-			t.Errorf("%s: recorder starts %d != measured accesses %d", name, ts.TotalStarts, r.Accesses)
+		for name, r := range runs {
+			name := tc.name + "/" + name
+			ts := r.Series
+			if ts == nil {
+				t.Errorf("%s: no series", name)
+				continue
+			}
+			if ts.TotalStarts != uint64(r.Accesses) {
+				t.Errorf("%s: recorder starts %d != measured accesses %d", name, ts.TotalStarts, r.Accesses)
+			}
+			if ts.TotalCompletes != ts.TotalStarts {
+				t.Errorf("%s: completes %d != starts %d", name, ts.TotalCompletes, ts.TotalStarts)
+			}
+			d := r.Diag
+			if ts.TotalRetries != d.Retries || ts.TotalTimeouts != d.Timeouts ||
+				ts.TotalAbandoned != d.Abandoned || ts.TotalSwitches != d.Switches {
+				t.Errorf("%s: recorder (retries %d, timeouts %d, abandoned %d, switches %d) != diag (%d, %d, %d, %d)",
+					name, ts.TotalRetries, ts.TotalTimeouts, ts.TotalAbandoned, ts.TotalSwitches,
+					d.Retries, d.Timeouts, d.Abandoned, d.Switches)
+			}
+			if tc.name == "faulty" && (d.Retries == 0 || d.Timeouts == 0 || d.Abandoned == 0) {
+				t.Errorf("%s: plan exercised no recovery: retries=%d timeouts=%d abandoned=%d",
+					name, d.Retries, d.Timeouts, d.Abandoned)
+			}
+			if ts.TotalP99Ns <= 0 {
+				t.Errorf("%s: rollup p99 = %g, want positive", name, ts.TotalP99Ns)
+			}
+			if err := ts.Validate(); err != nil {
+				t.Errorf("%s: invalid series: %v", name, err)
+			}
 		}
-		if ts.TotalCompletes != ts.TotalStarts {
-			t.Errorf("%s: completes %d != starts %d on a fault-free run", name, ts.TotalCompletes, ts.TotalStarts)
+		// The prefetch mechanism must show LFB occupancy; the queue
+		// mechanisms must show software-queue occupancy instead.
+		pf := runs["prefetch"].Series
+		var lfb float64
+		for _, v := range pf.LFBMean {
+			lfb += v
 		}
-		if ts.TotalP99Ns <= 0 {
-			t.Errorf("%s: rollup p99 = %g, want positive", name, ts.TotalP99Ns)
+		if lfb == 0 {
+			t.Errorf("%s/prefetch: LFB gauge never moved", tc.name)
 		}
-		if err := ts.Validate(); err != nil {
-			t.Errorf("%s: invalid series: %v", name, err)
+		sq := runs["swqueue"].Series
+		var sqSum float64
+		for _, v := range sq.SQMean {
+			sqSum += v
 		}
-	}
-	// The prefetch mechanism must show LFB occupancy; the queue
-	// mechanisms must show software-queue occupancy instead.
-	pf := runs["prefetch"].Series
-	var lfb float64
-	for _, v := range pf.LFBMean {
-		lfb += v
-	}
-	if lfb == 0 {
-		t.Error("prefetch: LFB gauge never moved")
-	}
-	sq := runs["swqueue"].Series
-	var sqSum float64
-	for _, v := range sq.SQMean {
-		sqSum += v
-	}
-	if sqSum == 0 {
-		t.Error("swqueue: request-queue gauge never moved")
+		if sqSum == 0 {
+			t.Errorf("%s/swqueue: request-queue gauge never moved", tc.name)
+		}
 	}
 }
 

@@ -77,15 +77,10 @@ func (q *RequestQueue) Push(addr, target uint64, now sim.Time) uint64 {
 	return q.push(addr, target, now, false, trace.Span{}, nil)
 }
 
-// PushSpan is Push carrying an access-lifecycle trace span, so the
-// device side can stamp fetch/serve/completion edges on it.
-func (q *RequestQueue) PushSpan(addr, target uint64, now sim.Time, sp trace.Span) uint64 {
-	return q.push(addr, target, now, false, sp, nil)
-}
-
-// PushTracked is PushSpan additionally carrying a latency-attribution
-// ledger, so the device side can mark phase boundaries. Either or both
-// observers may be zero/nil.
+// PushTracked is Push carrying the access's observers: a trace span,
+// so the device side can stamp fetch/serve/completion edges on it, and
+// a latency-attribution ledger, so it can mark phase boundaries.
+// Either or both may be zero/nil.
 func (q *RequestQueue) PushTracked(addr, target uint64, now sim.Time, sp trace.Span, aw *attrib.Access) uint64 {
 	return q.push(addr, target, now, false, sp, aw)
 }

@@ -111,6 +111,10 @@ type sealedWindow struct {
 // Recorder accumulates one run's flight-recorder series. It is not
 // goroutine-safe: all recording calls must come from the single
 // simulation goroutine, which is exactly how core drives it.
+//
+// A nil *Recorder is a valid disabled recorder: every recording method
+// is a no-op and Finish returns nil, so instrumented code calls it
+// unconditionally, like trace.Span and attrib.Access.
 type Recorder struct {
 	label      string
 	window     sim.Time
@@ -291,23 +295,29 @@ func (r *Recorder) coalesce() {
 	r.coalesced++
 }
 
-// Started counts one access entering a mechanism at sim-time at.
-func (r *Recorder) Started(at sim.Time) {
+// count adds n to counter column c of the window holding at.
+func (r *Recorder) count(at sim.Time, c, n int) {
+	if r == nil {
+		return
+	}
 	r.advance(at)
-	r.counts[cStarted]++
+	r.counts[c] += uint64(n)
 }
 
+// Started counts one access entering a mechanism at sim-time at.
+func (r *Recorder) Started(at sim.Time) { r.count(at, cStarted, 1) }
+
 // Finished counts one access completing at sim-time at.
-func (r *Recorder) Finished(at sim.Time) {
-	r.advance(at)
-	r.counts[cFinished]++
-}
+func (r *Recorder) Finished(at sim.Time) { r.count(at, cFinished, 1) }
 
 // Sample records one completed-access latency into the current
 // window's histogram. at is the (monotone) observation time; lat may
 // differ from at minus anything — SWQ completions, for example, post
 // earlier than the core drains them.
 func (r *Recorder) Sample(at sim.Time, lat sim.Time) {
+	if r == nil {
+		return
+	}
 	r.advance(at)
 	if r.hist == nil {
 		r.hist = stats.NewHistogram()
@@ -316,28 +326,16 @@ func (r *Recorder) Sample(at sim.Time, lat sim.Time) {
 }
 
 // Retries counts n retry events at sim-time at.
-func (r *Recorder) Retries(at sim.Time, n int) {
-	r.advance(at)
-	r.counts[cRetries] += uint64(n)
-}
+func (r *Recorder) Retries(at sim.Time, n int) { r.count(at, cRetries, n) }
 
 // Timeouts counts n timeout events at sim-time at.
-func (r *Recorder) Timeouts(at sim.Time, n int) {
-	r.advance(at)
-	r.counts[cTimeouts] += uint64(n)
-}
+func (r *Recorder) Timeouts(at sim.Time, n int) { r.count(at, cTimeouts, n) }
 
 // Abandoned counts n abandoned accesses at sim-time at.
-func (r *Recorder) Abandoned(at sim.Time, n int) {
-	r.advance(at)
-	r.counts[cAbandoned] += uint64(n)
-}
+func (r *Recorder) Abandoned(at sim.Time, n int) { r.count(at, cAbandoned, n) }
 
 // Switches counts n context switches at sim-time at.
-func (r *Recorder) Switches(at sim.Time, n int) {
-	r.advance(at)
-	r.counts[cSwitches] += uint64(n)
-}
+func (r *Recorder) Switches(at sim.Time, n int) { r.count(at, cSwitches, n) }
 
 // SetPhaseNames declares the attribution phase columns the recorder
 // will carry: every sealed window then exports a per-phase picosecond
@@ -350,6 +348,9 @@ func (r *Recorder) SetPhaseNames(names []string) {
 // to the current window (the window holding the access's close time).
 // ps must be index-aligned with the names given to SetPhaseNames.
 func (r *Recorder) PhaseSample(at sim.Time, ps []int64) {
+	if r == nil {
+		return
+	}
 	r.advance(at)
 	if r.phases == nil {
 		r.phases = make([]int64, len(r.phaseNames))
@@ -364,6 +365,9 @@ func (r *Recorder) PhaseSample(at sim.Time, ps []int64) {
 // absolute counter callbacks (pool in-use, run-queue depth) convert to
 // deltas with a captured previous value.
 func (r *Recorder) GaugeAdd(id GaugeID, at sim.Time, delta int) {
+	if r == nil {
+		return
+	}
 	r.advance(at)
 	g := &r.gauges[id]
 	if at < g.lastAt {

@@ -170,7 +170,18 @@ func TestRecorderNonMonotoneEventFallsIntoCurrentWindow(t *testing.T) {
 }
 
 func TestRecorderFinishIdempotentAndNilSafe(t *testing.T) {
+	// Every recording method is a no-op on a nil recorder, so core
+	// calls them unconditionally.
 	var nilRec *Recorder
+	nilRec.Started(us(1))
+	nilRec.Finished(us(2))
+	nilRec.Sample(us(2), us(1))
+	nilRec.Retries(us(3), 1)
+	nilRec.Timeouts(us(3), 1)
+	nilRec.Abandoned(us(3), 1)
+	nilRec.Switches(us(4), 1)
+	nilRec.PhaseSample(us(5), []int64{1, 2})
+	nilRec.GaugeAdd(GaugeLFB, us(6), 1)
 	if nilRec.Finish(us(10)) != nil {
 		t.Error("nil recorder must Finish to nil")
 	}
