@@ -292,11 +292,17 @@ func RecordAccessTrace(cfg platform.Config, w Workload, threadsPerCore int, mech
 // turns a core that deadlocks (e.g. waiting forever on a completion
 // that a fault swallowed and recovery failed to replace) into an error
 // naming the stuck process instead of a silently truncated measurement.
+// Whether the run ends cleanly, stuck, or in a panic from a workload
+// body, launch leaves no process or thread parked: RunChecked aborts
+// stuck processes, and the deferred teardown aborts any process a panic
+// left parked and stops every unfinished thread.
 func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) error {
 	e.c.liveCores = e.cfg.Cores
 	e.startSampler()
+	all := make([]*uthread.Thread, e.cfg.Cores*threadsPerCore)
 	for coreID := 0; coreID < e.cfg.Cores; coreID++ {
-		threads := make([]*uthread.Thread, threadsPerCore)
+		end := (coreID + 1) * threadsPerCore
+		threads := all[end-threadsPerCore : end : end]
 		for t := range threads {
 			threads[t] = uthread.New(t, w.Body(coreID, t, threadsPerCore))
 		}
@@ -306,6 +312,12 @@ func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) error {
 			e.c.liveCores--
 		})
 	}
+	defer func() {
+		e.eng.Abort()
+		for _, th := range all {
+			th.Stop()
+		}
+	}()
 	_, err := e.eng.RunChecked()
 	return err
 }

@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/uthread"
 )
 
 // TestResultsInSubmissionOrder submits jobs across many workers and
@@ -48,6 +51,38 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if v, err := good.Wait(); err != nil || v != 7 {
 		t.Fatalf("surviving job = (%d, %v), want (7, nil)", v, err)
+	}
+}
+
+// TestSimulationPanicIsolation: a cell whose simulated process panics
+// inside a user-level thread fails its own task instead of crashing
+// the process. The panic starts on the thread's and the process's
+// coroutines, so this holds only because both unwind to the goroutine
+// that called Engine.Run.
+func TestSimulationPanicIsolation(t *testing.T) {
+	p := New(context.Background(), 1, 0)
+	defer p.Close()
+
+	bad := Submit(p, func() (int, error) {
+		e := sim.NewEngine()
+		th := uthread.New(0, func(a *uthread.API) {
+			a.Access(0x40)
+			panic("cell exploded in a thread")
+		})
+		e.Go("core0", func(p *sim.Proc) {
+			for r := th.Start(); r.Kind != uthread.KindDone; r = th.Resume(make([][]byte, len(r.Addrs))) {
+				p.Sleep(sim.Microsecond)
+			}
+		})
+		_, err := e.RunChecked()
+		return 0, err
+	})
+	if _, err := bad.Wait(); err == nil || !strings.Contains(err.Error(), "cell exploded in a thread") {
+		t.Fatalf("panicking cell error = %v, want the thread's panic message", err)
+	}
+	good := Submit(p, func() (int, error) { return 7, nil })
+	if v, err := good.Wait(); err != nil || v != 7 {
+		t.Fatalf("job after the panicking cell = (%d, %v), want (7, nil)", v, err)
 	}
 }
 

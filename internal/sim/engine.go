@@ -26,11 +26,11 @@ func (a event) less(b event) bool {
 //
 // The zero value is not usable; create engines with NewEngine. An Engine
 // must be driven by one goroutine at a time (processes started with Go
-// synchronize with the engine in strict handoff, so user code never runs
-// concurrently with engine code). The driving goroutine may change
-// between calls when the caller provides the ordering — the sharded
-// fleet driver moves engines between fan-out goroutines this way — but
-// two goroutines must never drive one engine concurrently.
+// are coroutines the engine switches to and back from, so user code
+// never runs concurrently with engine code). The driving goroutine may
+// change between calls when the caller provides the ordering — the
+// sharded fleet driver moves engines between fan-out goroutines this
+// way — but two goroutines must never drive one engine concurrently.
 //
 // Internally the engine keeps two pending-event structures:
 //
@@ -59,13 +59,11 @@ type Engine struct {
 	nowHead int
 
 	procs     int     // live processes, for leak detection
-	started   []*Proc // processes not yet compacted away, for stuck-process reports
+	started   []*Proc // processes not yet compacted away, for stuck-process reports and Abort
 	deadProcs int     // finished processes still occupying started
 
-	// free lists, refilled across runs by Recycle via the package
-	// scratch pool: finished Proc shells (goroutine exited, channels
-	// reusable) and gate-waiter slices.
-	procFree   []*Proc
+	// gate-waiter slices, refilled across runs by Recycle via the
+	// package scratch pool.
 	waiterFree [][]func()
 }
 
@@ -79,7 +77,6 @@ type scratch struct {
 	heap       []event
 	nowq       []func()
 	started    []*Proc
-	procFree   []*Proc
 	waiterFree [][]func()
 }
 
@@ -93,37 +90,29 @@ func NewEngine() *Engine {
 		e.heap = s.heap
 		e.nowq = s.nowq
 		e.started = s.started
-		e.procFree = s.procFree
 		e.waiterFree = s.waiterFree
 	}
 	return e
 }
 
 // Recycle returns the engine's backing arrays (event heap, now-queue,
-// process table, proc and waiter free lists) to the package pool for
-// the next NewEngine call. It is a no-op unless the engine is fully
-// quiescent — no pending events and no live processes — so a run that
-// errored out keeps its state for post-mortem inspection. The engine
-// must not be used again after Recycle, and caller-held *Proc handles
-// become invalid (the shells are reused by future Go calls).
+// process table, waiter free list) to the package pool for the next
+// NewEngine call. It is a no-op unless the engine is fully quiescent —
+// no pending events and no live processes — so a run that errored out
+// keeps its state for post-mortem inspection. The engine must not be
+// used again after Recycle.
 func (e *Engine) Recycle() {
 	if e.procs != 0 || e.Pending() != 0 {
 		return
 	}
-	free := e.procFree
-	for i, p := range e.started {
-		p.eng = nil // drop the dead engine; Go re-binds on reuse
-		free = append(free, p)
-		e.started[i] = nil
-	}
+	clear(e.started)
 	s := &scratch{
 		heap:       e.heap[:0],
 		nowq:       e.nowq[:0],
 		started:    e.started[:0],
-		procFree:   free,
 		waiterFree: e.waiterFree,
 	}
-	e.heap, e.nowq, e.started, e.procFree, e.waiterFree = nil, nil, nil, nil, nil
+	e.heap, e.nowq, e.started, e.waiterFree = nil, nil, nil, nil
 	e.nowHead = 0
 	e.deadProcs = 0
 	scratchPool.Put(s)
@@ -316,9 +305,7 @@ const compactAfter = 32
 // procExited is called (in engine context) each time a process body
 // returns. Once enough finished processes accumulate, the started table
 // is compacted in place — preserving start order for LiveProcNames —
-// and the finished Proc shells move to the free list for reuse by later
-// Go calls, so a long-lived engine no longer retains every process it
-// ever ran.
+// so a long-lived engine no longer retains every process it ever ran.
 func (e *Engine) procExited() {
 	e.deadProcs++
 	if e.deadProcs < compactAfter || e.deadProcs*2 < len(e.started) {
@@ -326,9 +313,7 @@ func (e *Engine) procExited() {
 	}
 	live := e.started[:0]
 	for _, p := range e.started {
-		if p.done {
-			e.procFree = append(e.procFree, p)
-		} else {
+		if !p.done {
 			live = append(live, p)
 		}
 	}
@@ -366,13 +351,30 @@ func (e *Engine) putWaiters(s []func()) {
 // RunChecked is Run with a quiescence watchdog: if the event queue
 // drains while processes are still blocked — a lost wakeup that a bare
 // Run would silently swallow, leaving the caller with a truncated
-// simulation — it reports which named processes are stuck. The returned
-// time is valid either way.
+// simulation — it reports which named processes are stuck and aborts
+// them, so nothing stays parked. The returned time is valid either way.
 func (e *Engine) RunChecked() (Time, error) {
 	t := e.Run()
 	if e.procs > 0 {
+		e.Abort()
 		return t, fmt.Errorf("sim: quiescent with %d process(es) still blocked: %s",
 			e.procs, strings.Join(e.LiveProcNames(), ", "))
 	}
 	return t, nil
+}
+
+// Abort unwinds every parked process without resuming its simulation:
+// the body panics out of its blocking call, running its deferred
+// functions, and the process's coroutine exits. Aborted processes still
+// count in LiveProcs and LiveProcNames, for post-mortem reports, so the
+// engine can no longer be recycled and must not be run again. Call
+// Abort from engine context — between events, never from a process
+// body. It is a no-op on an engine with no parked process.
+func (e *Engine) Abort() {
+	for _, p := range e.started {
+		if stop := p.stop; stop != nil {
+			p.stop = nil
+			stop()
+		}
+	}
 }

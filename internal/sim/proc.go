@@ -1,6 +1,12 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: sequential code that can block on
 // simulated time (Sleep), one-shot events (Wait), and resources
@@ -9,89 +15,75 @@ import "fmt"
 // threads, or the device's request-fetcher state machine — as ordinary
 // straight-line Go code instead of hand-written callback state machines.
 //
-// Under the hood each Proc is a goroutine in strict handoff with the
-// engine: exactly one of {engine, some process} runs at any instant, so
-// execution is single-threaded and fully deterministic despite using
-// goroutines.
-//
-// A Proc's channels and shell outlive the process body: once the body
-// returns, the engine may recycle the shell for a later Go call (its
-// goroutine has exited and both handoff channels are empty). A *Proc
-// handle is therefore only meaningful until the process finishes.
+// Under the hood each Proc is a runtime coroutine (iter.Pull): the
+// engine resumes it with next, and a blocking call hands control back
+// with yield. The switch goes directly from one goroutine to the other
+// without passing through the scheduler's run queues, and exactly one
+// of {engine, some process} runs at any instant, so execution is
+// single-threaded and fully deterministic. A panic in the body unwinds
+// to the caller of Engine.Run; Engine.Abort unwinds every parked
+// process.
 type Proc struct {
 	eng  *Engine
 	name string
-	wake chan struct{} // engine -> proc: resume
-	park chan struct{} // proc -> engine: parked (or exited)
 	done bool
 	body func(*Proc)
 
-	// resumeFn and startFn are created once per shell and reused for
-	// every blocking call and every recycled run, so Sleep/Wait/Go do
-	// not allocate a closure per invocation.
+	next  func() (struct{}, bool) // engine -> proc: run to the next block (false once the body returned)
+	stop  func()                  // unwinds a parked body (Engine.Abort)
+	yield func(struct{}) bool     // proc -> engine: park (false once stopped)
+
+	// resumeFn is created once per process and reused for every
+	// blocking call, so Sleep/Wait do not allocate a closure per
+	// invocation.
 	resumeFn func()
-	startFn  func()
 }
+
+// errAborted is the panic block raises in a process that Engine.Abort
+// stopped; the process's own coroutine recovers it.
+var errAborted = errors.New("sim: process aborted")
 
 // Go starts fn as a simulated process at the current simulated time.
 // The name is used in diagnostics only.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	var p *Proc
-	if n := len(e.procFree); n > 0 {
-		p = e.procFree[n-1]
-		e.procFree[n-1] = nil
-		e.procFree = e.procFree[:n-1]
-		p.eng = e
-		p.name = name
-		p.done = false
-	} else {
-		p = &Proc{
-			eng:  e,
-			name: name,
-			wake: make(chan struct{}),
-			park: make(chan struct{}),
-		}
-		p.resumeFn = p.engineResume
-		p.startFn = p.engineStart
-	}
-	p.body = fn
+	p := &Proc{eng: e, name: name, body: fn}
+	p.resumeFn = p.engineResume
 	e.procs++
 	e.started = append(e.started, p)
 	// The process body starts executing when this event fires; until its
 	// first blocking call it runs inline within the event.
-	e.pushNow(p.startFn)
+	e.pushNow(p.engineStart)
 	return p
 }
 
-// engineStart launches the process goroutine and waits for its first
-// park (or exit). Runs as an engine event.
+// engineStart creates the process coroutine and runs it to its first
+// block (or exit). Runs as an engine event.
 func (p *Proc) engineStart() {
-	go p.run()
-	<-p.park
-	if p.done {
-		p.eng.procExited()
-	}
+	p.next, p.stop = iter.Pull(p.run)
+	p.engineResume()
 }
 
-// run is the process goroutine: execute the body, then hand control
-// back to the engine one last time.
-func (p *Proc) run() {
+// run is the process coroutine. Returning from it ends the sequence,
+// which engineResume sees as process exit.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != errAborted {
+			panic(r)
+		}
+	}()
 	p.body(p)
-	p.body = nil // release the workload closure promptly
-	p.done = true
-	p.eng.procs--
-	p.park <- struct{}{}
 }
 
-// engineResume hands control to the parked process and waits for it to
-// park again or exit. It runs as an engine event, never from process
-// context. The engine notices process exit here (and in engineStart),
-// in engine context, so bookkeeping needs no synchronization beyond the
-// handoff channels themselves.
+// engineResume runs the parked process until it blocks again or exits.
+// It runs as an engine event, never from process context. The engine
+// notices process exit here, in engine context, so the bookkeeping
+// needs no synchronization beyond the coroutine switch itself.
 func (p *Proc) engineResume() {
-	p.wake <- struct{}{}
-	<-p.park
-	if p.done {
+	if _, ok := p.next(); !ok {
+		p.done = true
+		p.body, p.next, p.stop, p.yield = nil, nil, nil, nil
+		p.eng.procs--
 		p.eng.procExited()
 	}
 }
@@ -109,10 +101,12 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // block parks the process until resumeFn is invoked from engine
-// context. Must only be called from within the process goroutine.
+// context. Must only be called from within the process body. If the
+// engine aborts the process instead, block unwinds the body.
 func (p *Proc) block() {
-	p.park <- struct{}{}
-	<-p.wake
+	if !p.yield(struct{}{}) {
+		panic(errAborted)
+	}
 }
 
 // Sleep blocks the process for d of simulated time.

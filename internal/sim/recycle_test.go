@@ -33,15 +33,12 @@ func TestStartedCompactionKeepsNamesStable(t *testing.T) {
 	if len(e.started) >= total/2 {
 		t.Errorf("started table holds %d entries after %d exits; compaction did not run", len(e.started), total-len(stuck))
 	}
-	if len(e.procFree) == 0 {
-		t.Errorf("no finished procs were pooled for reuse")
-	}
 	// ...without disturbing the stuck procs' names or start order.
 	names := e.LiveProcNames()
 	if strings.Join(names, ",") != strings.Join(stuck, ",") {
 		t.Errorf("LiveProcNames = %v, want %v", names, stuck)
 	}
-	// Later Gos reuse pooled shells and still run correctly.
+	// Later Gos still run correctly and keep the survivors' order.
 	var woke []string
 	for i := 0; i < 5; i++ {
 		name := fmt.Sprintf("r%d", i)

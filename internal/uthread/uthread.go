@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package uthread is the user-level threading library of the paper's
 // support software (§IV-B): the heavily optimized GNU-Pth derivative
 // whose context switch costs 20-50 ns. Application code keeps the
@@ -6,15 +8,20 @@
 // mechanism-specific executor underneath overlaps accesses from many
 // threads.
 //
-// A Thread is a coroutine: its body runs on its own goroutine, but it
-// executes only between Start/Resume calls from its executor, handing
-// back a Request each time it needs work, device data, or finishes.
+// A Thread is a runtime coroutine (iter.Pull): its body executes only
+// between Start/Resume calls from its executor, yielding a Request each
+// time it needs work or device data; the end of the body is KindDone.
 // Exactly one of {executor, thread body} runs at a time, so simulations
-// remain deterministic. Timing is entirely the executor's business; this
+// remain deterministic, and a panic in the body unwinds to the caller of
+// Start or Resume. Timing is entirely the executor's business; this
 // package only transports control and data.
 package uthread
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"iter"
+)
 
 // Kind discriminates the requests a thread body can make.
 type Kind int
@@ -63,22 +70,24 @@ type Request struct {
 type Thread struct {
 	id       int
 	body     func(*API)
-	req      chan Request
-	res      chan [][]byte
 	started  bool
 	finished bool
 	last     Request // most recent request, for Resume payload checks
+
+	next  func() (Request, bool) // executor -> body: run to the next request
+	stop  func()                 // unwinds an unfinished body (Stop)
+	yield func(Request) bool     // body -> executor: hand over a request (false once stopped)
+	data  [][]byte               // Resume's answer to the request just yielded
 }
+
+// errStopped is the panic an API call raises in a thread that Stop
+// ended; the thread's own coroutine recovers it.
+var errStopped = errors.New("uthread: thread stopped")
 
 // New creates a thread that will run body; the body does not start
 // executing until the executor calls Start.
 func New(id int, body func(*API)) *Thread {
-	return &Thread{
-		id:   id,
-		body: body,
-		req:  make(chan Request),
-		res:  make(chan [][]byte),
-	}
+	return &Thread{id: id, body: body}
 }
 
 // ID returns the thread's identifier.
@@ -93,11 +102,20 @@ func (t *Thread) Start() Request {
 		panic(fmt.Sprintf("uthread: thread %d started twice", t.id))
 	}
 	t.started = true
-	go func() {
-		t.body(&API{t: t})
-		t.req <- Request{Kind: KindDone}
+	t.next, t.stop = iter.Pull(t.run)
+	return t.step()
+}
+
+// run is the thread coroutine; returning from it ends the sequence,
+// which step reports as KindDone.
+func (t *Thread) run(yield func(Request) bool) {
+	t.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != errStopped {
+			panic(r)
+		}
 	}()
-	return t.next()
+	t.body(&API{t: t})
 }
 
 // Resume delivers the data for the previous request (nil for KindWork)
@@ -115,17 +133,48 @@ func (t *Thread) Resume(data [][]byte) Request {
 		panic(fmt.Sprintf("uthread: thread %d access batch of %d addresses resumed with %d lines",
 			t.id, len(t.last.Addrs), len(data)))
 	}
-	t.res <- data
-	return t.next()
+	t.data = data
+	return t.step()
 }
 
-func (t *Thread) next() Request {
-	r := <-t.req
-	if r.Kind == KindDone {
-		t.finished = true
+func (t *Thread) step() Request {
+	r, ok := t.next()
+	if !ok {
+		r = Request{Kind: KindDone}
+		t.finish()
 	}
 	t.last = r
 	return r
+}
+
+// Stop ends an unfinished thread without resuming it: a started body
+// unwinds from its pending request, running its deferred functions,
+// and an unstarted one never runs. The thread is Finished afterwards.
+// Stopping a finished thread is a no-op. Call it from the executor's
+// side, never from the thread's own body.
+func (t *Thread) Stop() {
+	if t.finished {
+		return
+	}
+	stop := t.stop
+	t.finish()
+	if stop != nil {
+		stop()
+	}
+}
+
+// finish marks the thread done and drops its body and coroutine.
+func (t *Thread) finish() {
+	t.finished = true
+	t.body, t.next, t.stop, t.yield, t.data = nil, nil, nil, nil, nil
+}
+
+// request hands r to the executor and returns the data Resume delivers.
+func (t *Thread) request(r Request) [][]byte {
+	if !t.yield(r) {
+		panic(errStopped)
+	}
+	return t.data
 }
 
 // API is the interface the thread body programs against. It mirrors the
@@ -141,8 +190,7 @@ func (a *API) Work(n int) {
 	if n <= 0 {
 		return
 	}
-	a.t.req <- Request{Kind: KindWork, Instr: n}
-	<-a.t.res
+	a.t.request(Request{Kind: KindWork, Instr: n})
 }
 
 // Access performs one synchronous device cache-line read, returning the
@@ -159,8 +207,7 @@ func (a *API) AccessBatch(addrs []uint64) [][]byte {
 	if len(addrs) == 0 {
 		return nil
 	}
-	a.t.req <- Request{Kind: KindAccess, Addrs: addrs}
-	return <-a.t.res
+	return a.t.request(Request{Kind: KindAccess, Addrs: addrs})
 }
 
 // Write posts one fire-and-forget device cache-line write; the thread
@@ -172,6 +219,5 @@ func (a *API) WriteBatch(addrs []uint64) {
 	if len(addrs) == 0 {
 		return
 	}
-	a.t.req <- Request{Kind: KindWrite, Addrs: addrs}
-	<-a.t.res
+	a.t.request(Request{Kind: KindWrite, Addrs: addrs})
 }
