@@ -16,7 +16,7 @@ import (
 type swqThreadState struct {
 	started   bool
 	payload   [][]byte // data to deliver on the next resume
-	data      [][]byte // in-progress batch results, by slot
+	data      [][]byte // in-progress batch results, by slot; reused for the thread's every batch
 	remaining int      // descriptors of the current batch still pending
 
 	// atr holds the batch's attribution ledgers awaiting delivery, by
@@ -101,7 +101,7 @@ func (q *descQueue) stop() {
 func (q *descQueue) submit(p *sim.Proc, th *uthread.Thread, addrs []uint64) {
 	e := q.e
 	st := q.states[th]
-	st.data = make([][]byte, len(addrs))
+	st.data = resize(st.data, len(addrs))
 	st.remaining = len(addrs)
 	for i, addr := range addrs {
 		aw := e.at.Open(p.Now())

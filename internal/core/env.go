@@ -55,6 +55,8 @@ type Env struct {
 	// c accumulates the run's totals; the edge methods below update it
 	// together with the flight recorder.
 	c counters
+
+	lineFree []*lineRead // consumed line records, for reuse
 }
 
 func NewEnv(cfg platform.Config, backing replay.Backing) *Env {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/attrib"
+	"repro/internal/cache"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -11,14 +12,13 @@ import (
 	"repro/internal/uthread"
 )
 
-// pendingAccess tracks one thread's outstanding prefetch batch: the
-// in-flight lines and the slots their data will land in. atr holds the
-// per-line attribution ledgers (nil slice when attribution is off, nil
-// entries for cache hits).
+// pendingAccess is one thread's prefetch state: its outstanding batch
+// of line reads (nil entries are cache hits) and the slice its data is
+// delivered in. The slice is reused for the thread's every batch; a
+// workload body drops it by its next access.
 type pendingAccess struct {
+	lines  []*lineRead
 	data   [][]byte
-	gates  []*sim.Gate
-	atr    []*attrib.Access
 	issued sim.Time
 }
 
@@ -34,6 +34,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 	pending := make(map[*uthread.Thread]*pendingAccess, len(threads))
 	for _, th := range threads {
 		initial[th] = th.Start()
+		pending[th] = &pendingAccess{}
 	}
 	rr := uthread.NewRoundRobin(threads)
 	var cur *uthread.Thread
@@ -66,24 +67,29 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 		// (waiting on any line still in flight), or pick up the request
 		// captured at Start.
 		var req uthread.Request
-		if pa := pending[th]; pa != nil {
-			for _, g := range pa.gates {
-				if g == nil {
-					continue // cache hit: nothing in flight
+		if pa := pending[th]; len(pa.lines) > 0 {
+			for _, l := range pa.lines {
+				if l != nil {
+					p.Wait(&l.g) // demand load; no cost if the line already filled
 				}
-				p.Wait(g) // demand load; no cost if the line already filled
 			}
 			e.delivered(p.Now(), p.Now()-pa.issued)
 			// Close each line's ledger at consumption. The unconditional
 			// marks rely on the clamp: a line that landed before the
 			// switch charges it to the switch phase, a line that was
 			// still in flight keeps everything in completion wait.
-			for _, aw := range pa.atr {
-				aw.To(attrib.PhaseComplWait, switchStart)
-				aw.To(attrib.PhaseSwitch, switchEnd)
-				aw.Close(attrib.PhaseComplWait, p.Now())
+			for i, l := range pa.lines {
+				if l == nil {
+					continue // cache hit: its data was filled at issue
+				}
+				l.aw.To(attrib.PhaseComplWait, switchStart)
+				l.aw.To(attrib.PhaseSwitch, switchEnd)
+				l.aw.Close(attrib.PhaseComplWait, p.Now())
+				pa.data[i] = l.data
+				e.consumed(l)
 			}
-			delete(pending, th)
+			clear(pa.lines)
+			pa.lines = pa.lines[:0]
 			req = th.Resume(pa.data)
 		} else {
 			req = initial[th]
@@ -120,85 +126,47 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 		}
 
 		if req.Kind == uthread.KindAccess {
-			pa := &pendingAccess{
-				data:   make([][]byte, len(req.Addrs)),
-				gates:  make([]*sim.Gate, len(req.Addrs)),
-				issued: p.Now(),
-			}
-			if e.at != nil {
-				pa.atr = make([]*attrib.Access, len(req.Addrs))
-			}
+			pa := pending[th]
+			pa.issued = p.Now()
+			pa.data = resize(pa.data, len(req.Addrs))
 			for i, addr := range req.Addrs {
 				// A cache hit satisfies the prefetch on-chip: no LFB
 				// entry, no device access (§III-B, cacheable MMIO).
+				var l *lineRead
 				if cc := e.caches[coreID]; cc != nil {
 					if data, ok := cc.Lookup(addr); ok {
 						pa.data[i] = data
+						pa.lines = append(pa.lines, l)
 						continue
 					}
 				}
 
 				// The access span opens at prefetch issue, before any
 				// queue wait, so LFB stalls are visible in its shape.
-				var sp trace.Span
+				l = e.newLine(coreID, addr)
 				if e.tr != nil {
-					sp = e.trCore[coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
+					l.sp = e.trCore[coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
 				}
-				aw := e.at.Open(p.Now())
-				if pa.atr != nil {
-					pa.atr[i] = aw
-				}
+				l.aw = e.at.Open(p.Now())
+				l.chip, l.lfb, l.cache = e.chip, e.lfb[coreID], e.caches[coreID]
+				l.retry = e.faults != nil
+				pa.lines = append(pa.lines, l)
 
 				// prefetcht0: allocate an LFB entry; a full pool stalls
 				// the core until an entry frees — the 10-entry limit of
 				// §V-B.
-				p.AcquireToken(e.lfb[coreID])
-				sp.Point(p.Now(), "lfb-acquired")
-				aw.To(attrib.PhaseQueueWait, p.Now())
+				p.AcquireToken(l.lfb)
+				l.sp.Point(p.Now(), "lfb-acquired")
+				l.aw.To(attrib.PhaseQueueWait, p.Now())
 				p.Sleep(e.cfg.PrefetchIssue)
-				aw.To(attrib.PhaseIssue, p.Now())
+				l.aw.To(attrib.PhaseIssue, p.Now())
 				e.issued(p.Now())
 
-				g := e.eng.NewGate()
-				pa.gates[i] = g
-				lfb := e.lfb[coreID]
-				// land is the line's one completion path. Under fault
-				// injection a duplicated or straggling response can race
-				// a retry's response or an abandon; the gate is the
-				// deliver-once guard. An abandoned line lands as nil: the
-				// thread gets a zero-filled line that is never cached.
-				land := func(data []byte) {
-					if g.Fired() {
-						return
-					}
-					aw.To(attrib.PhaseTransit, e.eng.Now())
-					if data == nil {
-						pa.data[i] = make([]byte, platform.CacheLineBytes)
-					} else {
-						pa.data[i] = data
-						if cc := e.caches[coreID]; cc != nil {
-							cc.Insert(addr, data)
-						}
-					}
-					e.chip.Release()
-					lfb.Release()
-					g.Fire()
-					e.rec.Finished(e.eng.Now())
-					sp.End(e.eng.Now())
-				}
 				// The request proceeds to the device once a slot in the
 				// chip-level shared queue frees; the wait happens in the
 				// hardware queues, not on the core.
-				e.chip.OnAcquire(func() {
-					sp.Point(e.eng.Now(), "chipq-acquired")
-					aw.To(attrib.PhaseQueueWait, e.eng.Now())
-					e.dev.MMIORead(coreID, addr, sp, aw, land)
-					if e.faults != nil {
-						e.armLineTimeout(lineRead{coreID, addr, sp, aw, g, land}, 0)
-					}
-				})
+				e.chip.OnAcquire(l.acquiredFn)
 			}
-			pending[th] = pa
 			// userctx_yield(): fall through to the scheduler.
 		} else if live != nil {
 			// The thread just finished; record the shrunk runnable set.
@@ -208,41 +176,141 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 	e.c.coreFinished(p.Now())
 }
 
-// lineRead is one in-flight prefetch line's device read: what the retry
-// timeout needs to re-issue it, and the gate and completion path it
-// lands through.
+// resize returns s with length n, reusing its backing array when it
+// is large enough.
+func resize(s [][]byte, n int) [][]byte {
+	if cap(s) < n {
+		return make([][]byte, n)
+	}
+	return s[:n]
+}
+
+// lineRead is one prefetched (or demand-loaded) line's device read: the
+// hardware queue entries it holds from issue to landing, its
+// observers, and the gate its consumer waits on. The closed-loop
+// prefetch executor and core.Server's workers both issue it. Its
+// callbacks are bound once, when the record is first built, and it is
+// recycled through the Env's free list when its consumer takes the
+// data (see Env.consumed).
 type lineRead struct {
+	e      *Env
 	coreID int
 	addr   uint64
 	sp     trace.Span
 	aw     *attrib.Access
-	g      *sim.Gate
-	land   func(data []byte)
+
+	chip  *sim.TokenPool // chip-level queue slot, held until landing; nil if the read bypasses it
+	lfb   *sim.TokenPool // LFB entry, likewise; nil for demand loads
+	cache *cache.Cache   // landed lines are inserted here; nil for none
+	retry bool           // arm timeout recovery (fault-injected closed-loop runs)
+
+	attempt int // retries so far
+	g       sim.Gate
+	data    []byte
+
+	acquiredFn func()
+	landFn     func(data []byte)
+	timeoutFn  func()
 }
 
-// armLineTimeout arms attempt n's retry timeout under fault injection.
-// If the line has not landed when it expires, the host re-issues the
-// read (the LFB entry and chip-queue slot stay allocated across
-// retries), backing off until the retry budget runs out, then abandons
-// the line.
-func (e *Env) armLineTimeout(r lineRead, n int) {
-	e.eng.After(e.cfg.RetryTimeout(n), func() {
-		if r.g.Fired() {
-			return
-		}
-		now := e.eng.Now()
-		r.aw.To(attrib.PhaseRetry, now)
-		e.timedOut(now)
-		r.sp.Point(now, "timeout")
-		if n >= e.cfg.MaxRetries {
-			e.abandoned(now)
-			r.sp.Point(now, "abandoned")
-			r.land(nil)
-			return
-		}
-		e.retried(now)
-		r.sp.Point(now, "retry")
-		e.dev.MMIORead(r.coreID, r.addr, r.sp, r.aw, r.land)
-		e.armLineTimeout(r, n+1)
-	})
+// newLine takes a line record off the free list (or builds one) and
+// readies it for a read of addr on core coreID.
+func (e *Env) newLine(coreID int, addr uint64) *lineRead {
+	var l *lineRead
+	if n := len(e.lineFree); n > 0 {
+		l = e.lineFree[n-1]
+		e.lineFree = e.lineFree[:n-1]
+	} else {
+		l = &lineRead{e: e}
+		l.acquiredFn = l.acquired
+		l.landFn = l.land
+		l.timeoutFn = l.timeout
+	}
+	l.coreID, l.addr = coreID, addr
+	l.g.Init(e.eng)
+	return l
+}
+
+// consumed recycles a line whose consumer has taken its data. Without
+// fault injection the landing was the read's last callback, so the
+// record is unreferenced. Under fault injection a dropped response
+// never calls back, while a duplicated or straggling one can arrive
+// after consumption, so those records are left to the garbage
+// collector instead.
+func (e *Env) consumed(l *lineRead) {
+	if e.faults != nil {
+		return
+	}
+	*l = lineRead{e: e, acquiredFn: l.acquiredFn, landFn: l.landFn, timeoutFn: l.timeoutFn}
+	e.lineFree = append(e.lineFree, l)
+}
+
+// acquired runs once the line holds a chip-level queue slot.
+func (l *lineRead) acquired() {
+	now := l.e.eng.Now()
+	l.sp.Point(now, "chipq-acquired")
+	l.aw.To(attrib.PhaseQueueWait, now)
+	l.read()
+}
+
+// read issues the line's device read and, under fault injection, arms
+// the attempt's retry timeout.
+func (l *lineRead) read() {
+	e := l.e
+	e.dev.MMIORead(l.coreID, l.addr, l.sp, l.aw, l.landFn)
+	if l.retry {
+		e.eng.After(e.cfg.RetryTimeout(l.attempt), l.timeoutFn)
+	}
+}
+
+// land is the line's one completion path. Under fault injection a
+// duplicated or straggling response can race a retry's response or an
+// abandon; the gate is the deliver-once guard. An abandoned line lands
+// as nil: the thread gets a zero-filled line that is never cached.
+func (l *lineRead) land(data []byte) {
+	if l.g.Fired() {
+		return
+	}
+	e := l.e
+	l.aw.To(attrib.PhaseTransit, e.eng.Now())
+	if data == nil {
+		data = make([]byte, platform.CacheLineBytes)
+	} else if l.cache != nil {
+		l.cache.Insert(l.addr, data)
+	}
+	l.data = data
+	if l.chip != nil {
+		l.chip.Release()
+	}
+	if l.lfb != nil {
+		l.lfb.Release()
+	}
+	l.g.Fire()
+	e.rec.Finished(e.eng.Now())
+	l.sp.End(e.eng.Now())
+}
+
+// timeout is attempt l.attempt's retry timeout. If the line has not
+// landed, the host re-issues the read (the LFB entry and chip-queue
+// slot stay allocated across retries), backing off until the retry
+// budget runs out, then abandons the line.
+func (l *lineRead) timeout() {
+	if l.g.Fired() {
+		return
+	}
+	e := l.e
+	now := e.eng.Now()
+	l.aw.To(attrib.PhaseRetry, now)
+	e.timedOut(now)
+	l.sp.Point(now, "timeout")
+	if l.attempt >= e.cfg.MaxRetries {
+		e.abandoned(now)
+		l.sp.Point(now, "abandoned")
+		l.land(nil)
+		return
+	}
+	e.retried(now)
+	l.sp.Point(now, "retry")
+	l.attempt++
+	l.read()
 }

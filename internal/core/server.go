@@ -6,7 +6,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Engine exposes the environment's event engine so a composition layer
@@ -60,9 +59,10 @@ type serverReq struct {
 }
 
 type serverWorker struct {
-	id   int
-	core int
-	gate *sim.Gate
+	id    int
+	core  int
+	gate  *sim.Gate
+	lines []*lineRead // the request's reads in flight, reused across requests
 }
 
 // ServerConfig parameterizes an open-loop service.
@@ -241,26 +241,17 @@ func (s *Server) serve(p *sim.Proc, w *serverWorker, req serverReq) {
 		// entry, then a chip-level queue slot on the way out), yield the
 		// core while the lines are in flight, and pay a context switch
 		// when the demand loads resume.
-		gates := make([]*sim.Gate, lines)
 		for l := 0; l < lines; l++ {
 			addr := s.addrFor(w.core, req.key, l)
 			p.AcquireToken(e.lfb[w.core])
 			p.Sleep(e.cfg.PrefetchIssue)
-			g := e.eng.NewGate()
-			gates[l] = g
-			lfb := e.lfb[w.core]
-			e.chip.OnAcquire(func() {
-				e.dev.MMIORead(w.core, addr, trace.Span{}, nil, func([]byte) {
-					e.chip.Release()
-					lfb.Release()
-					g.Fire()
-				})
-			})
+			ln := e.newLine(w.core, addr)
+			ln.chip, ln.lfb = e.chip, e.lfb[w.core]
+			w.lines = append(w.lines, ln)
+			e.chip.OnAcquire(ln.acquiredFn)
 		}
 		slot.Release()
-		for _, g := range gates {
-			p.Wait(g)
-		}
+		s.await(p, w)
 		p.AcquireToken(slot)
 		p.Sleep(e.cfg.CtxSwitch)
 	case "swqueue":
@@ -269,20 +260,15 @@ func (s *Server) serve(p *sim.Proc, w *serverWorker, req serverReq) {
 		// no LFB entries, no chip-queue slots — and the worker yields
 		// until the batch completes.
 		p.Sleep(e.cfg.SWQBatchOverhead)
-		gates := make([]*sim.Gate, lines)
 		for l := 0; l < lines; l++ {
 			addr := s.addrFor(w.core, req.key, l)
 			p.Sleep(e.cfg.SWQPerAccessOverhead)
-			g := e.eng.NewGate()
-			gates[l] = g
-			e.dev.MMIORead(w.core, addr, trace.Span{}, nil, func([]byte) {
-				g.Fire()
-			})
+			ln := e.newLine(w.core, addr)
+			w.lines = append(w.lines, ln)
+			ln.read()
 		}
 		slot.Release()
-		for _, g := range gates {
-			p.Wait(g)
-		}
+		s.await(p, w)
 		p.AcquireToken(slot)
 		p.Sleep(e.cfg.CompletionPoll)
 		p.Sleep(e.cfg.CtxSwitch)
@@ -291,14 +277,11 @@ func (s *Server) serve(p *sim.Proc, w *serverWorker, req serverReq) {
 		// device round trip, one line at a time.
 		for l := 0; l < lines; l++ {
 			addr := s.addrFor(w.core, req.key, l)
-			g := e.eng.NewGate()
-			e.chip.OnAcquire(func() {
-				e.dev.MMIORead(w.core, addr, trace.Span{}, nil, func([]byte) {
-					e.chip.Release()
-					g.Fire()
-				})
-			})
-			p.Wait(g)
+			ln := e.newLine(w.core, addr)
+			ln.chip = e.chip
+			w.lines = append(w.lines, ln)
+			e.chip.OnAcquire(ln.acquiredFn)
+			s.await(p, w)
 		}
 	}
 
@@ -306,4 +289,17 @@ func (s *Server) serve(p *sim.Proc, w *serverWorker, req serverReq) {
 		p.Sleep(e.cfg.WorkTime(s.workInstr))
 	}
 	slot.Release()
+}
+
+// await blocks the worker until every line it has in flight has
+// landed, then recycles the lines.
+func (s *Server) await(p *sim.Proc, w *serverWorker) {
+	for _, ln := range w.lines {
+		p.Wait(&ln.g)
+	}
+	for i, ln := range w.lines {
+		s.e.consumed(ln)
+		w.lines[i] = nil
+	}
+	w.lines = w.lines[:0]
 }

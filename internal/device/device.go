@@ -66,6 +66,8 @@ type Device struct {
 	reqCounter uint64 // per-request latency-tail draw (deterministic)
 
 	inj *fault.Injector
+
+	readFree []*mmioRead // MMIO read records whose responses all landed, for reuse
 }
 
 // New creates a device with no recordings loaded. backing is the
@@ -210,56 +212,102 @@ func (d *Device) WritesServed() uint64 { return d.writesServed }
 // congestion or an on-demand-module detour can only push the response
 // later, never earlier.
 func (d *Device) MMIORead(coreID int, addr uint64, sp trace.Span, aw *attrib.Access, done func(data []byte)) {
-	issue := d.eng.Now()
-	latency := d.effectiveLatency()
+	var r *mmioRead
+	if n := len(d.readFree); n > 0 {
+		r = d.readFree[n-1]
+		d.readFree = d.readFree[:n-1]
+	} else {
+		r = &mmioRead{d: d}
+		r.arrivedFn = r.arrived
+		r.respondedFn = r.responded
+	}
+	r.coreID, r.addr, r.sp, r.aw, r.done = coreID, addr, sp, aw, done
+	r.issue = d.eng.Now()
+	r.latency = d.effectiveLatency()
 	if f, ok := d.inj.Straggle(); ok {
-		latency = sim.Time(float64(latency) * f)
-		sp.Point(issue, "fault-straggle")
+		r.latency = sim.Time(float64(r.latency) * f)
+		sp.Point(r.issue, "fault-straggle")
 	}
 	// Read-request TLP travels downstream (header only).
-	d.link.SendDown(0, 0, func() {
-		sp.Point(d.eng.Now(), "req-at-device")
-		aw.To(attrib.PhaseTransit, d.eng.Now())
-		data, fromReplay := d.serve(coreID, addr)
-		// The delay module timestamps the request and computes when the
-		// response must leave so it lands at issue + latency.
-		sendAt := issue + latency - d.link.Propagation() - d.cfg.TLPTime(platform.CacheLineBytes)
-		if fromReplay {
-			sp.Point(d.eng.Now(), "serve-replay")
-		} else {
-			// On-demand detour: the dataset DRAM read must finish first.
-			sp.Point(d.eng.Now(), "serve-ondemand")
-			earliest := d.eng.Now() + OnDemandDRAMLatency
-			if earliest > sendAt {
-				sendAt = earliest
-			}
+	d.link.SendDown(0, 0, r.arrivedFn)
+}
+
+// mmioRead is one memory-mapped read in flight through the device. Its
+// callbacks are bound once, when the record is first built. The record
+// goes back on the device's free list after its last response has
+// landed; a read whose response the fault injector drops never calls
+// back again and is left to the garbage collector.
+type mmioRead struct {
+	d       *Device
+	coreID  int
+	addr    uint64
+	sp      trace.Span
+	aw      *attrib.Access
+	done    func(data []byte)
+	issue   sim.Time
+	latency sim.Time
+	sendAt  sim.Time
+	data    []byte
+
+	responses int // responses sent and not yet landed
+
+	arrivedFn   func()
+	respondedFn func()
+}
+
+// arrived serves the request when it reaches the device and sends the
+// response (twice, under an injected duplicate).
+func (r *mmioRead) arrived() {
+	d, sp := r.d, r.sp
+	now := d.eng.Now()
+	sp.Point(now, "req-at-device")
+	r.aw.To(attrib.PhaseTransit, now)
+	data, fromReplay := d.serve(r.coreID, r.addr)
+	// The delay module timestamps the request and computes when the
+	// response must leave so it lands at issue + latency.
+	sendAt := r.issue + r.latency - d.link.Propagation() - d.cfg.TLPTime(platform.CacheLineBytes)
+	if fromReplay {
+		sp.Point(now, "serve-replay")
+	} else {
+		// On-demand detour: the dataset DRAM read must finish first.
+		sp.Point(now, "serve-ondemand")
+		earliest := now + OnDemandDRAMLatency
+		if earliest > sendAt {
+			sendAt = earliest
 		}
-		if sendAt < d.eng.Now() {
-			sendAt = d.eng.Now()
-		}
-		if d.inj.DropCompletion() {
-			// Response lost in the device; the host's timeout recovers.
-			sp.Point(d.eng.Now(), "fault-drop")
-			return
-		}
-		sp.Point(sendAt, "resp-sent")
-		respond := func() {
-			d.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, func() {
-				// The delay-module wait until sendAt was device service.
-				// Marked at arrival (never future-dated) so a straggling
-				// attempt's response cannot corrupt a ledger the host
-				// already closed or re-issued.
-				aw.To(attrib.PhaseDevice, sendAt)
-				done(data)
-			})
-		}
-		respond()
-		if d.inj.Duplicate() {
-			// Spurious second response; the host must tolerate it.
-			sp.Point(sendAt, "fault-duplicate")
-			respond()
-		}
-	})
+	}
+	if sendAt < now {
+		sendAt = now
+	}
+	if d.inj.DropCompletion() {
+		// Response lost in the device; the host's timeout recovers.
+		sp.Point(now, "fault-drop")
+		return
+	}
+	sp.Point(sendAt, "resp-sent")
+	r.data, r.sendAt, r.responses = data, sendAt, 1
+	d.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, r.respondedFn)
+	if d.inj.Duplicate() {
+		// Spurious second response; the host must tolerate it.
+		sp.Point(sendAt, "fault-duplicate")
+		r.responses++
+		d.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, r.respondedFn)
+	}
+}
+
+// responded delivers one response that has fully arrived at the host,
+// recycling the record after the last one.
+func (r *mmioRead) responded() {
+	// The delay-module wait until sendAt was device service. Marked at
+	// arrival (never future-dated) so a straggling attempt's response
+	// cannot corrupt a ledger the host already closed or re-issued.
+	r.aw.To(attrib.PhaseDevice, r.sendAt)
+	r.done(r.data)
+	if r.responses--; r.responses == 0 {
+		d := r.d
+		*r = mmioRead{d: d, arrivedFn: r.arrivedFn, respondedFn: r.respondedFn}
+		d.readFree = append(d.readFree, r)
+	}
 }
 
 // MMIOWrite posts one memory-mapped cache-line write (§VII extension):

@@ -19,8 +19,13 @@ type SWQEndpoint struct {
 	rq     *hostmem.RequestQueue
 	cq     *hostmem.CompletionQueue
 
-	doorbell *sim.Gate // armed while the fetcher is parked
-	cqNotify *sim.Gate // fired whenever a completion is posted
+	doorbell sim.Gate  // armed while the fetcher is parked
+	cqNotify *sim.Gate // fires at the next completion post; nil until a poller asks for it
+
+	// step is the fetcher's gate for its own blocking DMA steps. Only
+	// the fetcher waits on it, so each step re-arms it after the
+	// previous one fired.
+	step sim.Gate
 
 	data map[uint64][]byte // response lines landed in host memory, by descriptor ID
 
@@ -29,20 +34,30 @@ type SWQEndpoint struct {
 	doorbellHits uint64 // doorbell MMIO writes received
 
 	stopped bool // fetcher shutdown requested (end of run)
+
+	// Callbacks bound once at construction.
+	stepDone        func() // step.Fire
+	doorbellArrived func()
+	flagSent        func()
+
+	respFree  []*swqResponse   // response records whose data landed, for reuse
+	complFree []*swqCompletion // completion records that posted, for reuse
 }
 
 // NewSWQEndpoint creates the endpoint for coreID over the given
 // host-memory queues and starts its request fetcher.
 func (d *Device) NewSWQEndpoint(coreID int, rq *hostmem.RequestQueue, cq *hostmem.CompletionQueue) *SWQEndpoint {
 	e := &SWQEndpoint{
-		dev:      d,
-		coreID:   coreID,
-		rq:       rq,
-		cq:       cq,
-		doorbell: d.eng.NewGate(),
-		cqNotify: d.eng.NewGate(),
-		data:     map[uint64][]byte{},
+		dev:    d,
+		coreID: coreID,
+		rq:     rq,
+		cq:     cq,
+		data:   map[uint64][]byte{},
 	}
+	e.doorbell.Init(d.eng)
+	e.stepDone = e.step.Fire
+	e.doorbellArrived = e.ringArrived
+	e.flagSent = func() { e.dev.hostDRAM.Write(&e.step) }
 	d.eng.Go("fetcher", e.runFetcher)
 	return e
 }
@@ -51,23 +66,30 @@ func (d *Device) NewSWQEndpoint(coreID int, rq *hostmem.RequestQueue, cq *hostme
 // restarting the parked fetcher when the write arrives. The host-side
 // CPU cost of the uncached write is charged by the caller.
 func (e *SWQEndpoint) Doorbell() {
-	e.dev.link.SendDown(0, 0, func() {
-		if e.dev.inj.DropDoorbell() {
-			// Write lost at the device: the fetcher stays parked until the
-			// host's timeout re-rings.
-			return
-		}
-		e.doorbellHits++
-		if !e.doorbell.Fired() {
-			e.doorbell.Fire()
-		}
-	})
+	e.dev.link.SendDown(0, 0, e.doorbellArrived)
+}
+
+func (e *SWQEndpoint) ringArrived() {
+	if e.dev.inj.DropDoorbell() {
+		// Write lost at the device: the fetcher stays parked until the
+		// host's timeout re-rings.
+		return
+	}
+	e.doorbellHits++
+	if !e.doorbell.Fired() {
+		e.doorbell.Fire()
+	}
 }
 
 // CompletionGate returns a gate that fires the next time a completion is
 // posted. Callers must obtain the gate before checking the completion
 // queue to avoid a lost wakeup.
-func (e *SWQEndpoint) CompletionGate() *sim.Gate { return e.cqNotify }
+func (e *SWQEndpoint) CompletionGate() *sim.Gate {
+	if e.cqNotify == nil {
+		e.cqNotify = e.dev.eng.NewGate()
+	}
+	return e.cqNotify
+}
 
 // Data returns the response line for a completed descriptor, consuming
 // it (it models the host reading the line from the descriptor's target
@@ -106,11 +128,11 @@ func (e *SWQEndpoint) Stop() {
 // before the flag landed, and parks again.
 func (e *SWQEndpoint) runFetcher(p *sim.Proc) {
 	for {
-		p.Wait(e.doorbell)
+		p.Wait(&e.doorbell)
 		if e.stopped {
 			return
 		}
-		e.doorbell = e.dev.eng.NewGate() // re-arm for the next park
+		e.doorbell.Init(e.dev.eng) // re-arm for the next park
 
 		for {
 			burst := e.fetchBurst(p)
@@ -137,31 +159,31 @@ func (e *SWQEndpoint) runFetcher(p *sim.Proc) {
 // descriptors.
 func (e *SWQEndpoint) fetchBurst(p *sim.Proc) []hostmem.Descriptor {
 	e.fetchBursts++
-	reqArrived := e.dev.eng.NewGate()
-	e.dev.link.SendUp(0, 0, reqArrived.Fire)
-	p.Wait(reqArrived)
+	e.step.Init(e.dev.eng)
+	e.dev.link.SendUp(0, 0, e.stepDone)
+	p.Wait(&e.step)
 
-	e.dev.hostDRAM.ReadBlocking(p)
+	e.step.Init(e.dev.eng)
+	e.dev.hostDRAM.Read(&e.step)
+	p.Wait(&e.step)
 	burst := e.rq.PopBurst(e.dev.cfg.FetchBurst)
 	if len(burst) == 0 {
 		e.emptyBursts++
 	}
 
 	payload := len(burst) * e.dev.cfg.DescriptorBytes
-	descArrived := e.dev.eng.NewGate()
-	e.dev.link.SendDown(payload, 0, descArrived.Fire)
-	p.Wait(descArrived)
+	e.step.Init(e.dev.eng)
+	e.dev.link.SendDown(payload, 0, e.stepDone)
+	p.Wait(&e.step)
 	return burst
 }
 
 // writeDoorbellFlag performs the small DMA write that sets the
 // doorbell-request flag in host memory.
 func (e *SWQEndpoint) writeDoorbellFlag(p *sim.Proc) {
-	landed := e.dev.eng.NewGate()
-	e.dev.link.SendUp(8, 0, func() {
-		e.dev.hostDRAM.Write(landed)
-	})
-	p.Wait(landed)
+	e.step.Init(e.dev.eng)
+	e.dev.link.SendUp(8, 0, e.flagSent)
+	p.Wait(&e.step)
 	e.rq.SetDoorbellRequested()
 }
 
@@ -174,9 +196,8 @@ func (e *SWQEndpoint) writeDoorbellFlag(p *sim.Proc) {
 func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 	arrival := e.dev.eng.Now()
 	for _, desc := range burst {
-		desc := desc
 		if desc.Write {
-			e.processWrite(desc, arrival)
+			e.processWrite(desc)
 			continue
 		}
 		desc.Span.Point(arrival, "desc-fetched")
@@ -215,20 +236,9 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 		}
 		desc.Span.Point(sendAt, "resp-sent")
 		// Response-data write TLP, then host DRAM write.
-		e.dev.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, func() {
-			// The delay-module wait until the response left was device
-			// service. Marked at arrival (never future-dated) so a
-			// straggling descriptor's response cannot corrupt a ledger
-			// the host already closed or resubmitted.
-			desc.Attrib.To(attrib.PhaseDevice, sendAt)
-			dataLanded := e.dev.eng.NewGate()
-			e.dev.hostDRAM.Write(dataLanded)
-			dataLanded.OnFire(func() {
-				e.data[desc.ID] = data
-				desc.Span.Point(e.dev.eng.Now(), "data-landed")
-				desc.Attrib.To(attrib.PhaseTransit, e.dev.eng.Now())
-			})
-		})
+		r := e.newResponse()
+		r.id, r.sp, r.aw, r.sendAt, r.data = desc.ID, desc.Span, desc.Attrib, sendAt, data
+		e.dev.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, r.sentFn)
 		// Completion write queues behind the data write on the upstream
 		// link, guaranteeing host-visible ordering.
 		e.sendCompletion(sendAt, desc.ID, desc.Span, desc.Attrib)
@@ -241,56 +251,128 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 	}
 }
 
+// swqResponse is one descriptor's response-data write: the upstream
+// TLP, then the host DRAM write into the descriptor's target. Its
+// callbacks are bound once, when the record is first built; it goes
+// back on the endpoint's free list when the data has landed.
+type swqResponse struct {
+	ep     *SWQEndpoint
+	id     uint64
+	sp     trace.Span
+	aw     *attrib.Access
+	sendAt sim.Time
+	data   []byte
+
+	sentFn   func()
+	landedFn func()
+}
+
+func (e *SWQEndpoint) newResponse() *swqResponse {
+	if n := len(e.respFree); n > 0 {
+		r := e.respFree[n-1]
+		e.respFree = e.respFree[:n-1]
+		return r
+	}
+	r := &swqResponse{ep: e}
+	r.sentFn = r.sent
+	r.landedFn = r.landed
+	return r
+}
+
+func (r *swqResponse) sent() {
+	// The delay-module wait until the response left was device
+	// service. Marked at arrival (never future-dated) so a straggling
+	// descriptor's response cannot corrupt a ledger the host already
+	// closed or resubmitted.
+	r.aw.To(attrib.PhaseDevice, r.sendAt)
+	r.ep.dev.hostDRAM.WriteThen(r.landedFn)
+}
+
+func (r *swqResponse) landed() {
+	e := r.ep
+	now := e.dev.eng.Now()
+	e.data[r.id] = r.data
+	r.sp.Point(now, "data-landed")
+	r.aw.To(attrib.PhaseTransit, now)
+	*r = swqResponse{ep: e, sentFn: r.sentFn, landedFn: r.landedFn}
+	e.respFree = append(e.respFree, r)
+}
+
+// swqCompletion is one completion entry on its way into the host
+// completion queue: the upstream TLP, the host DRAM write, and the
+// post (deferred while an injected CQ bound holds the queue full). Its
+// callbacks are bound once, when the record is first built; it goes
+// back on the endpoint's free list once the entry is posted.
+type swqCompletion struct {
+	ep *SWQEndpoint
+	id uint64
+	sp trace.Span
+	aw *attrib.Access
+
+	sentFn   func()
+	landedFn func()
+	postFn   func()
+}
+
 // sendCompletion carries one completion entry upstream and lands it in
 // the host completion queue, stamping the landing on the access span
 // and marking completion wait on the attribution ledger (a duplicate
 // completion's second mark clamps to zero on the closed ledger).
 func (e *SWQEndpoint) sendCompletion(sendAt sim.Time, id uint64, sp trace.Span, aw *attrib.Access) {
-	e.dev.link.SendUpAt(sendAt, e.dev.cfg.CompletionBytes, 0, func() {
-		complLanded := e.dev.eng.NewGate()
-		e.dev.hostDRAM.Write(complLanded)
-		complLanded.OnFire(func() {
-			sp.Point(e.dev.eng.Now(), "completion-posted")
-			aw.To(attrib.PhaseComplWait, e.dev.eng.Now())
-			e.postCompletion(id)
-		})
-	})
+	var c *swqCompletion
+	if n := len(e.complFree); n > 0 {
+		c = e.complFree[n-1]
+		e.complFree = e.complFree[:n-1]
+	} else {
+		c = &swqCompletion{ep: e}
+		c.sentFn = c.sent
+		c.landedFn = c.landed
+		c.postFn = c.post
+	}
+	c.id, c.sp, c.aw = id, sp, aw
+	e.dev.link.SendUpAt(sendAt, e.dev.cfg.CompletionBytes, 0, c.sentFn)
 }
 
-// postCompletion places a landed completion into the host queue. Under
-// an injected CQCapacity bound a full queue defers the post — the
-// device retries after the platform's backpressure delay until the host
+func (c *swqCompletion) sent() { c.ep.dev.hostDRAM.WriteThen(c.landedFn) }
+
+func (c *swqCompletion) landed() {
+	now := c.ep.dev.eng.Now()
+	c.sp.Point(now, "completion-posted")
+	c.aw.To(attrib.PhaseComplWait, now)
+	c.post()
+}
+
+// post places a landed completion into the host queue. Under an
+// injected CQCapacity bound a full queue defers the post — the device
+// retries after the platform's backpressure delay until the host
 // drains entries.
-func (e *SWQEndpoint) postCompletion(id uint64) {
+func (c *swqCompletion) post() {
+	e := c.ep
 	if e.dev.inj.CQFull(e.cq.Len()) {
-		e.dev.eng.After(e.dev.cfg.CQBackpressureDelay, func() { e.postCompletion(id) })
+		e.dev.eng.After(e.dev.cfg.CQBackpressureDelay, c.postFn)
 		return
 	}
+	id := c.id
+	*c = swqCompletion{ep: e, sentFn: c.sentFn, landedFn: c.landedFn, postFn: c.postFn}
+	e.complFree = append(e.complFree, c)
 	e.cq.Post(id, e.dev.eng.Now())
-	old := e.cqNotify
-	e.cqNotify = e.dev.eng.NewGate()
-	old.Fire()
+	if g := e.cqNotify; g != nil {
+		e.cqNotify = nil
+		g.Fire()
+	}
 }
 
 // processWrite handles a write descriptor (§VII extension): the device
 // DMA-reads the source line from host memory (read request upstream,
 // data completion downstream), absorbs the store, and posts a
 // completion the host scheduler discards.
-func (e *SWQEndpoint) processWrite(desc hostmem.Descriptor, arrival sim.Time) {
+func (e *SWQEndpoint) processWrite(desc hostmem.Descriptor) {
 	e.dev.writesServed++
 	e.dev.link.SendUp(0, 0, func() {
-		fetched := e.dev.eng.NewGate()
-		e.dev.hostDRAM.Read(fetched)
-		fetched.OnFire(func() {
+		e.dev.hostDRAM.ReadThen(func() {
 			e.dev.link.SendDown(platform.CacheLineBytes, platform.CacheLineBytes, func() {
 				// Store absorbed; completion flows back.
-				e.dev.link.SendUp(e.dev.cfg.CompletionBytes, 0, func() {
-					complLanded := e.dev.eng.NewGate()
-					e.dev.hostDRAM.Write(complLanded)
-					complLanded.OnFire(func() {
-						e.postCompletion(desc.ID)
-					})
-				})
+				e.sendCompletion(e.dev.eng.Now(), desc.ID, trace.Span{}, nil)
 			})
 		})
 	})

@@ -21,6 +21,22 @@ type DRAM struct {
 
 	reads  uint64
 	writes uint64
+
+	free []*access // completed access records, for reuse
+}
+
+// access is one read or write in flight: it holds a chip-level slot
+// for the loaded latency, then either fires its gate or schedules its
+// continuation. Its callbacks are bound once, when the record is first
+// built; the record goes back on the DRAM's free list when complete
+// runs, the last use of it.
+type access struct {
+	d    *DRAM
+	done *sim.Gate
+	then func()
+
+	acquiredFn func()
+	completeFn func()
 }
 
 // New creates a DRAM model with the given loaded access latency and
@@ -51,7 +67,15 @@ func (d *DRAM) MaxOutstandingSeen() int { return d.slots.MaxInUse() }
 // reached.
 func (d *DRAM) Read(done *sim.Gate) {
 	d.reads++
-	d.access(done)
+	d.access(done, nil)
+}
+
+// ReadThen is Read with a continuation: then runs as an engine event
+// at the instant the data is available, exactly when a waiter of
+// Read's gate would.
+func (d *DRAM) ReadThen(then func()) {
+	d.reads++
+	d.access(nil, then)
 }
 
 // Write performs an asynchronous write; done fires when it completes.
@@ -59,16 +83,44 @@ func (d *DRAM) Read(done *sim.Gate) {
 // on the software-managed-queue path.
 func (d *DRAM) Write(done *sim.Gate) {
 	d.writes++
-	d.access(done)
+	d.access(done, nil)
 }
 
-func (d *DRAM) access(done *sim.Gate) {
-	d.slots.OnAcquire(func() {
-		d.eng.After(d.latency, func() {
-			d.slots.Release()
-			done.Fire()
-		})
-	})
+// WriteThen is Write with a continuation, like ReadThen.
+func (d *DRAM) WriteThen(then func()) {
+	d.writes++
+	d.access(nil, then)
+}
+
+func (d *DRAM) access(done *sim.Gate, then func()) {
+	var a *access
+	if n := len(d.free); n > 0 {
+		a = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		a = &access{d: d}
+		a.acquiredFn = a.acquired
+		a.completeFn = a.complete
+	}
+	a.done, a.then = done, then
+	d.slots.OnAcquire(a.acquiredFn)
+}
+
+func (a *access) acquired() { a.d.eng.After(a.d.latency, a.completeFn) }
+
+// complete releases the slot and fires the gate, or schedules the
+// continuation at the current instant: the same now-queue event the
+// gate's single waiter would have been.
+func (a *access) complete() {
+	d, done, then := a.d, a.done, a.then
+	a.done, a.then = nil, nil
+	d.free = append(d.free, a)
+	d.slots.Release()
+	if done != nil {
+		done.Fire()
+	} else {
+		d.eng.At(d.eng.Now(), then)
+	}
 }
 
 // ReadBlocking performs a read from process context, blocking the

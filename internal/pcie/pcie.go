@@ -40,6 +40,23 @@ type Link struct {
 	downUseful int64 // payload bytes that applications asked for
 	upTotal    int64
 	upUseful   int64
+
+	free []*packet // packets whose submit has run, for reuse
+}
+
+// packet is one TLP held at the sender until its future ready time.
+// Its submit callback is bound once, when the packet is first built;
+// the packet goes back on its link's free list as soon as submit has
+// handed done to the engine, the last use of the packet.
+type packet struct {
+	l        *Link
+	dir      *sim.Server
+	tr       trace.Track
+	svc      sim.Time
+	name     string
+	args     string
+	done     func()
+	submitFn func()
 }
 
 // NewLink creates an idle link from the platform description.
@@ -122,17 +139,39 @@ func (l *Link) send(dir *sim.Server, tr trace.Track, total, usefulAcc *int64, ea
 	// A packet with a future ready time is held at the sender until
 	// then; the link stays work-conserving for other traffic in the
 	// meantime (only the delay module uses future ready times, and its
-	// delay is device-internal, not wire occupancy).
-	submit := func() {
-		start, end := dir.Submit(svc)
-		tr.Slice(start, end, name, args)
-		l.eng.At(end+l.prop, done)
+	// delay is device-internal, not wire occupancy). A packet ready now
+	// goes straight onto the wire.
+	if earliest <= l.eng.Now() {
+		l.transmit(dir, tr, svc, name, args, done)
+		return
 	}
-	if earliest > l.eng.Now() {
-		l.eng.At(earliest, submit)
+	var pk *packet
+	if n := len(l.free); n > 0 {
+		pk = l.free[n-1]
+		l.free = l.free[:n-1]
 	} else {
-		submit()
+		pk = &packet{l: l}
+		pk.submitFn = pk.submit
 	}
+	pk.dir, pk.tr, pk.svc, pk.name, pk.args, pk.done = dir, tr, svc, name, args, done
+	l.eng.At(earliest, pk.submitFn)
+}
+
+// submit puts a held packet on the wire at its ready time and recycles
+// it.
+func (pk *packet) submit() {
+	l, dir, tr, svc, name, args, done := pk.l, pk.dir, pk.tr, pk.svc, pk.name, pk.args, pk.done
+	*pk = packet{l: l, submitFn: pk.submitFn}
+	l.free = append(l.free, pk)
+	l.transmit(dir, tr, svc, name, args, done)
+}
+
+// transmit serializes one packet on its direction and schedules done
+// for its full arrival at the far end.
+func (l *Link) transmit(dir *sim.Server, tr trace.Track, svc sim.Time, name, args string, done func()) {
+	start, end := dir.Submit(svc)
+	tr.Slice(start, end, name, args)
+	l.eng.At(end+l.prop, done)
 }
 
 // Stats describes the traffic carried so far in one direction.

@@ -202,6 +202,17 @@ type Gate struct {
 // NewGate returns an unfired gate bound to the engine.
 func (e *Engine) NewGate() *Gate { return &Gate{eng: e} }
 
+// Init readies g, a gate embedded by value in a caller's record, as an
+// unfired gate bound to e. A record that is reused calls Init again
+// once the gate has fired, which released its waiters; Init panics on
+// an unfired gate that still has waiters, since they would never wake.
+func (g *Gate) Init(e *Engine) {
+	if g.waiters != nil {
+		panic("sim: Init on a gate with waiters")
+	}
+	*g = Gate{eng: e}
+}
+
 // Fired reports whether the gate has fired.
 func (g *Gate) Fired() bool { return g.fired }
 
