@@ -28,7 +28,9 @@ type swqThreadState struct {
 // belongs to. The addr/target/attempts/deadline fields drive timeout
 // recovery under fault injection: an overdue descriptor is resubmitted
 // under a fresh ID (so a straggling completion of the old one is simply
-// discarded as unknown) until the retry budget runs out.
+// discarded as unknown) until the retry budget runs out. Only the
+// waiting map refers to a record, so it is recycled once it leaves the
+// map for good.
 type descWait struct {
 	th        *uthread.Thread
 	slot      int
@@ -56,7 +58,9 @@ type descQueue struct {
 	ep      *device.SWQEndpoint
 	ready   *uthread.FIFO
 	states  map[*uthread.Thread]*swqThreadState
-	waiting map[uint64]descWait
+	waiting map[uint64]*descWait
+
+	waitFree []*descWait // settled descriptor records, for reuse
 }
 
 // newDescQueue builds core coreID's queues and device endpoint, hooks
@@ -69,7 +73,7 @@ func newDescQueue(e *Env, coreID int, threads []*uthread.Thread) *descQueue {
 		cq:      hostmem.NewCompletionQueue(),
 		ready:   uthread.NewFIFO(),
 		states:  make(map[*uthread.Thread]*swqThreadState, len(threads)),
-		waiting: make(map[uint64]descWait),
+		waiting: make(map[uint64]*descWait),
 	}
 	q.ep = e.dev.NewSWQEndpoint(coreID, q.rq, q.cq)
 	q.rq.OnChange = e.gauge(telemetry.GaugeSQ, fmt.Sprintf("sq/core%d", coreID))
@@ -114,13 +118,30 @@ func (q *descQueue) submit(p *sim.Proc, th *uthread.Thread, addrs []uint64) {
 			sp = e.trCore[q.coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
 		}
 		id := q.rq.PushTracked(addr, target, p.Now(), sp, aw)
-		q.waiting[id] = descWait{
-			th: th, slot: i, submitted: p.Now(),
-			addr: addr, target: target,
-			deadline: p.Now() + e.cfg.RetryTimeout(0),
-			sp:       sp, aw: aw,
-		}
+		w := q.newWait()
+		w.th, w.slot, w.submitted = th, i, p.Now()
+		w.addr, w.target = addr, target
+		w.deadline = p.Now() + e.cfg.RetryTimeout(0)
+		w.sp, w.aw = sp, aw
+		q.waiting[id] = w
 	}
+}
+
+// newWait takes a descriptor record off the free list, or builds one.
+func (q *descQueue) newWait() *descWait {
+	if n := len(q.waitFree); n > 0 {
+		w := q.waitFree[n-1]
+		q.waitFree = q.waitFree[:n-1]
+		return w
+	}
+	return &descWait{}
+}
+
+// settled recycles the record of a descriptor that left the waiting
+// set for good (delivered or abandoned); nothing else refers to it.
+func (q *descQueue) settled(w *descWait) {
+	*w = descWait{}
+	q.waitFree = append(q.waitFree, w)
 }
 
 // doorbell rings the MMIO doorbell, waking the device's request fetcher.
@@ -156,20 +177,21 @@ func (q *descQueue) deliver(p *sim.Proc, compls []hostmem.Completion, mark func(
 		if st.atr != nil {
 			st.atr[w.slot] = w.aw
 		}
-		q.fill(w, q.ep.Data(compl.ID))
+		q.fill(w.th, w.slot, q.ep.Data(compl.ID))
+		q.settled(w)
 	}
 }
 
-// fill lands one descriptor's data in its thread's batch. The thread
+// fill lands one descriptor's data in slot of th's batch. The thread
 // wakes with its whole batch; threads become ready in completion order
 // (FIFO, §IV-B).
-func (q *descQueue) fill(w descWait, data []byte) {
-	st := q.states[w.th]
-	st.data[w.slot] = data
+func (q *descQueue) fill(th *uthread.Thread, slot int, data []byte) {
+	st := q.states[th]
+	st.data[slot] = data
 	st.remaining--
 	if st.remaining == 0 {
 		st.payload = st.data
-		q.ready.Push(w.th)
+		q.ready.Push(th)
 	}
 }
 

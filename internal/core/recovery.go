@@ -15,7 +15,7 @@ import (
 
 // minDeadline returns the earliest recovery deadline among outstanding
 // descriptors (order-independent, so map iteration is safe).
-func minDeadline(waiting map[uint64]descWait) sim.Time {
+func minDeadline(waiting map[uint64]*descWait) sim.Time {
 	var min sim.Time
 	first := true
 	for _, w := range waiting {
@@ -83,7 +83,8 @@ func (q *descQueue) resubmitOverdue(p *sim.Proc) {
 			w.sp.Point(p.Now(), "abandoned")
 			w.sp.End(p.Now())
 			w.aw.Close(attrib.PhaseSlop, p.Now())
-			q.fill(w, make([]byte, platform.CacheLineBytes))
+			q.fill(w.th, w.slot, make([]byte, platform.CacheLineBytes))
+			q.settled(w)
 			continue
 		}
 		e.retried(p.Now())

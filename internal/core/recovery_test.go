@@ -36,7 +36,7 @@ func newRecoveryHarness(cfg platform.Config) *recoveryHarness {
 func (h *recoveryHarness) submit(p *sim.Proc, attempts int, d sim.Time) uint64 {
 	id := h.q.rq.PushTracked(0x1000, 0x2000, p.Now(), trace.Span{}, nil)
 	h.q.rq.PopBurst(1) // descriptor is at the device; host queue is empty
-	h.q.waiting[id] = descWait{
+	h.q.waiting[id] = &descWait{
 		th: h.th, slot: 0, submitted: p.Now(),
 		addr: 0x1000, target: 0x2000,
 		attempts: attempts,
@@ -118,7 +118,7 @@ func TestWaitCompletionOrRecoverResubmitsOverdue(t *testing.T) {
 		h.q.waitOrRecover(p, gate)
 		woke = p.Now()
 		for id, w := range h.q.waiting {
-			newID, neww = id, w
+			newID, neww = id, *w
 		}
 		h.q.ep.Stop()
 	})

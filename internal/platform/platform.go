@@ -407,14 +407,18 @@ func (c Config) WithCores(n int) Config {
 	return c
 }
 
+// The timing helpers below take a pointer receiver: the access path
+// calls them per packet and per access, and a value receiver would
+// copy the whole Config on every call.
+
 // CycleTime returns the duration of one core clock cycle.
-func (c Config) CycleTime() sim.Time {
+func (c *Config) CycleTime() sim.Time {
 	return sim.FromNanoseconds(1.0 / c.CPUFreqGHz)
 }
 
 // WorkTime returns the core-occupancy time of a block of n dependent
 // "work" instructions retiring at WorkIPC.
-func (c Config) WorkTime(n int) sim.Time {
+func (c *Config) WorkTime(n int) sim.Time {
 	if n <= 0 {
 		return 0
 	}
@@ -424,7 +428,7 @@ func (c Config) WorkTime(n int) sim.Time {
 
 // TLPTime returns the transmission time of one PCIe transaction-layer
 // packet carrying payload bytes (header added here).
-func (c Config) TLPTime(payload int) sim.Time {
+func (c *Config) TLPTime(payload int) sim.Time {
 	bytes := float64(payload + c.PCIeHeaderBytes)
 	return sim.FromSeconds(bytes / c.PCIeBandwidth)
 }
@@ -433,13 +437,13 @@ func (c Config) TLPTime(payload int) sim.Time {
 // applies on the MMIO path so that the host-observed latency equals
 // DeviceLatency including the PCIe round trip (§IV-A). The response
 // transmission time for one cache line is part of the round trip.
-func (c Config) DeviceInternalDelay() sim.Time {
+func (c *Config) DeviceInternalDelay() sim.Time {
 	return c.InternalDelayFor(c.DeviceLatency)
 }
 
 // InternalDelayFor is DeviceInternalDelay for a per-request latency —
 // used when the latency-tail extension draws outlier latencies.
-func (c Config) InternalDelayFor(latency sim.Time) sim.Time {
+func (c *Config) InternalDelayFor(latency sim.Time) sim.Time {
 	rtt := 2*c.PCIePropagation + c.TLPTime(0) + c.TLPTime(CacheLineBytes)
 	d := latency - rtt
 	if d < 0 {
@@ -452,7 +456,7 @@ func (c Config) InternalDelayFor(latency sim.Time) sim.Time {
 // configured AccessTimeout, or 16 x DeviceLatency when unset — far
 // enough above the Ext.-tail outliers (10x) that a clean slow access
 // never triggers a spurious retry.
-func (c Config) EffectiveAccessTimeout() sim.Time {
+func (c *Config) EffectiveAccessTimeout() sim.Time {
 	if c.AccessTimeout > 0 {
 		return c.AccessTimeout
 	}
@@ -462,7 +466,7 @@ func (c Config) EffectiveAccessTimeout() sim.Time {
 // RetryTimeout returns the timeout for the attempt-th try of one access
 // (attempt 0 is the initial issue), growing by RetryBackoffFactor per
 // retry and clamped at RetryTimeoutCap when one is configured.
-func (c Config) RetryTimeout(attempt int) sim.Time {
+func (c *Config) RetryTimeout(attempt int) sim.Time {
 	t := float64(c.EffectiveAccessTimeout())
 	f := c.RetryBackoffFactor
 	if f < 1 {
