@@ -16,15 +16,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Engine + sweep throughput benchmarks, gated against the committed
-# baseline (fails on a >25% rate regression; see cmd/benchgate).
+# Engine, access-path and sweep benchmarks, gated against the committed
+# baseline (fails on a >25% rate regression or allocs/op >5% above the
+# baseline; see cmd/benchgate).
 bench-engine:
-	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/experiments/ | tee bench_engine.txt
+	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/core/ ./internal/experiments/ | tee bench_engine.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -input bench_engine.txt
 
 # Rewrite BENCH_engine.json from a fresh run on this machine.
 bench-baseline:
-	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/experiments/ | tee bench_engine.txt
+	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/core/ ./internal/experiments/ | tee bench_engine.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -update -input bench_engine.txt
 
 # Regenerate every paper figure + ablation (text) and per-figure CSVs.

@@ -1,9 +1,10 @@
 // Command benchgate compares `go test -bench` output against a
-// committed baseline and fails on throughput regressions. It is the CI
-// regression gate for the engine microbenchmarks: the benchmarks report
-// a rate metric (events/sec, cells/sec), benchgate takes the best rate
-// per benchmark across -count repetitions (best-of filters scheduler
-// noise on shared runners), and compares it with the baseline file.
+// committed baseline and fails on throughput or allocation regressions.
+// It is the CI regression gate for the engine microbenchmarks: the
+// benchmarks report a rate metric (events/sec, cells/sec) and
+// allocs/op, benchgate takes the best rate and the fewest allocs/op per
+// benchmark across -count repetitions (best-of filters scheduler noise
+// on shared runners), and compares them with the baseline file.
 //
 // Usage:
 //
@@ -11,12 +12,14 @@
 //	go test -bench . ./internal/sim/ | benchgate -baseline BENCH_engine.json -update
 //
 // Exit status: 0 when every baselined benchmark is present and within
-// the threshold, 1 on regression or missing benchmark, 2 on usage or
-// parse errors. The threshold is generous (default 25% below baseline)
-// because CI machines vary; the committed baseline records the rates of
-// the machine that last ran -update, and the gate exists to catch
-// order-of-magnitude mistakes (an accidental O(n log n)->O(n^2) or a
-// reintroduced per-event allocation), not 5% drift.
+// the thresholds, 1 on regression or missing benchmark, 2 on usage or
+// parse errors. The rate threshold is generous (default 25% below
+// baseline) because CI machines vary; the committed baseline records
+// the rates of the machine that last ran -update, and the rate gate
+// exists to catch order-of-magnitude mistakes (an accidental
+// O(n log n)->O(n^2)), not 5% drift. Allocation counts do not depend
+// on the machine, so their ceiling is tight: a run fails when its
+// allocs/op exceed the baseline's by more than allocSlack.
 package main
 
 import (
@@ -46,7 +49,7 @@ type Baseline struct {
 type Entry struct {
 	Metric string  `json:"metric"`        // rate unit, e.g. "events/sec"
 	Rate   float64 `json:"rate"`          // best observed rate at -update time
-	Allocs float64 `json:"allocs_per_op"` // informational, not gated
+	Allocs float64 `json:"allocs_per_op"` // fewest observed allocs/op: a ceiling (0: not gated)
 
 	// MinProcs skips this entry entirely when the run's GOMAXPROCS
 	// (the -N benchmark-name suffix) is below it — for entries whose
@@ -66,6 +69,11 @@ type Entry struct {
 	// serialized.
 	Procs int `json:"-"`
 }
+
+// allocSlack is how far above its baseline a benchmark's allocs/op may
+// rise before the gate fails. The counts are deterministic up to the
+// warm-up share of b.N, so the slack only absorbs that.
+const allocSlack = 0.05
 
 func main() {
 	var (
@@ -170,6 +178,17 @@ func main() {
 		fmt.Printf("%s %-28s %14.0f %s vs baseline %14.0f (%.2fx, floor %.0f)\n",
 			status, name, have.Rate, have.Metric, want.Rate, ratio, floor)
 
+		if want.Allocs > 0 {
+			ceiling := want.Allocs * (1 + allocSlack)
+			status := "ok  "
+			if have.Allocs > ceiling {
+				status = "FAIL"
+				failed = true
+			}
+			fmt.Printf("%s %-28s %14.0f allocs/op vs baseline %14.0f (ceiling %.0f)\n",
+				status, name, have.Allocs, want.Allocs, ceiling)
+		}
+
 		// Speedup condition: compare against the Versus benchmark's
 		// rate from this same run, so machine speed cancels out.
 		if want.Versus != "" && want.MinSpeedup > 0 {
@@ -196,20 +215,21 @@ func main() {
 		}
 	}
 	if failed {
-		fmt.Printf("benchgate: regression beyond %.0f%% of %s\n", *threshold*100, *basePath)
+		fmt.Printf("benchgate: regression beyond %.0f%% (rates) or %.0f%% (allocs/op) of %s\n", *threshold*100, allocSlack*100, *basePath)
 		os.Exit(1)
 	}
 	fmt.Printf("benchgate: %d benchmarks within %.0f%% of %s\n", len(names), *threshold*100, *basePath)
 }
 
-// parseBench extracts the best rate per benchmark from `go test -bench`
-// output. A result line looks like:
+// parseBench extracts the best rate and the fewest allocs/op per
+// benchmark from `go test -bench` output. A result line looks like:
 //
 //	BenchmarkSchedule-8  242  4941329 ns/op  11367105 events/sec  376 B/op  6 allocs/op
 //
 // The rate is the value whose unit ends in "/sec"; the "-8" GOMAXPROCS
 // suffix is stripped so baselines transfer across machines. With
-// -count>1 the same name repeats; the maximum rate wins.
+// -count>1 the same name repeats; the maximum rate and the minimum
+// allocs/op win, each on its own.
 func parseBench(r io.Reader) (map[string]Entry, error) {
 	out := map[string]Entry{}
 	sc := bufio.NewScanner(r)
@@ -246,9 +266,18 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 		if metric == "" {
 			continue // benchmark without a rate metric; not gated
 		}
-		if prev, ok := out[name]; !ok || rate > prev.Rate {
+		prev, ok := out[name]
+		if !ok {
 			out[name] = Entry{Metric: metric, Rate: rate, Allocs: allocs, Procs: procs}
+			continue
 		}
+		if rate > prev.Rate {
+			prev.Rate = rate
+		}
+		if allocs < prev.Allocs {
+			prev.Allocs = allocs
+		}
+		out[name] = prev
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
