@@ -19,8 +19,12 @@ type SWQEndpoint struct {
 	rq     *hostmem.RequestQueue
 	cq     *hostmem.CompletionQueue
 
-	doorbell sim.Gate  // armed while the fetcher is parked
-	cqNotify *sim.Gate // fires at the next completion post; nil until a poller asks for it
+	doorbell sim.Gate // armed while the fetcher is parked
+
+	// cqNotify fires at the next completion post. It is armed only
+	// while a poller holds it (see CompletionGate).
+	cqNotify   sim.Gate
+	cqNotified bool // cqNotify armed and not yet fired
 
 	// step is the fetcher's gate for its own blocking DMA steps. Only
 	// the fetcher waits on it, so each step re-arms it after the
@@ -83,12 +87,16 @@ func (e *SWQEndpoint) ringArrived() {
 
 // CompletionGate returns a gate that fires the next time a completion is
 // posted. Callers must obtain the gate before checking the completion
-// queue to avoid a lost wakeup.
+// queue to avoid a lost wakeup. The endpoint has one poller, the core's
+// scheduler, which is done with a fired gate by the time it asks
+// again, so the endpoint re-arms one gate instead of building one per
+// poll.
 func (e *SWQEndpoint) CompletionGate() *sim.Gate {
-	if e.cqNotify == nil {
-		e.cqNotify = e.dev.eng.NewGate()
+	if !e.cqNotified {
+		e.cqNotify.Init(e.dev.eng)
+		e.cqNotified = true
 	}
-	return e.cqNotify
+	return &e.cqNotify
 }
 
 // Data returns the response line for a completed descriptor, consuming
@@ -356,9 +364,9 @@ func (c *swqCompletion) post() {
 	*c = swqCompletion{ep: e, sentFn: c.sentFn, landedFn: c.landedFn, postFn: c.postFn}
 	e.complFree = append(e.complFree, c)
 	e.cq.Post(id, e.dev.eng.Now())
-	if g := e.cqNotify; g != nil {
-		e.cqNotify = nil
-		g.Fire()
+	if e.cqNotified {
+		e.cqNotified = false
+		e.cqNotify.Fire()
 	}
 }
 

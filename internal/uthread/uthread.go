@@ -202,7 +202,10 @@ func (a *API) Access(addr uint64) []byte {
 // AccessBatch performs several independent reads with a single context
 // switch — the batching used to express memory-level parallelism
 // (§V-B, Impact of MLP: "a single context switch after issuing multiple
-// prefetches"). It returns one line per address, in order.
+// prefetches"). It returns one line per address, in order. The
+// executor reuses the returned slice for the thread's next batch, so it
+// is valid until the next AccessBatch (or Access) call; Work and Write
+// calls leave it alone.
 func (a *API) AccessBatch(addrs []uint64) [][]byte {
 	if len(addrs) == 0 {
 		return nil
