@@ -122,11 +122,3 @@ func (a *access) complete() {
 		d.eng.At(d.eng.Now(), then)
 	}
 }
-
-// ReadBlocking performs a read from process context, blocking the
-// process for the access latency.
-func (d *DRAM) ReadBlocking(p *sim.Proc) {
-	g := d.eng.NewGate()
-	d.Read(g)
-	p.Wait(g)
-}

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -62,16 +64,39 @@ func TestOutstandingLimitSerializes(t *testing.T) {
 	}
 }
 
-func TestReadBlocking(t *testing.T) {
-	eng := sim.NewEngine()
-	d := New(eng, 80*sim.Nanosecond, 48)
-	var woke sim.Time
-	eng.Go("reader", func(p *sim.Proc) {
-		d.ReadBlocking(p)
-		woke = p.Now()
-	})
-	eng.Run()
-	if woke != 80*sim.Nanosecond {
-		t.Errorf("blocking read returned at %v, want 80ns", woke)
+// TestThenMatchesGateWaiter: a ReadThen/WriteThen continuation runs at
+// the instant, in the order and with the event count that the single
+// waiter of a Read/Write gate would.
+func TestThenMatchesGateWaiter(t *testing.T) {
+	run := func(then bool) ([]string, uint64) {
+		eng := sim.NewEngine()
+		d := New(eng, 80*sim.Nanosecond, 2)
+		var log []string
+		for i := 0; i < 5; i++ {
+			i := i
+			fn := func() { log = append(log, fmt.Sprintf("%d@%v", i, eng.Now())) }
+			switch {
+			case then && i%2 == 0:
+				d.ReadThen(fn)
+			case then:
+				d.WriteThen(fn)
+			default:
+				g := eng.NewGate()
+				if i%2 == 0 {
+					d.Read(g)
+				} else {
+					d.Write(g)
+				}
+				g.OnFire(fn)
+			}
+		}
+		eng.At(160*sim.Nanosecond, func() { log = append(log, "timer") })
+		eng.Run()
+		return log, eng.Executed()
+	}
+	gateLog, gateEvents := run(false)
+	thenLog, thenEvents := run(true)
+	if !reflect.DeepEqual(gateLog, thenLog) || gateEvents != thenEvents {
+		t.Errorf("continuations %v (%d events), gate waiters %v (%d events)", thenLog, thenEvents, gateLog, gateEvents)
 	}
 }
