@@ -132,18 +132,17 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 			for i, addr := range req.Addrs {
 				// A cache hit satisfies the prefetch on-chip: no LFB
 				// entry, no device access (§III-B, cacheable MMIO).
-				var l *lineRead
 				if cc := e.caches[coreID]; cc != nil {
 					if data, ok := cc.Lookup(addr); ok {
 						pa.data[i] = data
-						pa.lines = append(pa.lines, l)
+						pa.lines = append(pa.lines, nil)
 						continue
 					}
 				}
 
 				// The access span opens at prefetch issue, before any
 				// queue wait, so LFB stalls are visible in its shape.
-				l = e.newLine(coreID, addr)
+				l := e.newLine(coreID, addr)
 				if e.tr != nil {
 					l.sp = e.trCore[coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
 				}

@@ -40,9 +40,9 @@ type SWQEndpoint struct {
 	stopped bool // fetcher shutdown requested (end of run)
 
 	// Callbacks bound once at construction.
-	stepDone        func() // step.Fire
-	doorbellArrived func()
-	flagSent        func()
+	stepDoneFn        func() // step.Fire
+	doorbellArrivedFn func()
+	flagArrivedFn     func()
 
 	respFree  []*swqResponse   // response records whose data landed, for reuse
 	complFree []*swqCompletion // completion records that posted, for reuse
@@ -59,9 +59,9 @@ func (d *Device) NewSWQEndpoint(coreID int, rq *hostmem.RequestQueue, cq *hostme
 		data:   map[uint64][]byte{},
 	}
 	e.doorbell.Init(d.eng)
-	e.stepDone = e.step.Fire
-	e.doorbellArrived = e.ringArrived
-	e.flagSent = func() { e.dev.hostDRAM.Write(&e.step) }
+	e.stepDoneFn = e.step.Fire
+	e.doorbellArrivedFn = e.doorbellArrived
+	e.flagArrivedFn = e.flagArrived
 	d.eng.Go("fetcher", e.runFetcher)
 	return e
 }
@@ -70,10 +70,12 @@ func (d *Device) NewSWQEndpoint(coreID int, rq *hostmem.RequestQueue, cq *hostme
 // restarting the parked fetcher when the write arrives. The host-side
 // CPU cost of the uncached write is charged by the caller.
 func (e *SWQEndpoint) Doorbell() {
-	e.dev.link.SendDown(0, 0, e.doorbellArrived)
+	e.dev.link.SendDown(0, 0, e.doorbellArrivedFn)
 }
 
-func (e *SWQEndpoint) ringArrived() {
+// doorbellArrived restarts the parked fetcher when a doorbell write
+// reaches the device.
+func (e *SWQEndpoint) doorbellArrived() {
 	if e.dev.inj.DropDoorbell() {
 		// Write lost at the device: the fetcher stays parked until the
 		// host's timeout re-rings.
@@ -168,7 +170,7 @@ func (e *SWQEndpoint) runFetcher(p *sim.Proc) {
 func (e *SWQEndpoint) fetchBurst(p *sim.Proc) []hostmem.Descriptor {
 	e.fetchBursts++
 	e.step.Init(e.dev.eng)
-	e.dev.link.SendUp(0, 0, e.stepDone)
+	e.dev.link.SendUp(0, 0, e.stepDoneFn)
 	p.Wait(&e.step)
 
 	e.step.Init(e.dev.eng)
@@ -181,7 +183,7 @@ func (e *SWQEndpoint) fetchBurst(p *sim.Proc) []hostmem.Descriptor {
 
 	payload := len(burst) * e.dev.cfg.DescriptorBytes
 	e.step.Init(e.dev.eng)
-	e.dev.link.SendDown(payload, 0, e.stepDone)
+	e.dev.link.SendDown(payload, 0, e.stepDoneFn)
 	p.Wait(&e.step)
 	return burst
 }
@@ -190,10 +192,14 @@ func (e *SWQEndpoint) fetchBurst(p *sim.Proc) []hostmem.Descriptor {
 // doorbell-request flag in host memory.
 func (e *SWQEndpoint) writeDoorbellFlag(p *sim.Proc) {
 	e.step.Init(e.dev.eng)
-	e.dev.link.SendUp(8, 0, e.flagSent)
+	e.dev.link.SendUp(8, 0, e.flagArrivedFn)
 	p.Wait(&e.step)
 	e.rq.SetDoorbellRequested()
 }
+
+// flagArrived writes the doorbell-request flag into host memory once
+// its TLP has reached the host.
+func (e *SWQEndpoint) flagArrived() { e.dev.hostDRAM.Write(&e.step) }
 
 // process forwards fetched descriptors to the replay module and
 // schedules the delay-module response path for each: a response-data
