@@ -89,17 +89,25 @@ func RunOnDemandDevice(cfg Config, w Workload) (Result, error) {
 
 // RunPrefetch measures the prefetch + user-level-context-switch
 // mechanism (Listing 1).
+//
+// useReplay selects the paper's record/replay methodology (§IV-A) for
+// workloads whose control flow depends on device data. Without a fault
+// plan the recording happens inside the measured run, so the
+// workload's own counters see one pass; with faults enabled a clean
+// recording run goes first and they see two.
 func RunPrefetch(cfg Config, w Workload, threadsPerCore int, useReplay bool) (Result, error) {
 	return core.RunPrefetch(cfg, w, threadsPerCore, useReplay)
 }
 
 // RunSWQueue measures the application-managed software-queue mechanism.
+// useReplay is as for RunPrefetch.
 func RunSWQueue(cfg Config, w Workload, threadsPerCore int, useReplay bool) (Result, error) {
 	return core.RunSWQueue(cfg, w, threadsPerCore, useReplay)
 }
 
 // RunKernelQueue measures kernel-managed software queues — the
 // interface the paper rules out analytically in §III-A, quantified.
+// useReplay is as for RunPrefetch.
 func RunKernelQueue(cfg Config, w Workload, threadsPerCore int, useReplay bool) (Result, error) {
 	return core.RunKernelQueue(cfg, w, threadsPerCore, useReplay)
 }

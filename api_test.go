@@ -50,14 +50,14 @@ func TestFacadeApplications(t *testing.T) {
 		t.Errorf("BFS replay misses: %d", r.Diag.OnDemand)
 	}
 
-	// Accesses counts the measured pass only (the recording pass keeps
-	// its own counters); the workload's own Lookups field doubles.
+	// Without a fault plan the measured run records its own sequence:
+	// the workload runs one pass, so Lookups matches Accesses.
 	bloom := repro.NewBloom(1<<14, 4, 100, 80, repro.DefaultWorkCount)
 	if r := must(repro.RunSWQueue(cfg, bloom, 4, true)); r.Accesses != 80*4 {
 		t.Errorf("bloom accesses = %d", r.Accesses)
 	}
-	if bloom.Lookups != 2*80 {
-		t.Errorf("bloom lookups = %d, want both passes", bloom.Lookups)
+	if bloom.Lookups != 80 {
+		t.Errorf("bloom lookups = %d, want one pass of 80", bloom.Lookups)
 	}
 
 	mc := repro.NewMemcached(64, 4, 80, repro.DefaultWorkCount)

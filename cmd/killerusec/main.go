@@ -48,7 +48,7 @@ func main() {
 		iters    = flag.Int("iters", 0, "override microbenchmark iterations per core")
 		lookups  = flag.Int("lookups", 0, "override application lookups per core")
 		threads  = flag.String("threads", "", "override thread sweep, e.g. 1,2,4,8,16")
-		replay   = flag.Bool("replay", true, "use the two-run record/replay methodology for applications")
+		replay   = flag.Bool("replay", true, "use the record/replay methodology for applications")
 		table1   = flag.Bool("table1", false, "print the paper's Table I and exit")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		plans    = flag.Bool("plans", false, "list every runnable plan id with aliases and a one-line description, then exit")

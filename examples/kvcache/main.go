@@ -31,7 +31,7 @@ func main() {
 		filter.Reset()
 		r := must(repro.RunPrefetch(cfg, filter, threads, true))
 		fmt.Printf("  prefetch %d threads: %5.3f of DRAM  (%d/%d lookups positive)\n",
-			threads, r.NormalizedTo(fbase.Measurement), filter.Positives/2, filter.Lookups/2)
+			threads, r.NormalizedTo(fbase.Measurement), filter.Positives, filter.Lookups)
 	}
 	fmt.Println("  (3 threads x 4 probes exhaust the 10 LFBs: the Fig 6 4-read knee)")
 
@@ -48,7 +48,7 @@ func main() {
 
 	store.Reset()
 	r := must(repro.RunSWQueue(cfg, store, 8, true))
-	fmt.Printf("\nverification: %d lookups over both passes, %d value mismatches, %d replay misses\n",
+	fmt.Printf("\nverification: %d lookups, %d value mismatches, %d replay misses\n",
 		store.Lookups, store.BadValues, r.Diag.OnDemand)
 
 	fmt.Println("\n== End-to-end tier cost per lookup (filter + store, 8 threads) ==")

@@ -143,7 +143,7 @@ func TestPointerChaseUnderMechanisms(t *testing.T) {
 	if pf.Diag.OnDemand != 0 {
 		t.Errorf("chase replay misses: %d (data-dependent addresses diverged)", pf.Diag.OnDemand)
 	}
-	if chase.Hops != 2*400 {
-		t.Errorf("hops = %d, want both passes complete", chase.Hops)
+	if chase.Hops != 400 {
+		t.Errorf("hops = %d, want the one pass complete", chase.Hops)
 	}
 }

@@ -101,7 +101,8 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread) 
 // RunKernelQueue measures the kernel-managed software-queue interface —
 // the baseline the paper rules out in §III-A. Included to quantify that
 // dismissal: per-access syscalls, kernel context switches, and
-// completion interrupts dwarf a microsecond access.
+// completion interrupts dwarf a microsecond access. useReplay is as for
+// RunPrefetch.
 func RunKernelQueue(cfg platform.Config, w Workload, threadsPerCore int, useReplay bool) (Result, error) {
 	return runThreaded(cfg, w, "kernelq", threadsPerCore, useReplay, runKernelQCore)
 }

@@ -160,30 +160,77 @@ type coreRunner func(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 // RunPrefetch measures the prefetch + user-level-context-switch
 // mechanism with threadsPerCore threads on each of cfg.Cores cores.
 //
-// useReplay selects the paper's two-run methodology (§IV-A): a recording
-// run captures each core's (address, data) sequence, and the measured
-// run serves it through the replay modules. Workloads whose control flow
-// depends on device data (the applications) should set it; the
-// microbenchmark's synthetic pattern does not need it.
+// useReplay selects the paper's record/replay methodology (§IV-A) for
+// workloads whose control flow depends on device data (the
+// applications); the microbenchmark's synthetic pattern does not need
+// it. Without a fault plan the measured run records its own (address,
+// data) sequence, every access served on the replay fast path, so the
+// workload's own counters see one pass. With a fault plan enabled a
+// clean recording run goes first and the measured run streams it
+// through the replay modules (see runReplay), so the workload runs two
+// passes.
 func RunPrefetch(cfg platform.Config, w Workload, threadsPerCore int, useReplay bool) (Result, error) {
 	return runThreaded(cfg, w, "prefetch", threadsPerCore, useReplay, runPrefetchCore)
 }
 
 // RunSWQueue measures the application-managed software-queue mechanism.
+// useReplay is as for RunPrefetch.
 func RunSWQueue(cfg platform.Config, w Workload, threadsPerCore int, useReplay bool) (Result, error) {
 	return runThreaded(cfg, w, "swqueue", threadsPerCore, useReplay, runSWQCore)
 }
 
 func runThreaded(cfg platform.Config, w Workload, mech string, threadsPerCore int, useReplay bool, run coreRunner) (Result, error) {
+	mode := replayOff
+	switch {
+	case useReplay && cfg.Faults.Enabled():
+		mode = replayTwoPass
+	case useReplay:
+		mode = replayInline
+	}
+	res, _, err := runReplay(cfg, w, mech, threadsPerCore, mode, run)
+	return res, err
+}
+
+// replayMode is how a threaded run's device serves the workload's data.
+type replayMode int
+
+const (
+	// replayOff serves every request from the backing at replay-path
+	// timing (the device's ideal mode).
+	replayOff replayMode = iota
+	// replayInline records the measured run's own access sequence. The
+	// recording run of the paper's two runs differs from the measured
+	// run only in observers, which never change the simulation, and in
+	// the fault plan; without faults the two see the same access
+	// sequence event for event, and a recorder answers at the same
+	// timing with the same line as a matching replay module. So the
+	// measured run needs no recording run in front of it.
+	replayInline
+	// replayTwoPass is the paper's two runs (§IV-A): a clean recording
+	// run, then the measured run served through the replay modules,
+	// whose window, skip and on-demand fallback absorb the divergence
+	// that retries, duplicates and drops introduce.
+	replayTwoPass
+)
+
+// runReplay is runThreaded with the replay mode chosen by the caller;
+// it also returns the measured run's Env so tests can inspect its
+// device.
+func runReplay(cfg platform.Config, w Workload, mech string, threadsPerCore int, mode replayMode, run coreRunner) (Result, *Env, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	if threadsPerCore <= 0 {
-		return Result{}, fmt.Errorf("core: threadsPerCore %d must be positive", threadsPerCore)
+		return Result{}, nil, fmt.Errorf("core: threadsPerCore %d must be positive", threadsPerCore)
 	}
 
 	e := NewEnv(cfg, w.Backing())
-	if useReplay {
+	switch mode {
+	case replayInline:
+		for coreID := 0; coreID < cfg.Cores; coreID++ {
+			e.dev.EnableRecording(coreID)
+		}
+	case replayTwoPass:
 		// Recording run: same execution, device in capture mode. Faults,
 		// tracing, and telemetry are stripped so the captured trace stays
 		// clean and only the measured run is observed.
@@ -198,11 +245,11 @@ func runThreaded(cfg platform.Config, w Workload, mech string, threadsPerCore in
 			rec.dev.EnableRecording(coreID)
 		}
 		if err := launch(rec, w, threadsPerCore, run); err != nil {
-			return Result{}, fmt.Errorf("core: recording run: %w", err)
+			return Result{}, nil, fmt.Errorf("core: recording run: %w", err)
 		}
 		for coreID := 0; coreID < cfg.Cores; coreID++ {
 			if err := e.dev.LoadRecording(coreID, rec.dev.TakeRecording(coreID), 0); err != nil {
-				return Result{}, err
+				return Result{}, nil, err
 			}
 		}
 		// The recording engine is quiescent; hand its backing arrays to
@@ -214,7 +261,14 @@ func runThreaded(cfg platform.Config, w Workload, mech string, threadsPerCore in
 		mech, w.Name(), cfg.DeviceLatency, cfg.Cores, threadsPerCore)
 	e.startObservability(label)
 	if err := launch(e, w, threadsPerCore, run); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
+	}
+	if mode == replayInline {
+		for coreID := 0; coreID < cfg.Cores; coreID++ {
+			if err := e.dev.KeepRecording(coreID); err != nil {
+				return Result{}, nil, err
+			}
+		}
 	}
 	c := &e.c
 	diag := e.diagnostics()
@@ -238,7 +292,7 @@ func runThreaded(cfg platform.Config, w Workload, mech string, threadsPerCore in
 	res.Series = e.rec.Finish(c.finish)
 	res.Attrib = e.at.Summary()
 	e.eng.Recycle()
-	return res, nil
+	return res, e, nil
 }
 
 // RecordAccessTrace performs a recording run (the first of the paper's

@@ -179,7 +179,7 @@ func TestMulticoreSWQLinearThenBandwidth(t *testing.T) {
 }
 
 func TestReplayMethodologyMatchesBackingMode(t *testing.T) {
-	// The two-run record/replay methodology must reproduce the direct
+	// The record/replay methodology must reproduce the direct
 	// (backing-served) timing: replay is a fidelity mechanism, not a
 	// performance effect.
 	cfg := platform.Default()

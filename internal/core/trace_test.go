@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -187,23 +188,26 @@ func TestDiagnosticsEngineCounters(t *testing.T) {
 	}
 }
 
-// TestTraceRecordingRunExcluded pins that the two-run replay methodology
-// traces only the measured run: recording runs would otherwise double
-// every span.
+// TestTraceRecordingRunExcluded pins that a replay run traces only the
+// measured run, with and without the separate recording run a fault
+// plan brings: a traced recording run would double every span.
 func TestTraceRecordingRunExcluded(t *testing.T) {
-	w := workload.NewMicrobench(40, workload.DefaultWorkCount, 1)
-	cfg := platform.Default()
-	rec := trace.NewRecorder()
-	cfg.Trace = rec
-	r, err := RunPrefetch(cfg, w, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := rec.Summary()
-	if len(sum.Runs) != 1 {
-		t.Fatalf("%d trace runs for one replayed measurement, want 1 (measured only)", len(sum.Runs))
-	}
-	if sum.Runs[0].Spans != r.Accesses {
-		t.Errorf("%d spans, %d accesses", sum.Runs[0].Spans, r.Accesses)
+	for _, plan := range []fault.Plan{{}, {Seed: 1, StragglerProb: 0.01, StragglerFactor: 2}} {
+		w := workload.NewMicrobench(40, workload.DefaultWorkCount, 1)
+		cfg := platform.Default()
+		cfg.Faults = plan
+		rec := trace.NewRecorder()
+		cfg.Trace = rec
+		r, err := RunPrefetch(cfg, w, 4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := rec.Summary()
+		if len(sum.Runs) != 1 {
+			t.Fatalf("faults=%v: %d trace runs for one replayed measurement, want 1 (measured only)", plan.Enabled(), len(sum.Runs))
+		}
+		if sum.Runs[0].Spans != r.Accesses {
+			t.Errorf("faults=%v: %d spans, %d accesses", plan.Enabled(), sum.Runs[0].Spans, r.Accesses)
+		}
 	}
 }

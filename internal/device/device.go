@@ -90,11 +90,27 @@ func New(eng *sim.Engine, cfg platform.Config, link *pcie.Link, hostDRAM *mem.DR
 // across cores "after applying an address offset"). It reports an error
 // if on-board DRAM capacity would be exceeded.
 func (d *Device) LoadRecording(coreID int, rec *replay.Recording, offset uint64) error {
+	if err := d.reserve(coreID, rec); err != nil {
+		return err
+	}
+	d.modules[coreID] = replay.NewModule(rec, d.cfg.ReplayWindow, offset)
+	return nil
+}
+
+// KeepRecording stops recording for coreID and charges the captured
+// sequence against on-board DRAM capacity exactly as LoadRecording
+// would, without building a replay module: for a run that recorded its
+// own sequence there is nothing left to replay it to.
+func (d *Device) KeepRecording(coreID int) error {
+	return d.reserve(coreID, d.TakeRecording(coreID))
+}
+
+// reserve charges rec against on-board DRAM capacity.
+func (d *Device) reserve(coreID int, rec *replay.Recording) error {
 	if d.loadedBytes+rec.Bytes() > OnBoardDRAMBytes {
 		return fmt.Errorf("device: recording for core %d (%d bytes) exceeds on-board DRAM capacity", coreID, rec.Bytes())
 	}
 	d.loadedBytes += rec.Bytes()
-	d.modules[coreID] = replay.NewModule(rec, d.cfg.ReplayWindow, offset)
 	return nil
 }
 
@@ -126,7 +142,7 @@ func (d *Device) OnDemandServed() uint64 { return d.onDemandServed }
 // directly from the backing dataset (at replay-path timing, since the
 // recording run's measurements are discarded) while their (addr, data)
 // sequence is captured. This is the first of the paper's two runs per
-// experiment (§IV-A).
+// experiment (§IV-A), or, without faults, the measured run itself.
 func (d *Device) EnableRecording(coreID int) {
 	d.recorders[coreID] = replay.NewRecorder(d.backing, &replay.Recording{})
 }

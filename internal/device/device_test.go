@@ -124,6 +124,40 @@ func TestLoadRecordingCapacity(t *testing.T) {
 	}
 }
 
+// TestKeepRecordingCapacity: a run that records its own sequence is
+// held to the same on-board capacity as a loaded recording, with the
+// same error, and gets no replay module.
+func TestKeepRecordingCapacity(t *testing.T) {
+	capture := func(loaded int64) (*rig, error) {
+		r := newRig(platform.Default())
+		r.dev.loadedBytes = loaded
+		r.dev.EnableRecording(0)
+		for i := 0; i < 8; i++ {
+			r.dev.MMIORead(0, uint64(i)*64, trace.Span{}, nil, func([]byte) {})
+		}
+		r.eng.Run()
+		return r, r.dev.KeepRecording(0)
+	}
+	r, err := capture(OnBoardDRAMBytes - 1)
+	want := r.dev.LoadRecording(0, replay.Synthetic(0, 8), 0)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("KeepRecording over capacity: %v, want LoadRecording's %v", err, want)
+	}
+	r, err = capture(0)
+	if err != nil {
+		t.Fatalf("small recording rejected: %v", err)
+	}
+	if r.dev.loadedBytes != replay.Synthetic(0, 8).Bytes() {
+		t.Errorf("loaded %d bytes, want the recording's %d", r.dev.loadedBytes, replay.Synthetic(0, 8).Bytes())
+	}
+	if r.dev.Module(0) != nil || r.dev.recorders[0] != nil {
+		t.Error("KeepRecording left a replay module or a live recorder")
+	}
+	if r.dev.ReplayServed() != 8 {
+		t.Errorf("replay served %d, want all 8 captured reads", r.dev.ReplayServed())
+	}
+}
+
 func TestPreloadCost(t *testing.T) {
 	r := newRig(platform.Default())
 	rec := replay.Synthetic(0, 1000) // 72000 bytes

@@ -145,7 +145,7 @@ type CellSpec struct {
 	Workload WorkloadSpec
 	// Threads is threads-per-core for the threaded mechanisms.
 	Threads int
-	// Replay selects the paper's two-run record/replay methodology.
+	// Replay selects the paper's record/replay methodology.
 	Replay bool
 	// Cluster parameterizes fleet cells (Mech "cluster"); its zero
 	// value is inert for every other mechanism.

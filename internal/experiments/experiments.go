@@ -32,7 +32,7 @@ type Suite struct {
 	// Threads is the thread-per-core sweep used by the threaded
 	// mechanisms.
 	Threads []int
-	// UseReplay applies the two-run record/replay methodology to the
+	// UseReplay applies the record/replay methodology to the
 	// application benchmarks.
 	UseReplay bool
 	// Quick marks the reduced sweep; recorded in run reports so a

@@ -49,6 +49,7 @@ type Completion struct {
 // doorbell-request flag.
 type RequestQueue struct {
 	pending []Descriptor
+	burst   []Descriptor // PopBurst's reused result buffer
 	nextID  uint64
 
 	// doorbellRequested is the in-memory flag the device sets when its
@@ -107,7 +108,8 @@ func (q *RequestQueue) push(addr, target uint64, now sim.Time, write bool, sp tr
 
 // PopBurst removes and returns up to max descriptors from the head of
 // the queue — the device-side burst read (§IV-A: "retrieves descriptors
-// in bursts of eight").
+// in bursts of eight"). The returned slice is valid until the next
+// PopBurst, which reuses its backing array.
 func (q *RequestQueue) PopBurst(max int) []Descriptor {
 	n := max
 	if n > len(q.pending) {
@@ -116,13 +118,12 @@ func (q *RequestQueue) PopBurst(max int) []Descriptor {
 	if n == 0 {
 		return nil
 	}
-	burst := make([]Descriptor, n)
-	copy(burst, q.pending[:n])
+	q.burst = append(q.burst[:0], q.pending[:n]...)
 	q.pending = q.pending[:copy(q.pending, q.pending[n:])]
 	if q.OnChange != nil {
 		q.OnChange(len(q.pending))
 	}
-	return burst
+	return q.burst
 }
 
 // Len returns the number of descriptors awaiting fetch.
@@ -149,6 +150,7 @@ func (q *RequestQueue) ClearDoorbellRequested() { q.doorbellRequested = false }
 // CompletionQueue is a per-core in-memory completion ring.
 type CompletionQueue struct {
 	entries  []Completion
+	spare    []Completion // the previous Drain's result, reused by the next
 	posted   uint64
 	drained  uint64
 	maxDepth int
@@ -176,14 +178,16 @@ func (q *CompletionQueue) Post(id uint64, now sim.Time) {
 }
 
 // Drain removes and returns all pending completions (host-side poll).
+// The queue alternates between two buffers: the returned slice stays
+// intact while Posts land (they go to the other buffer) and is valid
+// until the next Drain, which hands its backing array back to Post.
 func (q *CompletionQueue) Drain() []Completion {
 	if len(q.entries) == 0 {
 		return nil
 	}
-	out := make([]Completion, len(q.entries))
-	copy(out, q.entries)
+	out := q.entries
+	q.entries, q.spare = q.spare[:0], out
 	q.drained += uint64(len(out))
-	q.entries = q.entries[:0]
 	if q.OnChange != nil {
 		q.OnChange(0)
 	}

@@ -92,6 +92,56 @@ func TestCompletionQueue(t *testing.T) {
 	}
 }
 
+// TestDrainSurvivesPostsWhileDelivering: completions the device posts
+// while the host is still delivering a drained batch land in the other
+// buffer, so the batch stays intact until the next Drain; buffers are
+// reused rather than reallocated.
+func TestDrainSurvivesPostsWhileDelivering(t *testing.T) {
+	q := NewCompletionQueue()
+	for round := uint64(0); round < 4; round++ {
+		base := round * 10
+		q.Post(base, 0)
+		q.Post(base+1, 0)
+		got := q.Drain()
+		for i := range got {
+			q.Post(base+5+uint64(i), 0) // device posts mid-delivery
+			if got[i].ID != base+uint64(i) {
+				t.Fatalf("round %d: drained[%d].ID = %d after a mid-delivery Post, want %d",
+					round, i, got[i].ID, base+uint64(i))
+			}
+		}
+		if len(got) != 2 {
+			t.Fatalf("round %d: drained %d entries, want 2", round, len(got))
+		}
+		next := q.Drain()
+		if len(next) != 2 || next[0].ID != base+5 || next[1].ID != base+6 {
+			t.Fatalf("round %d: next drain = %+v, want the two mid-delivery posts", round, next)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		q.Post(1, 0)
+		q.Drain()
+	}); n != 0 {
+		t.Errorf("Post+Drain allocates %.0f times per call, want 0 once warm", n)
+	}
+}
+
+func TestPopBurstReusesBuffer(t *testing.T) {
+	q := NewRequestQueue()
+	for i := 0; i < 16; i++ {
+		q.Push(uint64(i), 0, 0)
+	}
+	q.PopBurst(8)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			q.Push(uint64(i), 0, 0)
+		}
+		q.PopBurst(8)
+	}); n != 0 {
+		t.Errorf("PopBurst allocates %.0f times per burst, want 0 once warm", n)
+	}
+}
+
 // Property: any sequence of pushes followed by burst pops preserves FIFO
 // order and loses nothing.
 func TestRequestQueueFIFOProperty(t *testing.T) {
