@@ -195,9 +195,9 @@ func (pr *Probe) Summary() *stats.AttribSummary {
 			Phase: phaseNames[ph],
 			SumPs: pr.sums[ph],
 			Count: pr.counts[ph],
-			P50Ns: sim.Time(h.Quantile(0.50)).Nanoseconds(),
-			P99Ns: sim.Time(h.Quantile(0.99)).Nanoseconds(),
-			MaxNs: sim.Time(h.Max()).Nanoseconds(),
+			P50Ns: stats.Float(sim.Time(h.Quantile(0.50)).Nanoseconds()),
+			P99Ns: stats.Float(sim.Time(h.Quantile(0.99)).Nanoseconds()),
+			MaxNs: stats.Float(sim.Time(h.Max()).Nanoseconds()),
 		}
 	}
 	return s

@@ -351,8 +351,8 @@ func summarize(cfg Config, insts []*instance, perArrived []uint64, end sim.Time)
 		Policy:        cfg.Policy,
 		Shape:         cfg.Shape,
 		Mech:          cfg.Mech,
-		Rho:           cfg.Rho,
-		OfferedPerSec: cfg.RatePerSec,
+		Rho:           stats.Float(cfg.Rho),
+		OfferedPerSec: stats.Float(cfg.RatePerSec),
 		Instances:     make([]stats.FleetInstance, len(insts)),
 	}
 	for i, in := range insts {
@@ -365,19 +365,19 @@ func summarize(cfg Config, insts []*instance, perArrived []uint64, end sim.Time)
 			Windows:          in.sat.windows,
 			SaturatedWindows: in.sat.saturated,
 			PeakOutstanding:  in.srv.PeakOutstanding(),
-			P50Ns:            sim.Time(h.Quantile(0.50)).Nanoseconds(),
-			P99Ns:            sim.Time(h.Quantile(0.99)).Nanoseconds(),
-			P999Ns:           sim.Time(h.Quantile(0.999)).Nanoseconds(),
+			P50Ns:            stats.Float(sim.Time(h.Quantile(0.50)).Nanoseconds()),
+			P99Ns:            stats.Float(sim.Time(h.Quantile(0.99)).Nanoseconds()),
+			P999Ns:           stats.Float(sim.Time(h.Quantile(0.999)).Nanoseconds()),
 		}
 		sum.Arrived += perArrived[i]
 		sum.Completed += in.srv.Completed()
 	}
-	sum.ElapsedSeconds = end.Seconds()
+	sum.ElapsedSeconds = stats.Float(end.Seconds())
 	if sum.ElapsedSeconds > 0 {
-		sum.CompletedPerSec = float64(sum.Completed) / sum.ElapsedSeconds
+		sum.CompletedPerSec = stats.Float(float64(sum.Completed) / float64(sum.ElapsedSeconds))
 	}
-	sum.P50Ns = sim.Time(merged.Quantile(0.50)).Nanoseconds()
-	sum.P99Ns = sim.Time(merged.Quantile(0.99)).Nanoseconds()
-	sum.P999Ns = sim.Time(merged.Quantile(0.999)).Nanoseconds()
+	sum.P50Ns = stats.Float(sim.Time(merged.Quantile(0.50)).Nanoseconds())
+	sum.P99Ns = stats.Float(sim.Time(merged.Quantile(0.99)).Nanoseconds())
+	sum.P999Ns = stats.Float(sim.Time(merged.Quantile(0.999)).Nanoseconds())
 	return sum
 }

@@ -231,30 +231,15 @@ func runReplay(cfg platform.Config, w Workload, mech string, threadsPerCore int,
 			e.dev.EnableRecording(coreID)
 		}
 	case replayTwoPass:
-		// Recording run: same execution, device in capture mode. Faults,
-		// tracing, and telemetry are stripped so the captured trace stays
-		// clean and only the measured run is observed.
-		recCfg := cfg
-		recCfg.Faults = fault.Plan{}
-		recCfg.Trace = nil
-		recCfg.MetricsWindow = 0
-		recCfg.MetricsSink = nil
-		recCfg.Attribution = false
-		rec := NewEnv(recCfg, w.Backing())
-		for coreID := 0; coreID < cfg.Cores; coreID++ {
-			rec.dev.EnableRecording(coreID)
-		}
-		if err := launch(rec, w, threadsPerCore, run); err != nil {
+		recs, err := record(cfg, w, threadsPerCore, run)
+		if err != nil {
 			return Result{}, nil, fmt.Errorf("core: recording run: %w", err)
 		}
 		for coreID := 0; coreID < cfg.Cores; coreID++ {
-			if err := e.dev.LoadRecording(coreID, rec.dev.TakeRecording(coreID), 0); err != nil {
+			if err := e.dev.LoadRecording(coreID, recs[coreID], 0); err != nil {
 				return Result{}, nil, err
 			}
 		}
-		// The recording engine is quiescent; hand its backing arrays to
-		// the measured run (and the next cell on this worker).
-		rec.eng.Recycle()
 	}
 
 	label := fmt.Sprintf("%s/%s lat=%v cores=%d threads=%d",
@@ -320,8 +305,17 @@ func RecordAccessTrace(cfg platform.Config, w Workload, threadsPerCore int, mech
 	if threadsPerCore <= 0 {
 		return nil, fmt.Errorf("core: threadsPerCore %d must be positive", threadsPerCore)
 	}
+	return record(cfg, w, threadsPerCore, run)
+}
+
+// record performs a recording run: the workload under run with every
+// core's device in capture mode, returning each core's captured
+// (address, data) sequence. Faults, tracing, telemetry and attribution
+// are stripped so the captured sequence stays clean and only a measured
+// run is observed.
+func record(cfg platform.Config, w Workload, threadsPerCore int, run coreRunner) (map[int]*replay.Recording, error) {
 	cfg.Faults = fault.Plan{}
-	cfg.Trace = nil // recordings capture clean traces, never trace events
+	cfg.Trace = nil
 	cfg.MetricsWindow = 0
 	cfg.MetricsSink = nil
 	cfg.Attribution = false
@@ -336,6 +330,8 @@ func RecordAccessTrace(cfg platform.Config, w Workload, threadsPerCore int, mech
 	for coreID := 0; coreID < cfg.Cores; coreID++ {
 		out[coreID] = e.dev.TakeRecording(coreID)
 	}
+	// The recording engine is quiescent; hand its backing arrays to the
+	// next engine on this worker (a two-pass cell's measured run).
 	e.eng.Recycle()
 	return out, nil
 }

@@ -75,10 +75,10 @@ func runCluster(c CellSpec) (core.Result, error) {
 			Iterations:     cs.Requests,
 			Accesses:       int(sum.Completed),
 			WorkInstr:      float64(sum.Completed) * float64(cs.WorkInstr),
-			ElapsedSeconds: sum.ElapsedSeconds,
-			AccessP50Ns:    sum.P50Ns,
-			AccessP99Ns:    sum.P99Ns,
-			AccessP999Ns:   sum.P999Ns,
+			ElapsedSeconds: float64(sum.ElapsedSeconds),
+			AccessP50Ns:    float64(sum.P50Ns),
+			AccessP99Ns:    float64(sum.P99Ns),
+			AccessP999Ns:   float64(sum.P999Ns),
 		},
 		Fleet: sum,
 	}
@@ -121,7 +121,7 @@ func (s Suite) fleetCapacity(backend string) float64 {
 	probe := s.fleetSpec(backend, cluster.PolicyRoundRobin, cluster.ShapeSaturate, 0, 0)
 	probe.Cluster.Requests = probe.Cluster.Requests / 2
 	r := s.runCell(probe)
-	return r.Fleet.CompletedPerSec
+	return float64(r.Fleet.CompletedPerSec)
 }
 
 // fleetRhos is the offered-load sweep of the policy and shape tables,
@@ -213,9 +213,9 @@ func (s Suite) ExpCluster() []*stats.Table {
 		var y float64
 		if f.OfferedPerSec > 0 {
 			if c.series.Label == "prefetch" || c.series.Label == "swqueue" {
-				y = f.CompletedPerSec / f.OfferedPerSec
+				y = float64(f.CompletedPerSec / f.OfferedPerSec)
 			} else {
-				y = f.P99Ns / 1000
+				y = float64(f.P99Ns / 1000)
 			}
 		}
 		c.series.Add(c.x, y)

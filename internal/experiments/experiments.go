@@ -145,11 +145,11 @@ const KroneckerSeed = 20180610
 func runDiag(r core.Result) stats.RunDiag {
 	return stats.RunDiag{
 		Accesses:          r.Accesses,
-		P50Ns:             r.Diag.AccessP50Ns,
-		P99Ns:             r.Diag.AccessP99Ns,
-		P999Ns:            r.Diag.AccessP999Ns,
-		MeanLFBOccupancy:  r.Diag.MeanLFBOccupancy,
-		MeanChipOccupancy: r.Diag.MeanChipOccupancy,
+		P50Ns:             stats.Float(r.Diag.AccessP50Ns),
+		P99Ns:             stats.Float(r.Diag.AccessP99Ns),
+		P999Ns:            stats.Float(r.Diag.AccessP999Ns),
+		MeanLFBOccupancy:  stats.Float(r.Diag.MeanLFBOccupancy),
+		MeanChipOccupancy: stats.Float(r.Diag.MeanChipOccupancy),
 		SimEvents:         r.Diag.SimEvents,
 	}
 }

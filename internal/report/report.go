@@ -20,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 
 	"repro/internal/platform"
 	"repro/internal/stats"
@@ -33,36 +32,9 @@ const (
 	SchemaVersion = 1
 )
 
-// Float is a JSON-safe float64: NaN and ±Inf marshal as null (JSON has
-// no encoding for them) and null unmarshals back to NaN, so a missing
-// cell survives a round trip without poisoning arithmetic.
-type Float float64
-
-// MarshalJSON renders non-finite values as null.
-func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return []byte(strconv.FormatFloat(v, 'g', -1, 64)), nil
-}
-
-// UnmarshalJSON accepts numbers and null (null becomes NaN).
-func (f *Float) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		*f = Float(math.NaN())
-		return nil
-	}
-	v, err := strconv.ParseFloat(string(b), 64)
-	if err != nil {
-		return err
-	}
-	*f = Float(v)
-	return nil
-}
-
-// IsNaN reports whether the cell is missing.
-func (f Float) IsNaN() bool { return math.IsNaN(float64(f)) }
+// Float is the report's JSON-safe cell type (NaN and ±Inf as null);
+// see stats.Float.
+type Float = stats.Float
 
 // Report is one sweep's complete machine-readable artifact.
 type Report struct {
@@ -91,7 +63,8 @@ type Report struct {
 }
 
 // ClusterVersion is bumped on any incompatible change to the per-cell
-// FleetSummary layout below or to the policy/shape vocabulary.
+// FleetSummary layout (stats.FleetSummary) or to the policy/shape
+// vocabulary.
 const ClusterVersion = 1
 
 // ClusterMeta stamps the fleet-simulation vocabulary of a sweep that
@@ -115,7 +88,8 @@ type TimeseriesMeta struct {
 }
 
 // AttributionVersion is bumped on any incompatible change to the
-// per-cell AttribSummary layout below or to the phase taxonomy.
+// per-cell AttribSummary layout (stats.AttribSummary) or to the phase
+// taxonomy.
 const AttributionVersion = 1
 
 // AttributionMeta stamps the phase taxonomy of a -attrib sweep: the
@@ -230,107 +204,26 @@ type Series struct {
 	Fleet []*FleetSummary `json:"fleet,omitempty"`
 }
 
-// FleetSummary mirrors stats.FleetSummary: one fleet cell's outcome —
-// the aggregate rates, the merged end-to-end latency percentiles, and
-// the per-instance saturation accounting.
-type FleetSummary struct {
-	Policy string `json:"policy"`
-	Shape  string `json:"shape"`
-	Mech   string `json:"mech"`
+// The per-cell diagnostic, attribution and fleet payloads are the
+// stats types, serialized as they are: their fields carry the report's
+// JSON tags and every float is a Float.
+type (
+	Diag          = stats.RunDiag
+	AttribSummary = stats.AttribSummary
+	PhaseSum      = stats.PhaseSum
+	FleetSummary  = stats.FleetSummary
+	FleetInstance = stats.FleetInstance
+)
 
-	Rho             Float  `json:"rho"`
-	OfferedPerSec   Float  `json:"offered_per_sec"`
-	CompletedPerSec Float  `json:"completed_per_sec"`
-	Arrived         uint64 `json:"arrived"`
-	Completed       uint64 `json:"completed"`
-	ElapsedSeconds  Float  `json:"elapsed_seconds"`
-
-	P50Ns  Float `json:"p50_ns"`
-	P99Ns  Float `json:"p99_ns"`
-	P999Ns Float `json:"p999_ns"`
-
-	Instances []FleetInstance `json:"instances"`
-}
-
-// FleetInstance is one fleet member's slice of a FleetSummary.
-type FleetInstance struct {
-	Arrived          uint64 `json:"arrived"`
-	Completed        uint64 `json:"completed"`
-	Windows          int    `json:"windows"`
-	SaturatedWindows int    `json:"saturated_windows"`
-	PeakOutstanding  int    `json:"peak_outstanding"`
-	P50Ns            Float  `json:"p50_ns"`
-	P99Ns            Float  `json:"p99_ns"`
-	P999Ns           Float  `json:"p999_ns"`
-}
-
-// AttribSummary mirrors stats.AttribSummary: one cell's per-phase
-// latency breakdown. Sums stay in exact integer picoseconds — the
-// phase sums total exactly total_ps (Validate re-checks it), so report
-// consumers can rebuild the waterfall without rounding drift.
-type AttribSummary struct {
-	Label      string     `json:"label"`
-	Phases     []PhaseSum `json:"phases"`
-	Accesses   uint64     `json:"accesses"`
-	TotalPs    int64      `json:"total_ps"`
-	Mismatches uint64     `json:"mismatches"`
-}
-
-// PhaseSum is one phase's aggregate within a cell.
-type PhaseSum struct {
-	Phase string `json:"phase"`
-	SumPs int64  `json:"sum_ps"`
-	Count uint64 `json:"count"`
-	P50Ns Float  `json:"p50_ns"`
-	P99Ns Float  `json:"p99_ns"`
-	MaxNs Float  `json:"max_ns"`
-}
-
-// PhasePs returns the picosecond total for the named phase (0 if the
-// summary is nil or the phase is absent).
-func (a *AttribSummary) PhasePs(phase string) int64 {
-	if a == nil {
-		return 0
-	}
-	for _, p := range a.Phases {
-		if p.Phase == phase {
-			return p.SumPs
-		}
-	}
-	return 0
-}
-
-// MeanNs returns the mean end-to-end access window in nanoseconds
-// (NaN when no accesses closed into the summary).
-func (a *AttribSummary) MeanNs() float64 {
-	if a == nil || a.Accesses == 0 {
-		return math.NaN()
-	}
-	return float64(a.TotalPs) / 1e3 / float64(a.Accesses)
-}
-
-// DominantPhase returns the phase with the largest total and its share
-// of total_ps; ties break toward the earlier phase in taxonomy order.
-func (a *AttribSummary) DominantPhase() (string, float64) {
-	if a == nil || a.TotalPs <= 0 {
-		return "", 0
-	}
-	best := -1
-	for i, p := range a.Phases {
-		if best < 0 || p.SumPs > a.Phases[best].SumPs {
-			best = i
-		}
-	}
-	if best < 0 {
-		return "", 0
-	}
-	return a.Phases[best].Phase, float64(a.Phases[best].SumPs) / float64(a.TotalPs)
-}
-
-// TimeSeries mirrors stats.TimeSeries in report units: microseconds
-// for window spans, nanoseconds for latencies. All per-window arrays
-// are index-aligned; window i covers [i*window_us, (i+1)*window_us)
-// except the last, whose actual span is last_span_us.
+// TimeSeries is stats.TimeSeries converted into report units:
+// microseconds for window spans, nanoseconds for latencies. It is the
+// one per-cell payload the report restates rather than serializing the
+// stats type as it is, because stats holds window spans in integer
+// picoseconds and per-window values as raw float64 slices, while the
+// report's schema carries microsecond spans and Float cells. All
+// per-window arrays are index-aligned; window i covers
+// [i*window_us, (i+1)*window_us) except the last, whose actual span is
+// last_span_us.
 type TimeSeries struct {
 	WindowUs   Float `json:"window_us"`
 	LastSpanUs Float `json:"last_span_us"`
@@ -384,19 +277,10 @@ func (ts *TimeSeries) Windows() int {
 	return len(ts.Starts)
 }
 
-// Diag is the per-cell slice of core.Diagnostics a report carries.
-type Diag struct {
-	Accesses          int    `json:"accesses"`
-	P50Ns             Float  `json:"p50_ns"`
-	P99Ns             Float  `json:"p99_ns"`
-	P999Ns            Float  `json:"p999_ns"`
-	MeanLFBOccupancy  Float  `json:"mean_lfb_occupancy"`
-	MeanChipOccupancy Float  `json:"mean_chip_occupancy"`
-	SimEvents         uint64 `json:"sim_events"`
-}
-
-// FromTables converts harness tables (with any per-point diagnostics
-// they carry) into report tables.
+// FromTables converts harness tables (with any per-point payloads they
+// carry) into report tables. Diag, attribution and fleet payloads are
+// handed through as they are, sharing the stats values; only the
+// flight-recorder series is converted.
 func FromTables(tables []*stats.Table) []*Table {
 	out := make([]*Table, 0, len(tables))
 	for _, t := range tables {
@@ -414,21 +298,7 @@ func FromTables(tables []*stats.Table) []*Table {
 				rs.Y = append(rs.Y, Float(s.Y[i]))
 			}
 			if s.HasDiags() {
-				for _, d := range s.Diags {
-					if d == nil {
-						rs.Diags = append(rs.Diags, nil)
-						continue
-					}
-					rs.Diags = append(rs.Diags, &Diag{
-						Accesses:          d.Accesses,
-						P50Ns:             Float(d.P50Ns),
-						P99Ns:             Float(d.P99Ns),
-						P999Ns:            Float(d.P999Ns),
-						MeanLFBOccupancy:  Float(d.MeanLFBOccupancy),
-						MeanChipOccupancy: Float(d.MeanChipOccupancy),
-						SimEvents:         d.SimEvents,
-					})
-				}
+				rs.Diags = s.Diags
 			}
 			if s.HasMetrics() {
 				for _, ts := range s.Metrics {
@@ -436,14 +306,10 @@ func FromTables(tables []*stats.Table) []*Table {
 				}
 			}
 			if s.HasAttrib() {
-				for _, a := range s.Attrib {
-					rs.Attrib = append(rs.Attrib, fromAttrib(a))
-				}
+				rs.Attrib = s.Attrib
 			}
 			if s.HasFleet() {
-				for _, f := range s.Fleet {
-					rs.Fleet = append(rs.Fleet, fromFleet(f))
-				}
+				rs.Fleet = s.Fleet
 			}
 			rt.Series = append(rt.Series, rs)
 		}
@@ -516,66 +382,6 @@ func copyPhaseRows(rows [][]int64) [][]int64 {
 	out := make([][]int64, len(rows))
 	for i, row := range rows {
 		out[i] = append([]int64(nil), row...)
-	}
-	return out
-}
-
-// fromAttrib converts a stats.AttribSummary to the report layout. A
-// nil input stays nil — the cell recorded no attribution.
-func fromAttrib(a *stats.AttribSummary) *AttribSummary {
-	if a == nil {
-		return nil
-	}
-	out := &AttribSummary{
-		Label:      a.Label,
-		Accesses:   a.Accesses,
-		TotalPs:    a.TotalPs,
-		Mismatches: a.Mismatches,
-	}
-	for _, p := range a.Phases {
-		out.Phases = append(out.Phases, PhaseSum{
-			Phase: p.Phase,
-			SumPs: p.SumPs,
-			Count: p.Count,
-			P50Ns: Float(p.P50Ns),
-			P99Ns: Float(p.P99Ns),
-			MaxNs: Float(p.MaxNs),
-		})
-	}
-	return out
-}
-
-// fromFleet converts a stats.FleetSummary to the report layout. A nil
-// input stays nil — the cell carries no fleet summary.
-func fromFleet(f *stats.FleetSummary) *FleetSummary {
-	if f == nil {
-		return nil
-	}
-	out := &FleetSummary{
-		Policy:          f.Policy,
-		Shape:           f.Shape,
-		Mech:            f.Mech,
-		Rho:             Float(f.Rho),
-		OfferedPerSec:   Float(f.OfferedPerSec),
-		CompletedPerSec: Float(f.CompletedPerSec),
-		Arrived:         f.Arrived,
-		Completed:       f.Completed,
-		ElapsedSeconds:  Float(f.ElapsedSeconds),
-		P50Ns:           Float(f.P50Ns),
-		P99Ns:           Float(f.P99Ns),
-		P999Ns:          Float(f.P999Ns),
-	}
-	for _, in := range f.Instances {
-		out.Instances = append(out.Instances, FleetInstance{
-			Arrived:          in.Arrived,
-			Completed:        in.Completed,
-			Windows:          in.Windows,
-			SaturatedWindows: in.SaturatedWindows,
-			PeakOutstanding:  in.PeakOutstanding,
-			P50Ns:            Float(in.P50Ns),
-			P99Ns:            Float(in.P99Ns),
-			P999Ns:           Float(in.P999Ns),
-		})
 	}
 	return out
 }
@@ -769,7 +575,7 @@ func (r *Report) Validate() error {
 					return fmt.Errorf("report: table %q series %q cell %d has attribution but the report has no attribution block",
 						t.ID, s.Label, ai)
 				}
-				if err := a.validate(); err != nil {
+				if err := a.Validate(); err != nil {
 					return fmt.Errorf("report: table %q series %q cell %d: %v",
 						t.ID, s.Label, ai, err)
 				}
@@ -786,7 +592,7 @@ func (r *Report) Validate() error {
 					return fmt.Errorf("report: table %q series %q cell %d has a fleet summary but the report has no cluster block",
 						t.ID, s.Label, fi)
 				}
-				if err := f.validate(); err != nil {
+				if err := f.Validate(); err != nil {
 					return fmt.Errorf("report: table %q series %q cell %d: %v",
 						t.ID, s.Label, fi, err)
 				}
@@ -822,64 +628,6 @@ func (r *Report) Validate() error {
 		if len(r.Cluster.Shapes) == 0 {
 			return fmt.Errorf("report: cluster block has no shapes")
 		}
-	}
-	return nil
-}
-
-// validate checks one cell's fleet summary: the conservation
-// invariants between the aggregate and its instances.
-func (f *FleetSummary) validate() error {
-	if f.Policy == "" || f.Shape == "" || f.Mech == "" {
-		return fmt.Errorf("fleet: missing policy/shape/mech (%q/%q/%q)", f.Policy, f.Shape, f.Mech)
-	}
-	if len(f.Instances) == 0 {
-		return fmt.Errorf("fleet: no instances")
-	}
-	var arrived, completed uint64
-	for i, in := range f.Instances {
-		if in.Completed > in.Arrived {
-			return fmt.Errorf("fleet: instance %d completed %d > arrived %d", i, in.Completed, in.Arrived)
-		}
-		if in.SaturatedWindows > in.Windows {
-			return fmt.Errorf("fleet: instance %d saturated %d > windows %d", i, in.SaturatedWindows, in.Windows)
-		}
-		arrived += in.Arrived
-		completed += in.Completed
-	}
-	if arrived != f.Arrived || completed != f.Completed {
-		return fmt.Errorf("fleet: instance sums %d/%d != fleet totals %d/%d",
-			arrived, completed, f.Arrived, f.Completed)
-	}
-	return nil
-}
-
-// validate checks one cell's attribution summary: stable phase slugs,
-// no negatives, and the exactness invariant that phase sums total
-// total_ps.
-func (a *AttribSummary) validate() error {
-	if a.TotalPs < 0 {
-		return fmt.Errorf("attrib: negative total %d ps", a.TotalPs)
-	}
-	seen := map[string]bool{}
-	var sum int64
-	for _, p := range a.Phases {
-		if p.Phase == "" {
-			return fmt.Errorf("attrib: unnamed phase")
-		}
-		if seen[p.Phase] {
-			return fmt.Errorf("attrib: duplicate phase %q", p.Phase)
-		}
-		seen[p.Phase] = true
-		if p.SumPs < 0 {
-			return fmt.Errorf("attrib: phase %q has negative sum %d ps", p.Phase, p.SumPs)
-		}
-		if p.Count > a.Accesses {
-			return fmt.Errorf("attrib: phase %q count %d exceeds %d accesses", p.Phase, p.Count, a.Accesses)
-		}
-		sum += p.SumPs
-	}
-	if sum != a.TotalPs {
-		return fmt.Errorf("attrib: phase sums %d ps != total %d ps", sum, a.TotalPs)
 	}
 	return nil
 }

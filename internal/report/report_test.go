@@ -32,10 +32,38 @@ func sample() *Report {
 					{
 						Label: "1us 8c", X: []Float{1, 2}, Y: []Float{0.2, 0.8},
 						Diags: []*Diag{nil, {Accesses: 10, P99Ns: 2000, SimEvents: 42}},
+						Attrib: []*AttribSummary{nil, {
+							Label: "swq 8c",
+							Phases: []PhaseSum{
+								{Phase: "issue", SumPs: 3000, Count: 10, P50Ns: 0.3, P99Ns: 0.5, MaxNs: 0.5},
+								{Phase: "queue_wait", SumPs: 17000, Count: 6, P50Ns: 2.5, P99Ns: Float(math.NaN()), MaxNs: 4},
+							},
+							Accesses: 10, TotalPs: 20000, Mismatches: 0,
+						}},
+					},
+				},
+			},
+			{
+				ID: "cluster_policy", Title: "t", XLabel: "rho", YLabel: "p99_us",
+				Series: []*Series{
+					{
+						Label: "round-robin", X: []Float{0.9}, Y: []Float{12.5},
+						Fleet: []*FleetSummary{{
+							Policy: "round-robin", Shape: "poisson", Mech: "prefetch",
+							Rho: 0.9, OfferedPerSec: 17e6, CompletedPerSec: 1.6e6,
+							Arrived: 300, Completed: 290, ElapsedSeconds: 1.8e-4,
+							P50Ns: 4200, P99Ns: 12500, P999Ns: Float(math.NaN()),
+							Instances: []FleetInstance{
+								{Arrived: 160, Completed: 155, Windows: 9, SaturatedWindows: 2, PeakOutstanding: 14, P50Ns: 4100, P99Ns: 12000, P999Ns: 13000},
+								{Arrived: 140, Completed: 135, Windows: 9, SaturatedWindows: 0, PeakOutstanding: 11, P50Ns: 4300, P99Ns: 12900, P999Ns: 14000},
+							},
+						}},
 					},
 				},
 			},
 		},
+		Attribution: &AttributionMeta{Version: AttributionVersion, Phases: []string{"issue", "queue_wait"}},
+		Cluster:     &ClusterMeta{Version: ClusterVersion, Policies: []string{"round-robin"}, Shapes: []string{"poisson"}},
 	}
 }
 
@@ -83,6 +111,13 @@ func TestValidateRejections(t *testing.T) {
 		}},
 		{"misaligned diags", func(r *Report) { r.Tables[1].Series[0].Diags = r.Tables[1].Series[0].Diags[:1] }},
 		{"null x cell", func(r *Report) { r.Tables[0].Series[0].X[1] = Float(math.NaN()) }},
+		{"fleet cell without policy", func(r *Report) { r.Tables[2].Series[0].Fleet[0].Policy = "" }},
+		{"fleet instance arrivals off the total", func(r *Report) { r.Tables[2].Series[0].Fleet[0].Instances[0].Arrived = 170 }},
+		{"fleet saturated windows exceed windows", func(r *Report) { r.Tables[2].Series[0].Fleet[0].Instances[1].SaturatedWindows = 10 }},
+		{"attribution phase sums off total_ps", func(r *Report) { r.Tables[1].Series[0].Attrib[1].TotalPs = 21000 }},
+		{"attribution duplicate phase", func(r *Report) { r.Tables[1].Series[0].Attrib[1].Phases[1].Phase = "issue" }},
+		{"attribution without a block", func(r *Report) { r.Attribution = nil }},
+		{"fleet without a cluster block", func(r *Report) { r.Cluster = nil }},
 	}
 	for _, tc := range cases {
 		r := sample()
@@ -128,11 +163,178 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got := back.Table("fig5").FindSeries("1us 8c").Diags[1]; got == nil || got.SimEvents != 42 {
 		t.Fatalf("diagnostics did not round-trip: %+v", got)
 	}
-	// Re-encoding the parsed report must reproduce the original bytes.
+	if got := back.Table("fig5").FindSeries("1us 8c").Attrib[1]; got == nil || got.TotalPs != 20000 || !got.Phases[1].P99Ns.IsNaN() {
+		t.Fatalf("attribution did not round-trip: %+v", got)
+	}
+	if got := back.Table("cluster_policy").FindSeries("round-robin").FleetAt(0.9); got == nil ||
+		float64(got.OfferedPerSec) != 17e6 || !got.P999Ns.IsNaN() || len(got.Instances) != 2 {
+		t.Fatalf("fleet summary did not round-trip: %+v", got)
+	}
+	// Re-encoding the parsed report must reproduce the original bytes,
+	// payloads included.
 	a, _ := r.Encode()
 	b, _ := back.Encode()
 	if !bytes.Equal(a, b) {
 		t.Fatal("re-encoding a parsed report changed its bytes")
+	}
+}
+
+// TestFromTablesGolden pins the bytes of every per-cell payload as
+// FromTables hands it to Encode. Each float field holds NaN or a value
+// of at least 1e6, where Float ('g' formatting, NaN as null) and a bare
+// float64 (fixed-point, NaN is an error) disagree, so retyping any
+// payload field to float64 fails this test.
+func TestFromTablesGolden(t *testing.T) {
+	nan := stats.Float(math.NaN())
+	st := &stats.Table{ID: "g", Title: "golden", XLabel: "x", YLabel: "y"}
+	s := st.AddSeries("a")
+	s.AddRun(1, 0.5, stats.RunDiag{Accesses: 7, P50Ns: 1.25e6, P99Ns: 2.5e6, P999Ns: nan,
+		MeanLFBOccupancy: 3e6, MeanChipOccupancy: 4.5e6, SimEvents: 11})
+	s.AttachAttrib(&stats.AttribSummary{
+		Label: "a",
+		Phases: []stats.PhaseSum{
+			{Phase: "issue", SumPs: 2000, Count: 2, P50Ns: 1e6, P99Ns: nan, MaxNs: 2e6},
+			{Phase: "device", SumPs: 5000, Count: 1, P50Ns: 5e6, P99Ns: 6e6, MaxNs: 7e6},
+		},
+		Accesses: 2, TotalPs: 7000, Mismatches: 1,
+	})
+	s.AttachFleet(&stats.FleetSummary{
+		Policy: "round-robin", Shape: "poisson", Mech: "swqueue",
+		Rho: 1.5e6, OfferedPerSec: 17e6, CompletedPerSec: 16e6,
+		Arrived: 5, Completed: 4, ElapsedSeconds: 2e6, Events: 99,
+		P50Ns: 3e6, P99Ns: nan, P999Ns: 8e6,
+		Instances: []stats.FleetInstance{{Arrived: 5, Completed: 4, Windows: 3, SaturatedWindows: 1,
+			PeakOutstanding: 2, P50Ns: 1.1e6, P99Ns: 2.2e6, P999Ns: nan}},
+	})
+	r := &Report{Schema: SchemaName, Version: SchemaVersion, Tool: "golden", Tables: FromTables([]*stats.Table{st})}
+	b, err := r.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+  "schema": "killerusec-report",
+  "version": 1,
+  "tool": "golden",
+  "build": {
+    "go_version": "",
+    "os": "",
+    "arch": "",
+    "module": ""
+  },
+  "platform": {
+    "cpu_freq_ghz": 0,
+    "issue_width": 0,
+    "window_size": 0,
+    "work_ipc": 0,
+    "lfb_per_core": 0,
+    "chip_queue_mmio": 0,
+    "dram_latency_ns": 0,
+    "pcie_bandwidth_gbps": 0,
+    "pcie_propagation_ns": 0,
+    "device_latency_ns": 0,
+    "ctx_switch_ns": 0,
+    "fetch_burst": 0,
+    "descriptor_bytes": 0
+  },
+  "sweep": {
+    "quick": false,
+    "iterations": 0,
+    "app_lookups": 0,
+    "threads": null,
+    "use_replay": false,
+    "latencies_us": null,
+    "work_counts": null,
+    "mlp_levels": null,
+    "kronecker_seed": 0
+  },
+  "tables": [
+    {
+      "id": "g",
+      "title": "golden",
+      "x_label": "x",
+      "y_label": "y",
+      "series": [
+        {
+          "label": "a",
+          "x": [
+            1
+          ],
+          "y": [
+            0.5
+          ],
+          "diags": [
+            {
+              "accesses": 7,
+              "p50_ns": 1.25e+06,
+              "p99_ns": 2.5e+06,
+              "p999_ns": null,
+              "mean_lfb_occupancy": 3e+06,
+              "mean_chip_occupancy": 4.5e+06,
+              "sim_events": 11
+            }
+          ],
+          "attrib": [
+            {
+              "label": "a",
+              "phases": [
+                {
+                  "phase": "issue",
+                  "sum_ps": 2000,
+                  "count": 2,
+                  "p50_ns": 1e+06,
+                  "p99_ns": null,
+                  "max_ns": 2e+06
+                },
+                {
+                  "phase": "device",
+                  "sum_ps": 5000,
+                  "count": 1,
+                  "p50_ns": 5e+06,
+                  "p99_ns": 6e+06,
+                  "max_ns": 7e+06
+                }
+              ],
+              "accesses": 2,
+              "total_ps": 7000,
+              "mismatches": 1
+            }
+          ],
+          "fleet": [
+            {
+              "policy": "round-robin",
+              "shape": "poisson",
+              "mech": "swqueue",
+              "rho": 1.5e+06,
+              "offered_per_sec": 1.7e+07,
+              "completed_per_sec": 1.6e+07,
+              "arrived": 5,
+              "completed": 4,
+              "elapsed_seconds": 2e+06,
+              "p50_ns": 3e+06,
+              "p99_ns": null,
+              "p999_ns": 8e+06,
+              "instances": [
+                {
+                  "arrived": 5,
+                  "completed": 4,
+                  "windows": 3,
+                  "saturated_windows": 1,
+                  "peak_outstanding": 2,
+                  "p50_ns": 1.1e+06,
+                  "p99_ns": 2.2e+06,
+                  "p999_ns": null
+                }
+              ]
+            }
+          ]
+        }
+      ]
+    }
+  ]
+}
+`
+	if got := string(b); got != want {
+		t.Fatalf("FromTables payload bytes changed:\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -187,8 +389,8 @@ func TestCompareCleanOnIdentical(t *testing.T) {
 	if !d.Clean() {
 		t.Fatalf("identical reports not clean: %s", d.Summary())
 	}
-	if d.Compared != 8 {
-		t.Fatalf("compared %d cells, want 8", d.Compared)
+	if d.Compared != 9 {
+		t.Fatalf("compared %d cells, want 9", d.Compared)
 	}
 }
 

@@ -231,37 +231,61 @@ func runScript(seed int64, d driver) []int {
 	return log
 }
 
+// checkDispatchOrder runs seed's script on e and on the reference
+// model and fails unless both log the same dispatch order and execute
+// the same number of events, and e is left with no live procs.
+func checkDispatchOrder(t testing.TB, seed int64, e *Engine) {
+	t.Helper()
+	ed := engineDriver(e)
+	gotLog := runScript(seed, ed)
+	gotExec := ed.executed()
+
+	r := &refEngine{}
+	rd := refDriver(r)
+	wantLog := runScript(seed, rd)
+	wantExec := rd.executed()
+
+	if len(gotLog) != len(wantLog) {
+		t.Fatalf("seed %d: engine logged %d events, reference %d", seed, len(gotLog), len(wantLog))
+	}
+	for i := range wantLog {
+		if gotLog[i] != wantLog[i] {
+			t.Fatalf("seed %d: dispatch order diverges at %d: engine %v..., reference %v...",
+				seed, i, gotLog[i:min(i+8, len(gotLog))], wantLog[i:min(i+8, len(wantLog))])
+		}
+	}
+	if gotExec != wantExec {
+		t.Fatalf("seed %d: engine executed %d events, reference %d", seed, gotExec, wantExec)
+	}
+	if e.LiveProcs() != 0 {
+		t.Fatalf("seed %d: leaked %d procs", seed, e.LiveProcs())
+	}
+}
+
 // TestDispatchOrderMatchesReferenceModel is the determinism property
 // test: for many fixed seeds, the heap+now-queue engine must execute a
 // randomized At/After/Gate.Fire/Go schedule in exactly the order of the
-// single-global-heap reference spec, with the same event count.
+// single-global-heap reference spec, with the same event count. Each
+// engine is recycled before the next seed's is built, so it also
+// checks that reusing recycled backing arrays changes nothing.
 func TestDispatchOrderMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		e := NewEngine()
-		ed := engineDriver(e)
-		gotLog := runScript(seed, ed)
-		gotExec := ed.executed()
-
-		r := &refEngine{}
-		rd := refDriver(r)
-		wantLog := runScript(seed, rd)
-		wantExec := rd.executed()
-
-		if len(gotLog) != len(wantLog) {
-			t.Fatalf("seed %d: engine logged %d events, reference %d", seed, len(gotLog), len(wantLog))
-		}
-		for i := range wantLog {
-			if gotLog[i] != wantLog[i] {
-				t.Fatalf("seed %d: dispatch order diverges at %d: engine %v..., reference %v...",
-					seed, i, gotLog[i:min(i+8, len(gotLog))], wantLog[i:min(i+8, len(wantLog))])
-			}
-		}
-		if gotExec != wantExec {
-			t.Fatalf("seed %d: engine executed %d events, reference %d", seed, gotExec, wantExec)
-		}
-		if e.LiveProcs() != 0 {
-			t.Fatalf("seed %d: leaked %d procs", seed, e.LiveProcs())
-		}
+		checkDispatchOrder(t, seed, e)
 		e.Recycle() // cross-seed reuse must not change anything either
 	}
+}
+
+// FuzzDispatchOrder is the same property over fuzzed seeds, each on a
+// fresh engine. The corpus holds seeds 1–40, so plain `go test` keeps
+// the fixed-seed coverage; run it as a fuzzer with
+//
+//	go test -run '^$' -fuzz '^FuzzDispatchOrder$' -fuzztime 20s ./internal/sim
+func FuzzDispatchOrder(f *testing.F) {
+	for seed := int64(1); seed <= 40; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkDispatchOrder(t, seed, NewEngine())
+	})
 }

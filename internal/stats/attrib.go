@@ -1,6 +1,9 @@
 package stats
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AttribSummary is the latency-attribution output for one measured
 // run: exact per-phase picosecond totals plus per-phase percentile
@@ -8,37 +11,39 @@ import "fmt"
 // pure value type (plain exported fields, gob- and JSON-friendly) so
 // it rides inside core.Result through the result cache; the ledger
 // machinery that produces it lives in internal/attrib (stats cannot
-// import attrib — attrib uses stats.Histogram).
+// import attrib — attrib uses stats.Histogram). Run reports serialize
+// it as it is: sums stay in exact integer picoseconds, so report
+// consumers can rebuild the waterfall without rounding drift.
 //
 // The invariant the attribution layer guarantees — per access, phase
 // times sum exactly to the end-to-end window — survives aggregation:
 // the SumPs fields total exactly TotalPs (Validate checks it), and
 // Mismatches is zero on a correctly instrumented run.
 type AttribSummary struct {
-	Label string
+	Label string `json:"label"`
 
 	// Phases lists every phase of the taxonomy in canonical order,
 	// including all-zero ones, so downstream columns are stable.
-	Phases []PhaseSum
+	Phases []PhaseSum `json:"phases"`
 
-	Accesses   uint64 // accesses closed into this summary
-	TotalPs    int64  // exact sum of per-access end-to-end windows
-	Mismatches uint64 // ledger closes that needed end-time clamping
+	Accesses   uint64 `json:"accesses"`   // accesses closed into this summary
+	TotalPs    int64  `json:"total_ps"`   // exact sum of per-access end-to-end windows
+	Mismatches uint64 `json:"mismatches"` // ledger closes that needed end-time clamping
 }
 
 // PhaseSum is one phase's aggregate across a run.
 type PhaseSum struct {
-	Phase string // stable slug, e.g. "queue_wait"
-	SumPs int64  // exact picosecond total across all accesses
-	Count uint64 // accesses that spent >0 time in this phase
+	Phase string `json:"phase"`  // stable slug, e.g. "queue_wait"
+	SumPs int64  `json:"sum_ps"` // exact picosecond total across all accesses
+	Count uint64 `json:"count"`  // accesses that spent >0 time in this phase
 
 	// Percentiles of the per-access time spent in this phase, in
 	// nanoseconds, over the Count accesses that hit it (zero when
 	// Count is zero). From the bounded log-bucketed histogram, so
 	// within ~0.4% of exact.
-	P50Ns float64
-	P99Ns float64
-	MaxNs float64
+	P50Ns Float `json:"p50_ns"`
+	P99Ns Float `json:"p99_ns"`
+	MaxNs Float `json:"max_ns"`
 }
 
 // PhasePs returns the picosecond total for the named phase (0 if the
@@ -53,15 +58,6 @@ func (a *AttribSummary) PhasePs(phase string) int64 {
 		}
 	}
 	return 0
-}
-
-// PhaseFraction returns the named phase's share of the total
-// attributed time, in [0,1] (0 when the summary is nil or empty).
-func (a *AttribSummary) PhaseFraction(phase string) float64 {
-	if a == nil || a.TotalPs <= 0 {
-		return 0
-	}
-	return float64(a.PhasePs(phase)) / float64(a.TotalPs)
 }
 
 // DominantPhase returns the phase with the largest exact total and
@@ -83,12 +79,13 @@ func (a *AttribSummary) DominantPhase() (string, float64) {
 	return a.Phases[best].Phase, float64(a.Phases[best].SumPs) / float64(a.TotalPs)
 }
 
-// MeanNs returns the mean end-to-end access window in nanoseconds.
+// MeanNs returns the mean end-to-end access window in nanoseconds
+// (NaN when the summary is nil or no accesses closed into it).
 func (a *AttribSummary) MeanNs() float64 {
 	if a == nil || a.Accesses == 0 {
-		return 0
+		return math.NaN()
 	}
-	return float64(a.TotalPs) / float64(a.Accesses) / 1e3
+	return float64(a.TotalPs) / 1e3 / float64(a.Accesses)
 }
 
 // Validate checks the structural invariants: no negative sums, no

@@ -79,17 +79,19 @@ func (m Measurement) NormalizedTo(baseline Measurement) float64 {
 
 // RunDiag is the per-datapoint diagnostic payload a series can carry
 // into machine-readable reports: the slice of core.Diagnostics that
-// explains one measured cell. stats cannot import core (core imports
-// stats), so the fields are restated here and filled by the experiment
-// harness.
+// explains one measured cell, filled by the experiment harness (stats
+// cannot import core, which imports stats).
 type RunDiag struct {
-	Accesses          int     // device/DRAM accesses performed
-	P50Ns             float64 // host-observed per-access latency percentiles
-	P99Ns             float64
-	P999Ns            float64
-	MeanLFBOccupancy  float64 // time-weighted mean LFB slots in use (all cores)
-	MeanChipOccupancy float64 // time-weighted mean chip-level MMIO queue occupancy
-	SimEvents         uint64  // engine events executed for this run
+	Accesses int `json:"accesses"` // device/DRAM accesses performed
+
+	// Host-observed per-access latency percentiles.
+	P50Ns  Float `json:"p50_ns"`
+	P99Ns  Float `json:"p99_ns"`
+	P999Ns Float `json:"p999_ns"`
+
+	MeanLFBOccupancy  Float  `json:"mean_lfb_occupancy"`  // time-weighted mean LFB slots in use (all cores)
+	MeanChipOccupancy Float  `json:"mean_chip_occupancy"` // time-weighted mean chip-level MMIO queue occupancy
+	SimEvents         uint64 `json:"sim_events"`          // engine events executed for this run
 }
 
 // Series is one labeled curve in a figure: y-values sampled at x-values.
