@@ -14,14 +14,20 @@ import (
 	"repro/internal/workload"
 )
 
-// traceRun executes one traced run of mech and returns the recorder and
-// the result. mech "ondemand" uses the analytic model; the rest use the
-// threaded engine.
+// traceRun executes one traced run of mech and returns the result.
 func traceRun(t *testing.T, mech string, rec *trace.Recorder) Result {
 	t.Helper()
-	w := workload.NewMicrobench(60, workload.DefaultWorkCount, 1)
 	cfg := platform.Default()
 	cfg.Trace = rec
+	return runMech(t, mech, cfg, 60)
+}
+
+// runMech executes a run of iters microbenchmark iterations of mech
+// under cfg. mech "ondemand"
+// uses the analytic model; the rest use the threaded engine.
+func runMech(t *testing.T, mech string, cfg platform.Config, iters int) Result {
+	t.Helper()
+	w := workload.NewMicrobench(iters, workload.DefaultWorkCount, 1)
 	var r Result
 	var err error
 	switch mech {
