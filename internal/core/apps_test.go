@@ -12,9 +12,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/observe"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -139,7 +139,7 @@ func TestSpuriousRequestDuringReplayRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.eng.At(5*sim.Microsecond, func() {
-		e.dev.MMIORead(0, 0xDEAD0000, trace.Span{}, nil, func([]byte) {})
+		e.dev.MMIORead(0, 0xDEAD0000, observe.Access{}, func([]byte) {})
 	})
 	m.Reset()
 	if err := launch(e, m, 4, runPrefetchCore); err != nil {

@@ -6,9 +6,9 @@ import (
 	"repro/internal/attrib"
 	"repro/internal/device"
 	"repro/internal/hostmem"
+	"repro/internal/observe"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/uthread"
 )
 
@@ -39,8 +39,7 @@ type descWait struct {
 	target    uint64
 	attempts  int
 	deadline  sim.Time
-	sp        trace.Span     // access-lifecycle span; survives resubmission
-	aw        *attrib.Access // attribution ledger; survives resubmission
+	obs       observe.Access // survives resubmission
 }
 
 // descQueue is one core's descriptor-queue machinery, shared by the
@@ -108,21 +107,19 @@ func (q *descQueue) submit(p *sim.Proc, th *uthread.Thread, addrs []uint64) {
 	st.data = resize(st.data, len(addrs))
 	st.remaining = len(addrs)
 	for i, addr := range addrs {
-		aw := e.at.Open(p.Now())
+		// The ledger opens before the per-descriptor cost, the span
+		// after it.
+		obs := observe.Access{Ledger: e.at.Open(p.Now())}
 		p.Sleep(e.cfg.SWQPerAccessOverhead)
-		aw.To(attrib.PhaseIssue, p.Now())
-		e.issued(p.Now())
+		e.issued(p.Now(), obs)
+		obs.Span = e.beginSpan(q.coreID, addr, p.Now())
 		target := responseTarget(q.coreID, th.ID(), i)
-		var sp trace.Span
-		if e.tr != nil {
-			sp = e.trCore[q.coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
-		}
-		id := q.rq.PushTracked(addr, target, p.Now(), sp, aw)
+		id := q.rq.Push(addr, target, p.Now(), obs)
 		w := q.newWait()
 		w.th, w.slot, w.submitted = th, i, p.Now()
 		w.addr, w.target = addr, target
 		w.deadline = p.Now() + e.cfg.RetryTimeout(0)
-		w.sp, w.aw = sp, aw
+		w.obs = obs
 		q.waiting[id] = w
 	}
 }
@@ -168,14 +165,15 @@ func (q *descQueue) deliver(p *sim.Proc, compls []hostmem.Completion, mark func(
 		// still ends at the device's post time.
 		q.e.rec.Finished(p.Now())
 		q.e.delivered(p.Now(), compl.Posted-w.submitted)
-		w.sp.End(compl.Posted)
-		mark(w.aw)
+		w.obs.Span.End(compl.Posted)
+		aw := w.obs.Ledger
+		mark(aw)
 		st := q.states[w.th]
-		if w.aw != nil && st.atr == nil {
+		if aw != nil && st.atr == nil {
 			st.atr = make([]*attrib.Access, len(st.data))
 		}
 		if st.atr != nil {
-			st.atr[w.slot] = w.aw
+			st.atr[w.slot] = aw
 		}
 		q.fill(w.th, w.slot, q.ep.Data(compl.ID))
 		q.settled(w)

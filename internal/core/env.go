@@ -8,6 +8,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/observe"
 	"repro/internal/pcie"
 	"repro/internal/platform"
 	"repro/internal/replay"
@@ -122,17 +123,6 @@ type counters struct {
 	fetchBursts uint64
 	emptyBursts uint64
 	maxRQDepth  int
-
-	liveCores int
-	samples   []OccupancySample
-}
-
-// OccupancySample is one point of the optional occupancy timeline.
-type OccupancySample struct {
-	At        sim.Time
-	LFBInUse  int     // total across cores
-	ChipInUse int     // chip-level MMIO queue occupancy
-	UpUtil    float64 // upstream link utilization so far
 }
 
 func (c *counters) recordLatency(l sim.Time) {
@@ -150,12 +140,24 @@ func (c *counters) coreFinished(at sim.Time) {
 
 // The edge methods below are the one place each access or scheduler
 // edge is counted: each bumps the run total and the flight-recorder
-// window together, so the two agree by construction.
+// window together, so the two agree by construction. The access edges
+// also stamp the access's observer handle at the same instant.
 
-// issued counts one access entering a mechanism.
-func (e *Env) issued(at sim.Time) {
+// beginSpan opens the lifecycle span of an access to addr on core
+// coreID at at; the zero Span when tracing is off.
+func (e *Env) beginSpan(coreID int, addr uint64, at sim.Time) trace.Span {
+	if e.tr == nil {
+		return trace.Span{}
+	}
+	return e.trCore[coreID].BeginSpan(at, "access", trace.Hex("addr", addr))
+}
+
+// issued counts one access entering a mechanism, closing its issue
+// phase.
+func (e *Env) issued(at sim.Time, obs observe.Access) {
 	e.c.accesses++
 	e.rec.Started(at)
+	obs.Ledger.To(attrib.PhaseIssue, at)
 }
 
 // switched counts one context switch.
@@ -171,9 +173,10 @@ func (e *Env) delivered(at, lat sim.Time) {
 }
 
 // timedOut counts one access timeout that fired.
-func (e *Env) timedOut(at sim.Time) {
+func (e *Env) timedOut(at sim.Time, obs observe.Access) {
 	e.c.timeouts++
 	e.rec.Timeouts(at, 1)
+	obs.Span.Point(at, "timeout")
 }
 
 // retried counts one access re-issued after a timeout.
@@ -183,9 +186,10 @@ func (e *Env) retried(at sim.Time) {
 }
 
 // abandoned counts one access given up after the retry budget.
-func (e *Env) abandoned(at sim.Time) {
+func (e *Env) abandoned(at sim.Time, obs observe.Access) {
 	e.c.abandoned++
 	e.rec.Abandoned(at, 1)
+	obs.Span.Point(at, "abandoned")
 }
 
 // Diagnostics exposes the run's internal occupancy and traffic
@@ -237,10 +241,6 @@ type Diagnostics struct {
 	Timeouts  uint64
 	Abandoned uint64
 	Faults    fault.Counters
-
-	// Timeline holds the occupancy samples when Config.SamplePeriod is
-	// set.
-	Timeline []OccupancySample
 }
 
 func (e *Env) diagnostics() Diagnostics {
@@ -290,34 +290,7 @@ func (e *Env) diagnostics() Diagnostics {
 	d.Timeouts = c.timeouts
 	d.Abandoned = c.abandoned
 	d.Faults = e.faults.Counters()
-	d.Timeline = c.samples
 	return d
-}
-
-// startSampler arms the periodic occupancy sampler; it re-arms itself
-// while any core is still running, so the simulation still drains.
-func (e *Env) startSampler() {
-	if e.cfg.SamplePeriod <= 0 {
-		return
-	}
-	c := &e.c
-	var tick func()
-	tick = func() {
-		lfb := 0
-		for _, pool := range e.lfb {
-			lfb += pool.InUse()
-		}
-		c.samples = append(c.samples, OccupancySample{
-			At:        e.eng.Now(),
-			LFBInUse:  lfb,
-			ChipInUse: e.chip.InUse(),
-			UpUtil:    e.link.Upstream().Utilization,
-		})
-		if c.liveCores > 0 {
-			e.eng.After(e.cfg.SamplePeriod, tick)
-		}
-	}
-	e.eng.After(e.cfg.SamplePeriod, tick)
 }
 
 // startTrace attaches the environment to the config's trace recorder

@@ -5,10 +5,10 @@ import (
 
 	"repro/internal/attrib"
 	"repro/internal/cache"
+	"repro/internal/observe"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/uthread"
 )
 
@@ -82,9 +82,10 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 				if l == nil {
 					continue // cache hit: its data was filled at issue
 				}
-				l.aw.To(attrib.PhaseComplWait, switchStart)
-				l.aw.To(attrib.PhaseSwitch, switchEnd)
-				l.aw.Close(attrib.PhaseComplWait, p.Now())
+				aw := l.obs.Ledger
+				aw.To(attrib.PhaseComplWait, switchStart)
+				aw.To(attrib.PhaseSwitch, switchEnd)
+				aw.Close(attrib.PhaseComplWait, p.Now())
 				pa.data[i] = l.data
 				e.consumed(l)
 			}
@@ -143,10 +144,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 				// The access span opens at prefetch issue, before any
 				// queue wait, so LFB stalls are visible in its shape.
 				l := e.newLine(coreID, addr)
-				if e.tr != nil {
-					l.sp = e.trCore[coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
-				}
-				l.aw = e.at.Open(p.Now())
+				l.obs = observe.Access{Span: e.beginSpan(coreID, addr, p.Now()), Ledger: e.at.Open(p.Now())}
 				l.chip, l.lfb, l.cache = e.chip, e.lfb[coreID], e.caches[coreID]
 				l.retry = e.faults != nil
 				pa.lines = append(pa.lines, l)
@@ -155,11 +153,9 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 				// the core until an entry frees — the 10-entry limit of
 				// §V-B.
 				p.AcquireToken(l.lfb)
-				l.sp.Point(p.Now(), "lfb-acquired")
-				l.aw.To(attrib.PhaseQueueWait, p.Now())
+				l.obs.Mark(p.Now(), "lfb-acquired", attrib.PhaseQueueWait)
 				p.Sleep(e.cfg.PrefetchIssue)
-				l.aw.To(attrib.PhaseIssue, p.Now())
-				e.issued(p.Now())
+				e.issued(p.Now(), l.obs)
 
 				// The request proceeds to the device once a slot in the
 				// chip-level shared queue frees; the wait happens in the
@@ -195,8 +191,7 @@ type lineRead struct {
 	e      *Env
 	coreID int
 	addr   uint64
-	sp     trace.Span
-	aw     *attrib.Access
+	obs    observe.Access
 
 	chip  *sim.TokenPool // chip-level queue slot, held until landing; nil if the read bypasses it
 	lfb   *sim.TokenPool // LFB entry, likewise; nil for demand loads
@@ -246,9 +241,7 @@ func (e *Env) consumed(l *lineRead) {
 
 // acquired runs once the line holds a chip-level queue slot.
 func (l *lineRead) acquired() {
-	now := l.e.eng.Now()
-	l.sp.Point(now, "chipq-acquired")
-	l.aw.To(attrib.PhaseQueueWait, now)
+	l.obs.Mark(l.e.eng.Now(), "chipq-acquired", attrib.PhaseQueueWait)
 	l.read()
 }
 
@@ -256,7 +249,7 @@ func (l *lineRead) acquired() {
 // the attempt's retry timeout.
 func (l *lineRead) read() {
 	e := l.e
-	e.dev.MMIORead(l.coreID, l.addr, l.sp, l.aw, l.landFn)
+	e.dev.MMIORead(l.coreID, l.addr, l.obs, l.landFn)
 	if l.retry {
 		e.eng.After(e.cfg.RetryTimeout(l.attempt), l.timeoutFn)
 	}
@@ -271,7 +264,7 @@ func (l *lineRead) land(data []byte) {
 		return
 	}
 	e := l.e
-	l.aw.To(attrib.PhaseTransit, e.eng.Now())
+	l.obs.Ledger.To(attrib.PhaseTransit, e.eng.Now())
 	if data == nil {
 		data = make([]byte, platform.CacheLineBytes)
 	} else if l.cache != nil {
@@ -286,7 +279,7 @@ func (l *lineRead) land(data []byte) {
 	}
 	l.g.Fire()
 	e.rec.Finished(e.eng.Now())
-	l.sp.End(e.eng.Now())
+	l.obs.Span.End(e.eng.Now())
 }
 
 // timeout is attempt l.attempt's retry timeout. If the line has not
@@ -299,17 +292,15 @@ func (l *lineRead) timeout() {
 	}
 	e := l.e
 	now := e.eng.Now()
-	l.aw.To(attrib.PhaseRetry, now)
-	e.timedOut(now)
-	l.sp.Point(now, "timeout")
+	l.obs.Ledger.To(attrib.PhaseRetry, now)
+	e.timedOut(now, l.obs)
 	if l.attempt >= e.cfg.MaxRetries {
-		e.abandoned(now)
-		l.sp.Point(now, "abandoned")
+		e.abandoned(now, l.obs)
 		l.land(nil)
 		return
 	}
 	e.retried(now)
-	l.sp.Point(now, "retry")
+	l.obs.Span.Point(now, "retry")
 	l.attempt++
 	l.read()
 }

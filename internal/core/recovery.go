@@ -69,20 +69,19 @@ func (q *descQueue) resubmitOverdue(p *sim.Proc) {
 			continue
 		}
 		delete(q.waiting, id)
-		e.timedOut(p.Now())
-		w.sp.Point(p.Now(), "timeout")
+		e.timedOut(p.Now(), w.obs)
 		// Waiting out the timeout is retry backoff; the gap between the
 		// deadline expiring and the host acting on it is timeout slop.
-		w.aw.To(attrib.PhaseRetry, w.deadline)
-		w.aw.To(attrib.PhaseSlop, p.Now())
+		aw := w.obs.Ledger
+		aw.To(attrib.PhaseRetry, w.deadline)
+		aw.To(attrib.PhaseSlop, p.Now())
 		if w.attempts >= e.cfg.MaxRetries {
 			// Out of budget: abandon with a zero-filled line.
-			e.abandoned(p.Now())
+			e.abandoned(p.Now(), w.obs)
 			e.rec.Finished(p.Now())
 			e.delivered(p.Now(), p.Now()-w.submitted)
-			w.sp.Point(p.Now(), "abandoned")
-			w.sp.End(p.Now())
-			w.aw.Close(attrib.PhaseSlop, p.Now())
+			w.obs.Span.End(p.Now())
+			aw.Close(attrib.PhaseSlop, p.Now())
 			q.fill(w.th, w.slot, make([]byte, platform.CacheLineBytes))
 			q.settled(w)
 			continue
@@ -91,9 +90,8 @@ func (q *descQueue) resubmitOverdue(p *sim.Proc) {
 		p.Sleep(e.cfg.SWQPerAccessOverhead)
 		w.attempts++
 		w.deadline = p.Now() + e.cfg.RetryTimeout(w.attempts)
-		w.sp.Point(p.Now(), "retry")
-		w.aw.To(attrib.PhaseRetry, p.Now())
-		newID := q.rq.PushTracked(w.addr, w.target, p.Now(), w.sp, w.aw)
+		w.obs.Mark(p.Now(), "retry", attrib.PhaseRetry)
+		newID := q.rq.Push(w.addr, w.target, p.Now(), w.obs)
 		q.waiting[newID] = w
 		resubmitted = true
 	}

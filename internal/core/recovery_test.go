@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/observe"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/uthread"
 )
 
@@ -34,7 +34,7 @@ func newRecoveryHarness(cfg platform.Config) *recoveryHarness {
 // and registers it as outstanding with the given attempt count and a
 // deadline d from now.
 func (h *recoveryHarness) submit(p *sim.Proc, attempts int, d sim.Time) uint64 {
-	id := h.q.rq.PushTracked(0x1000, 0x2000, p.Now(), trace.Span{}, nil)
+	id := h.q.rq.Push(0x1000, 0x2000, p.Now(), observe.Access{})
 	h.q.rq.PopBurst(1) // descriptor is at the device; host queue is empty
 	h.q.waiting[id] = &descWait{
 		th: h.th, slot: 0, submitted: p.Now(),

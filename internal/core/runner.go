@@ -347,8 +347,6 @@ func record(cfg platform.Config, w Workload, threadsPerCore int, run coreRunner)
 // stuck processes, and the deferred teardown aborts any process a panic
 // left parked and stops every unfinished thread.
 func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) error {
-	e.c.liveCores = e.cfg.Cores
-	e.startSampler()
 	all := make([]*uthread.Thread, e.cfg.Cores*threadsPerCore)
 	for coreID := 0; coreID < e.cfg.Cores; coreID++ {
 		end := (coreID + 1) * threadsPerCore
@@ -359,7 +357,6 @@ func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) error {
 		coreID, threads := coreID, threads
 		e.eng.Go(fmt.Sprintf("core%d", coreID), func(p *sim.Proc) {
 			run(p, e, coreID, threads)
-			e.c.liveCores--
 		})
 	}
 	defer func() {

@@ -26,11 +26,11 @@ import (
 	"repro/internal/attrib"
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/observe"
 	"repro/internal/pcie"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // OnDemandDRAMLatency is the access latency of the dataset copy in the
@@ -215,19 +215,18 @@ func (d *Device) WritesServed() uint64 { return d.writesServed }
 
 // MMIORead performs one memory-mapped cache-line read on behalf of
 // coreID, starting now (the issue time at the core). done receives the
-// line when the response has fully arrived back at the host. sp is the
-// access-lifecycle trace span the read belongs to (the zero Span when
-// tracing is off); the device stamps its serve/fault edges on it. aw is
-// likewise the read's latency-attribution ledger (nil when attribution
-// is off): request arrival closes the downstream-transit interval and
-// the response-send time closes the device-service interval; the
-// upstream transit is closed by the host when the data lands.
+// line when the response has fully arrived back at the host. obs is the
+// read's observer handle (the zero handle when nothing observes it):
+// the device stamps its serve and fault edges on the span, request
+// arrival closes the ledger's downstream-transit interval and the
+// response-send time its device-service interval; the upstream transit
+// is closed by the host when the data lands.
 //
 // The delay module targets an end-to-end latency of exactly
 // cfg.DeviceLatency, inclusive of the PCIe round trip (§IV-A); link
 // congestion or an on-demand-module detour can only push the response
 // later, never earlier.
-func (d *Device) MMIORead(coreID int, addr uint64, sp trace.Span, aw *attrib.Access, done func(data []byte)) {
+func (d *Device) MMIORead(coreID int, addr uint64, obs observe.Access, done func(data []byte)) {
 	var r *mmioRead
 	if n := len(d.readFree); n > 0 {
 		r = d.readFree[n-1]
@@ -237,12 +236,12 @@ func (d *Device) MMIORead(coreID int, addr uint64, sp trace.Span, aw *attrib.Acc
 		r.arrivedFn = r.arrived
 		r.respondedFn = r.responded
 	}
-	r.coreID, r.addr, r.sp, r.aw, r.done = coreID, addr, sp, aw, done
+	r.coreID, r.addr, r.obs, r.done = coreID, addr, obs, done
 	r.issue = d.eng.Now()
 	r.latency = d.effectiveLatency()
 	if f, ok := d.inj.Straggle(); ok {
 		r.latency = sim.Time(float64(r.latency) * f)
-		sp.Point(r.issue, "fault-straggle")
+		obs.Span.Point(r.issue, "fault-straggle")
 	}
 	// Read-request TLP travels downstream (header only).
 	d.link.SendDown(0, 0, r.arrivedFn)
@@ -257,8 +256,7 @@ type mmioRead struct {
 	d       *Device
 	coreID  int
 	addr    uint64
-	sp      trace.Span
-	aw      *attrib.Access
+	obs     observe.Access
 	done    func(data []byte)
 	issue   sim.Time
 	latency sim.Time
@@ -274,10 +272,9 @@ type mmioRead struct {
 // arrived serves the request when it reaches the device and sends the
 // response (twice, under an injected duplicate).
 func (r *mmioRead) arrived() {
-	d, sp := r.d, r.sp
+	d, sp := r.d, r.obs.Span
 	now := d.eng.Now()
-	sp.Point(now, "req-at-device")
-	r.aw.To(attrib.PhaseTransit, now)
+	r.obs.Mark(now, "req-at-device", attrib.PhaseTransit)
 	data, fromReplay := d.serve(r.coreID, r.addr)
 	// The delay module timestamps the request and computes when the
 	// response must leave so it lands at issue + latency.
@@ -317,7 +314,7 @@ func (r *mmioRead) responded() {
 	// The delay-module wait until sendAt was device service. Marked at
 	// arrival (never future-dated) so a straggling attempt's response
 	// cannot corrupt a ledger the host already closed or re-issued.
-	r.aw.To(attrib.PhaseDevice, r.sendAt)
+	r.obs.Ledger.To(attrib.PhaseDevice, r.sendAt)
 	r.done(r.data)
 	if r.responses--; r.responses == 0 {
 		d := r.d

@@ -5,11 +5,11 @@ import (
 
 	"repro/internal/hostmem"
 	"repro/internal/mem"
+	"repro/internal/observe"
 	"repro/internal/pcie"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 type rig struct {
@@ -35,7 +35,7 @@ func TestMMIOReadExactLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		var done sim.Time
-		r.dev.MMIORead(0, 0, trace.Span{}, nil, func(data []byte) {
+		r.dev.MMIORead(0, 0, observe.Access{}, func(data []byte) {
 			done = r.eng.Now()
 			if len(data) != platform.CacheLineBytes {
 				t.Errorf("response size %d", len(data))
@@ -58,11 +58,11 @@ func TestMMIOReadReplayVsOnDemand(t *testing.T) {
 	responses := 0
 	// Matched replay accesses.
 	for i := 0; i < 4; i++ {
-		r.dev.MMIORead(0, uint64(i)*64, trace.Span{}, nil, func([]byte) { responses++ })
+		r.dev.MMIORead(0, uint64(i)*64, observe.Access{}, func([]byte) { responses++ })
 		r.eng.Run()
 	}
 	// Spurious wrong-path access: served by the on-demand module.
-	r.dev.MMIORead(0, 0xBAD0000, trace.Span{}, nil, func([]byte) { responses++ })
+	r.dev.MMIORead(0, 0xBAD0000, observe.Access{}, func([]byte) { responses++ })
 	r.eng.Run()
 	if responses != 5 {
 		t.Fatalf("responses = %d, want 5", responses)
@@ -75,7 +75,7 @@ func TestMMIOReadReplayVsOnDemand(t *testing.T) {
 func TestMMIOReadIdealModeWithoutRecording(t *testing.T) {
 	r := newRig(platform.Default())
 	var done sim.Time
-	r.dev.MMIORead(0, 0x40, trace.Span{}, nil, func([]byte) { done = r.eng.Now() })
+	r.dev.MMIORead(0, 0x40, observe.Access{}, func([]byte) { done = r.eng.Now() })
 	r.eng.Run()
 	// Ideal backing-only mode serves at replay-path timing.
 	if done != r.cfg.DeviceLatency {
@@ -96,7 +96,7 @@ func TestOnDemandDetourCannotRespondEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done sim.Time
-	r.dev.MMIORead(0, 0xBAD0000, trace.Span{}, nil, func([]byte) { done = r.eng.Now() }) // spurious
+	r.dev.MMIORead(0, 0xBAD0000, observe.Access{}, func([]byte) { done = r.eng.Now() }) // spurious
 	r.eng.Run()
 	if done <= cfg.DeviceLatency {
 		t.Errorf("response at %v not delayed past %v by on-demand detour", done, cfg.DeviceLatency)
@@ -133,7 +133,7 @@ func TestKeepRecordingCapacity(t *testing.T) {
 		r.dev.loadedBytes = loaded
 		r.dev.EnableRecording(0)
 		for i := 0; i < 8; i++ {
-			r.dev.MMIORead(0, uint64(i)*64, trace.Span{}, nil, func([]byte) {})
+			r.dev.MMIORead(0, uint64(i)*64, observe.Access{}, func([]byte) {})
 		}
 		r.eng.Run()
 		return r, r.dev.KeepRecording(0)
@@ -181,8 +181,8 @@ func TestMMIOMulticoreOffsets(t *testing.T) {
 	// Each core's requests match through its own offset module. Note
 	// both modules share one recording, as in the paper.
 	got := 0
-	r.dev.MMIORead(0, 0, trace.Span{}, nil, func([]byte) { got++ })
-	r.dev.MMIORead(1, 1<<32, trace.Span{}, nil, func([]byte) { got++ })
+	r.dev.MMIORead(0, 0, observe.Access{}, func([]byte) { got++ })
+	r.dev.MMIORead(1, 1<<32, observe.Access{}, func([]byte) { got++ })
 	r.eng.Run()
 	if got != 2 || r.dev.ReplayServed() != 2 {
 		t.Errorf("served %d replay=%d, want both via replay", got, r.dev.ReplayServed())
@@ -214,7 +214,7 @@ func newSWQRig(t *testing.T, cfg platform.Config, recLen int) *swqRig {
 
 func TestSWQSingleRequest(t *testing.T) {
 	s := newSWQRig(t, platform.Default(), 8)
-	id := s.rq.Push(0, 0xA000, 0)
+	id := s.rq.Push(0, 0xA000, 0, observe.Access{})
 	s.rq.ClearDoorbellRequested()
 	s.ep.Doorbell()
 	s.eng.RunUntil(50 * sim.Microsecond)
@@ -241,7 +241,7 @@ func TestSWQSingleRequest(t *testing.T) {
 
 func TestSWQDataPrecedesCompletion(t *testing.T) {
 	s := newSWQRig(t, platform.Default(), 8)
-	id := s.rq.Push(0, 0xA000, 0)
+	id := s.rq.Push(0, 0xA000, 0, observe.Access{})
 	s.rq.ClearDoorbellRequested()
 	s.ep.Doorbell()
 
@@ -261,7 +261,7 @@ func TestSWQDataPrecedesCompletion(t *testing.T) {
 func TestSWQBurstDrainsManyDescriptors(t *testing.T) {
 	s := newSWQRig(t, platform.Default(), 64)
 	for i := 0; i < 20; i++ {
-		s.rq.Push(uint64(i)*64, 0, 0)
+		s.rq.Push(uint64(i)*64, 0, 0, observe.Access{})
 	}
 	s.rq.ClearDoorbellRequested()
 	s.ep.Doorbell()
@@ -280,7 +280,7 @@ func TestSWQBurstDrainsManyDescriptors(t *testing.T) {
 
 func TestSWQDoorbellFlagProtocol(t *testing.T) {
 	s := newSWQRig(t, platform.Default(), 64)
-	s.rq.Push(0, 0, 0)
+	s.rq.Push(0, 0, 0, observe.Access{})
 	s.rq.ClearDoorbellRequested()
 	s.ep.Doorbell()
 	s.eng.RunUntil(100 * sim.Microsecond)
@@ -295,7 +295,7 @@ func TestSWQDoorbellFlagProtocol(t *testing.T) {
 	}
 
 	// A second round: submission + doorbell restarts the fetcher.
-	s.rq.Push(64, 0, 0)
+	s.rq.Push(64, 0, 0, observe.Access{})
 	s.rq.ClearDoorbellRequested()
 	s.ep.Doorbell()
 	s.eng.RunUntil(200 * sim.Microsecond)
@@ -309,14 +309,14 @@ func TestSWQDoorbellFlagProtocol(t *testing.T) {
 
 func TestSWQSubmitWhileRunningNeedsNoDoorbell(t *testing.T) {
 	s := newSWQRig(t, platform.Default(), 64)
-	s.rq.Push(0, 0, 0)
+	s.rq.Push(0, 0, 0, observe.Access{})
 	s.rq.ClearDoorbellRequested()
 	s.ep.Doorbell()
 	// While the fetcher is busy, push more requests without doorbells;
 	// the continuous burst loop must pick them up (§III-A).
 	s.eng.At(2*sim.Microsecond, func() {
 		for i := 1; i <= 5; i++ {
-			s.rq.Push(uint64(i)*64, 0, 0)
+			s.rq.Push(uint64(i)*64, 0, 0, observe.Access{})
 		}
 	})
 	s.eng.RunUntil(100 * sim.Microsecond)
@@ -338,7 +338,7 @@ func TestSWQCompletionGateLostWakeupFree(t *testing.T) {
 		}
 		woke = p.Now()
 	})
-	s.rq.Push(0, 0, 0)
+	s.rq.Push(0, 0, 0, observe.Access{})
 	s.rq.ClearDoorbellRequested()
 	s.ep.Doorbell()
 	s.eng.RunUntil(50 * sim.Microsecond)

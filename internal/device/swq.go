@@ -3,9 +3,9 @@ package device
 import (
 	"repro/internal/attrib"
 	"repro/internal/hostmem"
+	"repro/internal/observe"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // SWQEndpoint is the device side of the application-managed
@@ -214,20 +214,20 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 			e.processWrite(desc)
 			continue
 		}
-		desc.Span.Point(arrival, "desc-fetched")
 		// Time from submission to the fetch burst landing here is
 		// descriptor queue wait (doorbell, park, burst DMA).
-		desc.Attrib.To(attrib.PhaseQueueWait, arrival)
+		desc.Obs.Mark(arrival, "desc-fetched", attrib.PhaseQueueWait)
+		sp := desc.Obs.Span
 		data, fromReplay := e.dev.serve(e.coreID, desc.Addr)
 		if fromReplay {
-			desc.Span.Point(arrival, "serve-replay")
+			sp.Point(arrival, "serve-replay")
 		} else {
-			desc.Span.Point(arrival, "serve-ondemand")
+			sp.Point(arrival, "serve-ondemand")
 		}
 		lat := e.dev.effectiveLatency()
 		if f, ok := e.dev.inj.Straggle(); ok {
 			lat = sim.Time(float64(lat) * f)
-			desc.Span.Point(arrival, "fault-straggle")
+			sp.Point(arrival, "fault-straggle")
 		}
 		// The delay module times responses off the descriptor's
 		// submission timestamp, so the emulated latency is measured
@@ -245,22 +245,22 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 		}
 		if e.dev.inj.DropCompletion() {
 			// Both writes lost; the host's descriptor timeout resubmits.
-			desc.Span.Point(arrival, "fault-drop")
+			sp.Point(arrival, "fault-drop")
 			continue
 		}
-		desc.Span.Point(sendAt, "resp-sent")
+		sp.Point(sendAt, "resp-sent")
 		// Response-data write TLP, then host DRAM write.
 		r := e.newResponse()
-		r.id, r.sp, r.aw, r.sendAt, r.data = desc.ID, desc.Span, desc.Attrib, sendAt, data
+		r.id, r.obs, r.sendAt, r.data = desc.ID, desc.Obs, sendAt, data
 		e.dev.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, r.sentFn)
 		// Completion write queues behind the data write on the upstream
 		// link, guaranteeing host-visible ordering.
-		e.sendCompletion(sendAt, desc.ID, desc.Span, desc.Attrib)
+		e.sendCompletion(sendAt, desc.ID, desc.Obs)
 		if e.dev.inj.Duplicate() {
 			// Spurious second completion; the host scheduler discards
 			// entries for descriptors it no longer tracks.
-			desc.Span.Point(sendAt, "fault-duplicate")
-			e.sendCompletion(sendAt, desc.ID, desc.Span, desc.Attrib)
+			sp.Point(sendAt, "fault-duplicate")
+			e.sendCompletion(sendAt, desc.ID, desc.Obs)
 		}
 	}
 }
@@ -272,8 +272,7 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 type swqResponse struct {
 	ep     *SWQEndpoint
 	id     uint64
-	sp     trace.Span
-	aw     *attrib.Access
+	obs    observe.Access
 	sendAt sim.Time
 	data   []byte
 
@@ -298,7 +297,7 @@ func (r *swqResponse) sent() {
 	// service. Marked at arrival (never future-dated) so a straggling
 	// descriptor's response cannot corrupt a ledger the host already
 	// closed or resubmitted.
-	r.aw.To(attrib.PhaseDevice, r.sendAt)
+	r.obs.Ledger.To(attrib.PhaseDevice, r.sendAt)
 	r.ep.dev.hostDRAM.WriteThen(r.landedFn)
 }
 
@@ -306,8 +305,7 @@ func (r *swqResponse) landed() {
 	e := r.ep
 	now := e.dev.eng.Now()
 	e.data[r.id] = r.data
-	r.sp.Point(now, "data-landed")
-	r.aw.To(attrib.PhaseTransit, now)
+	r.obs.Mark(now, "data-landed", attrib.PhaseTransit)
 	*r = swqResponse{ep: e, sentFn: r.sentFn, landedFn: r.landedFn}
 	e.respFree = append(e.respFree, r)
 }
@@ -318,10 +316,9 @@ func (r *swqResponse) landed() {
 // callbacks are bound once, when the record is first built; it goes
 // back on the endpoint's free list once the entry is posted.
 type swqCompletion struct {
-	ep *SWQEndpoint
-	id uint64
-	sp trace.Span
-	aw *attrib.Access
+	ep  *SWQEndpoint
+	id  uint64
+	obs observe.Access
 
 	sentFn   func()
 	landedFn func()
@@ -332,7 +329,7 @@ type swqCompletion struct {
 // the host completion queue, stamping the landing on the access span
 // and marking completion wait on the attribution ledger (a duplicate
 // completion's second mark clamps to zero on the closed ledger).
-func (e *SWQEndpoint) sendCompletion(sendAt sim.Time, id uint64, sp trace.Span, aw *attrib.Access) {
+func (e *SWQEndpoint) sendCompletion(sendAt sim.Time, id uint64, obs observe.Access) {
 	var c *swqCompletion
 	if n := len(e.complFree); n > 0 {
 		c = e.complFree[n-1]
@@ -343,7 +340,7 @@ func (e *SWQEndpoint) sendCompletion(sendAt sim.Time, id uint64, sp trace.Span, 
 		c.landedFn = c.landed
 		c.postFn = c.post
 	}
-	c.id, c.sp, c.aw = id, sp, aw
+	c.id, c.obs = id, obs
 	e.dev.link.SendUpAt(sendAt, e.dev.cfg.CompletionBytes, 0, c.sentFn)
 }
 
@@ -351,8 +348,7 @@ func (c *swqCompletion) sent() { c.ep.dev.hostDRAM.WriteThen(c.landedFn) }
 
 func (c *swqCompletion) landed() {
 	now := c.ep.dev.eng.Now()
-	c.sp.Point(now, "completion-posted")
-	c.aw.To(attrib.PhaseComplWait, now)
+	c.obs.Mark(now, "completion-posted", attrib.PhaseComplWait)
 	c.post()
 }
 
@@ -386,7 +382,7 @@ func (e *SWQEndpoint) processWrite(desc hostmem.Descriptor) {
 		e.dev.hostDRAM.ReadThen(func() {
 			e.dev.link.SendDown(platform.CacheLineBytes, platform.CacheLineBytes, func() {
 				// Store absorbed; completion flows back.
-				e.sendCompletion(e.dev.eng.Now(), desc.ID, trace.Span{}, nil)
+				e.sendCompletion(e.dev.eng.Now(), desc.ID, observe.Access{})
 			})
 		})
 	})

@@ -3,10 +3,10 @@ package device
 import (
 	"testing"
 
+	"repro/internal/observe"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestMMIOWritePosted(t *testing.T) {
@@ -53,9 +53,9 @@ func TestSWQWriteDescriptor(t *testing.T) {
 
 func TestSWQMixedReadWriteBurst(t *testing.T) {
 	s := newSWQRig(t, platform.Default(), 16)
-	id0 := s.rq.Push(0, 0xA000, 0)
+	id0 := s.rq.Push(0, 0xA000, 0, observe.Access{})
 	s.rq.PushWrite(0x40, 0xB000, 0)
-	id2 := s.rq.Push(64, 0xC000, 0)
+	id2 := s.rq.Push(64, 0xC000, 0, observe.Access{})
 	s.rq.ClearDoorbellRequested()
 	s.ep.Doorbell()
 	s.eng.RunUntil(50 * sim.Microsecond)
@@ -117,7 +117,7 @@ func TestMMIOReadTailLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done sim.Time
-	r.dev.MMIORead(0, 0, trace.Span{}, nil, func([]byte) { done = r.eng.Now() })
+	r.dev.MMIORead(0, 0, observe.Access{}, func([]byte) { done = r.eng.Now() })
 	r.eng.Run()
 	want := sim.Time(float64(cfg.DeviceLatency) * cfg.DeviceLatencyTailFactor)
 	if done != want {

@@ -11,9 +11,8 @@
 package hostmem
 
 import (
-	"repro/internal/attrib"
+	"repro/internal/observe"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Descriptor is one software-queue request: "Each descriptor contains
@@ -26,16 +25,10 @@ type Descriptor struct {
 	Write     bool   // write-path extension (§VII): Target holds the data to store
 	Submitted sim.Time
 
-	// Span is the access-lifecycle trace span riding along with the
-	// descriptor so the device side can stamp fetch/serve/completion
-	// edges. The zero Span (tracing disabled) is a no-op.
-	Span trace.Span
-
-	// Attrib is the latency-attribution ledger riding along with the
-	// descriptor so the device side can mark phase boundaries (fetch,
-	// serve, data landing, completion posting). Nil (attribution
-	// disabled) makes every mark a no-op.
-	Attrib *attrib.Access
+	// Obs is the access's observer handle riding along with the
+	// descriptor so the device side can stamp its fetch, serve, data
+	// landing and completion edges. The zero handle observes nothing.
+	Obs observe.Access
 }
 
 // Completion is one completion-queue entry; the device guarantees it is
@@ -73,29 +66,24 @@ func NewRequestQueue() *RequestQueue {
 }
 
 // Push appends a read descriptor for the given device address, stamping
-// it with the submission time, and returns its ID.
-func (q *RequestQueue) Push(addr, target uint64, now sim.Time) uint64 {
-	return q.push(addr, target, now, false, trace.Span{}, nil)
-}
-
-// PushTracked is Push carrying the access's observers: a trace span,
-// so the device side can stamp fetch/serve/completion edges on it, and
-// a latency-attribution ledger, so it can mark phase boundaries.
-// Either or both may be zero/nil.
-func (q *RequestQueue) PushTracked(addr, target uint64, now sim.Time, sp trace.Span, aw *attrib.Access) uint64 {
-	return q.push(addr, target, now, false, sp, aw)
+// it with the submission time and carrying the access's observer
+// handle (the zero handle for an unobserved read), and returns its ID.
+func (q *RequestQueue) Push(addr, target uint64, now sim.Time, obs observe.Access) uint64 {
+	return q.push(Descriptor{Addr: addr, Target: target, Submitted: now, Obs: obs})
 }
 
 // PushWrite appends a write descriptor (§VII extension): the device
 // will fetch the line at target from host memory and store it at addr.
 func (q *RequestQueue) PushWrite(addr, target uint64, now sim.Time) uint64 {
-	return q.push(addr, target, now, true, trace.Span{}, nil)
+	return q.push(Descriptor{Addr: addr, Target: target, Write: true, Submitted: now})
 }
 
-func (q *RequestQueue) push(addr, target uint64, now sim.Time, write bool, sp trace.Span, aw *attrib.Access) uint64 {
+// push assigns d the next ID and appends it.
+func (q *RequestQueue) push(d Descriptor) uint64 {
 	id := q.nextID
 	q.nextID++
-	q.pending = append(q.pending, Descriptor{ID: id, Addr: addr, Target: target, Write: write, Submitted: now, Span: sp, Attrib: aw})
+	d.ID = id
+	q.pending = append(q.pending, d)
 	q.submitted++
 	if len(q.pending) > q.maxDepth {
 		q.maxDepth = len(q.pending)

@@ -4,13 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/observe"
 	"repro/internal/sim"
 )
 
 func TestRequestQueuePushPop(t *testing.T) {
 	q := NewRequestQueue()
-	id0 := q.Push(0x1000, 0xA000, 5*sim.Nanosecond)
-	id1 := q.Push(0x2000, 0xB000, 6*sim.Nanosecond)
+	id0 := q.Push(0x1000, 0xA000, 5*sim.Nanosecond, observe.Access{})
+	id1 := q.Push(0x2000, 0xB000, 6*sim.Nanosecond, observe.Access{})
 	if id0 != 0 || id1 != 1 {
 		t.Errorf("ids = %d,%d, want 0,1", id0, id1)
 	}
@@ -35,7 +36,7 @@ func TestRequestQueuePushPop(t *testing.T) {
 func TestPopBurstHonorsMax(t *testing.T) {
 	q := NewRequestQueue()
 	for i := 0; i < 20; i++ {
-		q.Push(uint64(i), 0, 0)
+		q.Push(uint64(i), 0, 0, observe.Access{})
 	}
 	b := q.PopBurst(8)
 	if len(b) != 8 || b[0].Addr != 0 || b[7].Addr != 7 {
@@ -129,12 +130,12 @@ func TestDrainSurvivesPostsWhileDelivering(t *testing.T) {
 func TestPopBurstReusesBuffer(t *testing.T) {
 	q := NewRequestQueue()
 	for i := 0; i < 16; i++ {
-		q.Push(uint64(i), 0, 0)
+		q.Push(uint64(i), 0, 0, observe.Access{})
 	}
 	q.PopBurst(8)
 	if n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 8; i++ {
-			q.Push(uint64(i), 0, 0)
+			q.Push(uint64(i), 0, 0, observe.Access{})
 		}
 		q.PopBurst(8)
 	}); n != 0 {
@@ -151,7 +152,7 @@ func TestRequestQueueFIFOProperty(t *testing.T) {
 		}
 		q := NewRequestQueue()
 		for i := range pushes {
-			q.Push(uint64(i), 0, 0)
+			q.Push(uint64(i), 0, 0, observe.Access{})
 		}
 		var got []uint64
 		for q.Len() > 0 {

@@ -149,12 +149,6 @@ type Config struct {
 	// DeviceCacheWays is the associativity of the device-line cache.
 	DeviceCacheWays int
 
-	// SamplePeriod enables occupancy-timeline sampling: every period the
-	// harness records LFB and chip-queue occupancy and link utilization
-	// into the run's diagnostics. Zero disables sampling (the default;
-	// it is observability, not modeling).
-	SamplePeriod sim.Time
-
 	// Trace, when non-nil, records every run into the given event
 	// recorder: per-access lifecycle spans, occupancy timelines sampled
 	// on state change, and PCIe TLP slices, exportable as Chrome
