@@ -372,9 +372,6 @@ func (e *Engine) RunChecked() (Time, error) {
 // body. It is a no-op on an engine with no parked process.
 func (e *Engine) Abort() {
 	for _, p := range e.started {
-		if stop := p.stop; stop != nil {
-			p.stop = nil
-			stop()
-		}
+		p.co.Stop()
 	}
 }

@@ -3,9 +3,9 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"iter"
+
+	"repro/internal/coro"
 )
 
 // Proc is a simulated process: sequential code that can block on
@@ -15,9 +15,9 @@ import (
 // threads, or the device's request-fetcher state machine — as ordinary
 // straight-line Go code instead of hand-written callback state machines.
 //
-// Under the hood each Proc is a runtime coroutine (iter.Pull): the
-// engine resumes it with next, and a blocking call hands control back
-// with yield. The switch goes directly from one goroutine to the other
+// Under the hood each Proc is a runtime coroutine (coro.Coro): the
+// engine resumes it with Next, and a blocking call hands control back
+// with Yield. The switch goes directly from one goroutine to the other
 // without passing through the scheduler's run queues, and exactly one
 // of {engine, some process} runs at any instant, so execution is
 // single-threaded and fully deterministic. A panic in the body unwinds
@@ -27,21 +27,14 @@ type Proc struct {
 	eng  *Engine
 	name string
 	done bool
-	body func(*Proc)
-
-	next  func() (struct{}, bool) // engine -> proc: run to the next block (false once the body returned)
-	stop  func()                  // unwinds a parked body (Engine.Abort)
-	yield func(struct{}) bool     // proc -> engine: park (false once stopped)
+	body func(*Proc) // until the process starts
+	co   coro.Coro[*Proc, struct{}]
 
 	// resumeFn is created once per process and reused for every
 	// blocking call, so Sleep/Wait do not allocate a closure per
 	// invocation.
 	resumeFn func()
 }
-
-// errAborted is the panic block raises in a process that Engine.Abort
-// stopped; the process's own coroutine recovers it.
-var errAborted = errors.New("sim: process aborted")
 
 // Go starts fn as a simulated process at the current simulated time.
 // The name is used in diagnostics only.
@@ -59,20 +52,9 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 // engineStart creates the process coroutine and runs it to its first
 // block (or exit). Runs as an engine event.
 func (p *Proc) engineStart() {
-	p.next, p.stop = iter.Pull(p.run)
+	p.co.Start(p.body, p)
+	p.body = nil
 	p.engineResume()
-}
-
-// run is the process coroutine. Returning from it ends the sequence,
-// which engineResume sees as process exit.
-func (p *Proc) run(yield func(struct{}) bool) {
-	p.yield = yield
-	defer func() {
-		if r := recover(); r != nil && r != errAborted {
-			panic(r)
-		}
-	}()
-	p.body(p)
 }
 
 // engineResume runs the parked process until it blocks again or exits.
@@ -80,9 +62,8 @@ func (p *Proc) run(yield func(struct{}) bool) {
 // notices process exit here, in engine context, so the bookkeeping
 // needs no synchronization beyond the coroutine switch itself.
 func (p *Proc) engineResume() {
-	if _, ok := p.next(); !ok {
+	if _, ok := p.co.Next(); !ok {
 		p.done = true
-		p.body, p.next, p.stop, p.yield = nil, nil, nil, nil
 		p.eng.procs--
 		p.eng.procExited()
 	}
@@ -103,11 +84,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // block parks the process until resumeFn is invoked from engine
 // context. Must only be called from within the process body. If the
 // engine aborts the process instead, block unwinds the body.
-func (p *Proc) block() {
-	if !p.yield(struct{}{}) {
-		panic(errAborted)
-	}
-}
+func (p *Proc) block() { p.co.Yield(struct{}{}) }
 
 // Sleep blocks the process for d of simulated time.
 func (p *Proc) Sleep(d Time) {

@@ -8,7 +8,7 @@
 // mechanism-specific executor underneath overlaps accesses from many
 // threads.
 //
-// A Thread is a runtime coroutine (iter.Pull): its body executes only
+// A Thread is a runtime coroutine (coro.Coro): its body executes only
 // between Start/Resume calls from its executor, yielding a Request each
 // time it needs work or device data; the end of the body is KindDone.
 // Exactly one of {executor, thread body} runs at a time, so simulations
@@ -18,9 +18,9 @@
 package uthread
 
 import (
-	"errors"
 	"fmt"
-	"iter"
+
+	"repro/internal/coro"
 )
 
 // Kind discriminates the requests a thread body can make.
@@ -74,15 +74,9 @@ type Thread struct {
 	finished bool
 	last     Request // most recent request, for Resume payload checks
 
-	next  func() (Request, bool) // executor -> body: run to the next request
-	stop  func()                 // unwinds an unfinished body (Stop)
-	yield func(Request) bool     // body -> executor: hand over a request (false once stopped)
-	data  [][]byte               // Resume's answer to the request just yielded
+	co   coro.Coro[*API, Request]
+	data [][]byte // Resume's answer to the request just yielded
 }
-
-// errStopped is the panic an API call raises in a thread that Stop
-// ended; the thread's own coroutine recovers it.
-var errStopped = errors.New("uthread: thread stopped")
 
 // New creates a thread that will run body; the body does not start
 // executing until the executor calls Start.
@@ -102,20 +96,8 @@ func (t *Thread) Start() Request {
 		panic(fmt.Sprintf("uthread: thread %d started twice", t.id))
 	}
 	t.started = true
-	t.next, t.stop = iter.Pull(t.run)
+	t.co.Start(t.body, &API{t: t})
 	return t.step()
-}
-
-// run is the thread coroutine; returning from it ends the sequence,
-// which step reports as KindDone.
-func (t *Thread) run(yield func(Request) bool) {
-	t.yield = yield
-	defer func() {
-		if r := recover(); r != nil && r != errStopped {
-			panic(r)
-		}
-	}()
-	t.body(&API{t: t})
 }
 
 // Resume delivers the data for the previous request (nil for KindWork)
@@ -138,7 +120,7 @@ func (t *Thread) Resume(data [][]byte) Request {
 }
 
 func (t *Thread) step() Request {
-	r, ok := t.next()
+	r, ok := t.co.Next()
 	if !ok {
 		r = Request{Kind: KindDone}
 		t.finish()
@@ -156,24 +138,20 @@ func (t *Thread) Stop() {
 	if t.finished {
 		return
 	}
-	stop := t.stop
 	t.finish()
-	if stop != nil {
-		stop()
-	}
 }
 
-// finish marks the thread done and drops its body and coroutine.
+// finish marks the thread done and drops its body and coroutine,
+// unwinding the body if it is parked.
 func (t *Thread) finish() {
 	t.finished = true
-	t.body, t.next, t.stop, t.yield, t.data = nil, nil, nil, nil, nil
+	t.body, t.data = nil, nil
+	t.co.Stop()
 }
 
 // request hands r to the executor and returns the data Resume delivers.
 func (t *Thread) request(r Request) [][]byte {
-	if !t.yield(r) {
-		panic(errStopped)
-	}
+	t.co.Yield(r)
 	return t.data
 }
 
