@@ -261,19 +261,15 @@ func DeviceOnDemand(cfg platform.Config, trace []IterSpec) OnDemandResult {
 	return RunOnDemand(cfg, trace, cfg.DeviceLatency, limit, 0)
 }
 
-// DeviceOnDemandFaulty is DeviceOnDemand under fault injection: each
-// load's latency comes from the injector's analytic timeout/retry
-// recovery model (device stragglers and drops, PCIe corruption and
-// stalls), with the platform's backed-off per-attempt timeouts.
-func DeviceOnDemandFaulty(cfg platform.Config, trace []IterSpec, inj *fault.Injector) OnDemandResult {
-	return DeviceOnDemandObserved(cfg, trace, inj, nil)
-}
-
-// DeviceOnDemandObserved is DeviceOnDemandFaulty with a per-load
-// observer: observe (when non-nil) receives every load's issue and
-// completion times, letting the trace layer synthesize access-lifecycle
-// spans for the analytic on-demand mechanism, which has no engine events
-// to hook. The observer never affects timing.
+// DeviceOnDemandObserved is DeviceOnDemand under fault injection, with
+// a per-load observer. With a non-nil inj, each load's latency comes
+// from the injector's analytic timeout/retry recovery model (device
+// stragglers and drops, PCIe corruption and stalls), with the
+// platform's backed-off per-attempt timeouts. observe (when non-nil)
+// receives every load's issue and completion times, letting the trace
+// layer synthesize access-lifecycle spans for the analytic on-demand
+// mechanism, which has no engine events to hook. The observer never
+// affects timing.
 func DeviceOnDemandObserved(cfg platform.Config, trace []IterSpec, inj *fault.Injector, observe LoadObserver) OnDemandResult {
 	limit := cfg.ChipQueueMMIO
 	if cfg.LFBPerCore < limit {

@@ -295,8 +295,3 @@ func (s Suite) ExtensionPlan() []Experiment {
 		{ID: "ext-faults", Run: s.ExpFaults},
 	}
 }
-
-// Extensions runs every beyond-the-paper experiment.
-func (s Suite) Extensions() []*stats.Table {
-	return RunPlan(s.ExtensionPlan(), nil)
-}
