@@ -1,15 +1,12 @@
 //go:build go1.23
 
-// Package coro is the simulator's one coroutine primitive: a body
-// running on an iter.Pull runtime coroutine, handing a value to its
-// driver at every Yield, that the driver can unwind while it is parked.
-// sim.Proc and uthread.Thread are both built on it.
-//
-// Control passes directly between the driver's goroutine and the
-// body's without going through the scheduler's run queues, and exactly
-// one of them runs at any instant, so a driver that is itself
-// deterministic stays deterministic. A panic in the body unwinds to the
-// caller of Next.
+// Package coro is the simulator's one coroutine type, shared by
+// sim.Proc and uthread.Thread: a body running on an iter.Pull runtime
+// coroutine that hands a value to its driver at every Yield and that
+// the driver can unwind while it is parked. Control passes directly
+// between the two goroutines without the scheduler's run queues, and
+// exactly one of them runs at any instant. A panic in the body unwinds
+// to the caller of Next.
 package coro
 
 import (
@@ -18,8 +15,8 @@ import (
 )
 
 // Coro runs body(arg) as a coroutine that yields values of type V. The
-// zero Coro is unstarted. A Coro is meant to be embedded by value in
-// its owner and must not be copied once started.
+// zero Coro is unstarted. It is embedded by value in its owner and must
+// not be copied once started.
 type Coro[A, V any] struct {
 	body  func(A)
 	arg   A
@@ -28,11 +25,11 @@ type Coro[A, V any] struct {
 	yield func(V) bool     // body -> driver: hand over a value (false once stopped)
 }
 
-// errStopped is the panic Yield raises in a body that Stop ended; the
-// coroutine's own run recovers it.
+// errStopped is the panic Yield raises in a body that Stop ended; run
+// recovers it.
 var errStopped = errors.New("coro: stopped")
 
-// Start creates the coroutine for body(arg); the body first runs at the
+// Start creates the coroutine for body(arg), which first runs at the
 // next Next. Taking the body and its argument, rather than a closure
 // binding them, keeps Start to iter.Pull's own allocations.
 func (c *Coro[A, V]) Start(body func(A), arg A) {
@@ -40,8 +37,7 @@ func (c *Coro[A, V]) Start(body func(A), arg A) {
 	c.next, c.stop = iter.Pull(c.run)
 }
 
-// run is the coroutine's sequence function. Returning from it ends the
-// sequence, which Next reports as false.
+// run is the sequence function; returning from it ends the sequence.
 func (c *Coro[A, V]) run(yield func(V) bool) {
 	c.yield = yield
 	defer func() {
@@ -52,9 +48,9 @@ func (c *Coro[A, V]) run(yield func(V) bool) {
 	c.body(c.arg)
 }
 
-// Next runs the body until it yields or returns. It reports false once
-// the body has returned, after which the Coro holds nothing. Call it
-// from the driver's side only, never after Stop.
+// Next runs the body until it yields or returns, and reports false once
+// it has returned; the Coro then holds nothing. Driver side only, and
+// never after Stop.
 func (c *Coro[A, V]) Next() (V, bool) {
 	v, ok := c.next()
 	if !ok {
@@ -64,18 +60,16 @@ func (c *Coro[A, V]) Next() (V, bool) {
 }
 
 // Yield hands v to the driver and parks the body until the next Next.
-// If the driver stops the coroutine instead, Yield unwinds the body,
-// running its deferred functions. Call it from the body only.
+// If the driver calls Stop instead, Yield unwinds the body, running its
+// deferred functions. Body side only.
 func (c *Coro[A, V]) Yield(v V) {
 	if !c.yield(v) {
 		panic(errStopped)
 	}
 }
 
-// Stop unwinds a parked body: its pending Yield panics, running the
-// body's deferred functions, and the coroutine exits. Stopping an
-// unstarted or finished Coro is a no-op. The Coro holds nothing
-// afterwards. Call it from the driver's side only.
+// Stop unwinds a parked body and leaves the Coro holding nothing. It is
+// a no-op on an unstarted or finished Coro. Driver side only.
 func (c *Coro[A, V]) Stop() {
 	stop := c.stop
 	*c = Coro[A, V]{}

@@ -123,7 +123,7 @@ func (t *Thread) step() Request {
 	r, ok := t.co.Next()
 	if !ok {
 		r = Request{Kind: KindDone}
-		t.finish()
+		t.Stop() // the body returned; drop it
 	}
 	t.last = r
 	return r
@@ -135,15 +135,6 @@ func (t *Thread) step() Request {
 // Stopping a finished thread is a no-op. Call it from the executor's
 // side, never from the thread's own body.
 func (t *Thread) Stop() {
-	if t.finished {
-		return
-	}
-	t.finish()
-}
-
-// finish marks the thread done and drops its body and coroutine,
-// unwinding the body if it is parked.
-func (t *Thread) finish() {
 	t.finished = true
 	t.body, t.data = nil, nil
 	t.co.Stop()
