@@ -166,14 +166,13 @@ func (q *descQueue) deliver(p *sim.Proc, compls []hostmem.Completion, mark func(
 		q.e.rec.Finished(p.Now())
 		q.e.delivered(p.Now(), compl.Posted-w.submitted)
 		w.obs.Span.End(compl.Posted)
-		aw := w.obs.Ledger
-		mark(aw)
+		mark(w.obs.Ledger)
 		st := q.states[w.th]
-		if aw != nil && st.atr == nil {
+		if w.obs.Ledger != nil && st.atr == nil {
 			st.atr = make([]*attrib.Access, len(st.data))
 		}
 		if st.atr != nil {
-			st.atr[w.slot] = aw
+			st.atr[w.slot] = w.obs.Ledger
 		}
 		q.fill(w.th, w.slot, q.ep.Data(compl.ID))
 		q.settled(w)

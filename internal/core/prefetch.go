@@ -82,10 +82,9 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
 				if l == nil {
 					continue // cache hit: its data was filled at issue
 				}
-				aw := l.obs.Ledger
-				aw.To(attrib.PhaseComplWait, switchStart)
-				aw.To(attrib.PhaseSwitch, switchEnd)
-				aw.Close(attrib.PhaseComplWait, p.Now())
+				l.obs.Ledger.To(attrib.PhaseComplWait, switchStart)
+				l.obs.Ledger.To(attrib.PhaseSwitch, switchEnd)
+				l.obs.Ledger.Close(attrib.PhaseComplWait, p.Now())
 				pa.data[i] = l.data
 				e.consumed(l)
 			}

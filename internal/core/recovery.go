@@ -72,16 +72,15 @@ func (q *descQueue) resubmitOverdue(p *sim.Proc) {
 		e.timedOut(p.Now(), w.obs)
 		// Waiting out the timeout is retry backoff; the gap between the
 		// deadline expiring and the host acting on it is timeout slop.
-		aw := w.obs.Ledger
-		aw.To(attrib.PhaseRetry, w.deadline)
-		aw.To(attrib.PhaseSlop, p.Now())
+		w.obs.Ledger.To(attrib.PhaseRetry, w.deadline)
+		w.obs.Ledger.To(attrib.PhaseSlop, p.Now())
 		if w.attempts >= e.cfg.MaxRetries {
 			// Out of budget: abandon with a zero-filled line.
 			e.abandoned(p.Now(), w.obs)
 			e.rec.Finished(p.Now())
 			e.delivered(p.Now(), p.Now()-w.submitted)
 			w.obs.Span.End(p.Now())
-			aw.Close(attrib.PhaseSlop, p.Now())
+			w.obs.Ledger.Close(attrib.PhaseSlop, p.Now())
 			q.fill(w.th, w.slot, make([]byte, platform.CacheLineBytes))
 			q.settled(w)
 			continue

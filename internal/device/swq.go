@@ -217,17 +217,16 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 		// Time from submission to the fetch burst landing here is
 		// descriptor queue wait (doorbell, park, burst DMA).
 		desc.Obs.Mark(arrival, "desc-fetched", attrib.PhaseQueueWait)
-		sp := desc.Obs.Span
 		data, fromReplay := e.dev.serve(e.coreID, desc.Addr)
 		if fromReplay {
-			sp.Point(arrival, "serve-replay")
+			desc.Obs.Span.Point(arrival, "serve-replay")
 		} else {
-			sp.Point(arrival, "serve-ondemand")
+			desc.Obs.Span.Point(arrival, "serve-ondemand")
 		}
 		lat := e.dev.effectiveLatency()
 		if f, ok := e.dev.inj.Straggle(); ok {
 			lat = sim.Time(float64(lat) * f)
-			sp.Point(arrival, "fault-straggle")
+			desc.Obs.Span.Point(arrival, "fault-straggle")
 		}
 		// The delay module times responses off the descriptor's
 		// submission timestamp, so the emulated latency is measured
@@ -245,10 +244,10 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 		}
 		if e.dev.inj.DropCompletion() {
 			// Both writes lost; the host's descriptor timeout resubmits.
-			sp.Point(arrival, "fault-drop")
+			desc.Obs.Span.Point(arrival, "fault-drop")
 			continue
 		}
-		sp.Point(sendAt, "resp-sent")
+		desc.Obs.Span.Point(sendAt, "resp-sent")
 		// Response-data write TLP, then host DRAM write.
 		r := e.newResponse()
 		r.id, r.obs, r.sendAt, r.data = desc.ID, desc.Obs, sendAt, data
@@ -259,7 +258,7 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 		if e.dev.inj.Duplicate() {
 			// Spurious second completion; the host scheduler discards
 			// entries for descriptors it no longer tracks.
-			sp.Point(sendAt, "fault-duplicate")
+			desc.Obs.Span.Point(sendAt, "fault-duplicate")
 			e.sendCompletion(sendAt, desc.ID, desc.Obs)
 		}
 	}
@@ -303,9 +302,8 @@ func (r *swqResponse) sent() {
 
 func (r *swqResponse) landed() {
 	e := r.ep
-	now := e.dev.eng.Now()
 	e.data[r.id] = r.data
-	r.obs.Mark(now, "data-landed", attrib.PhaseTransit)
+	r.obs.Mark(e.dev.eng.Now(), "data-landed", attrib.PhaseTransit)
 	*r = swqResponse{ep: e, sentFn: r.sentFn, landedFn: r.landedFn}
 	e.respFree = append(e.respFree, r)
 }
@@ -347,8 +345,7 @@ func (e *SWQEndpoint) sendCompletion(sendAt sim.Time, id uint64, obs observe.Acc
 func (c *swqCompletion) sent() { c.ep.dev.hostDRAM.WriteThen(c.landedFn) }
 
 func (c *swqCompletion) landed() {
-	now := c.ep.dev.eng.Now()
-	c.obs.Mark(now, "completion-posted", attrib.PhaseComplWait)
+	c.obs.Mark(c.ep.dev.eng.Now(), "completion-posted", attrib.PhaseComplWait)
 	c.post()
 }
 
