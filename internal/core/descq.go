@@ -49,30 +49,68 @@ type descWait struct {
 // The mechanisms keep only their scheduling policy — what submission,
 // completion, and resumption cost — and where their attribution
 // ledgers charge it.
+//
+// Its blocking procedures — submitting a batch, ringing the doorbell,
+// and the park-or-recover wait — are steps of the owning core's
+// continuation: the core starts one (startSubmit, startDoorbell,
+// startWait), then calls run from one of its own states until run
+// reports the procedure finished. While run reports a park, the core
+// returns; its resumeFn, which the queue waits with, lands it back in
+// that state.
 type descQueue struct {
-	e       *Env
-	coreID  int
-	rq      *hostmem.RequestQueue
-	cq      *hostmem.CompletionQueue
-	ep      *device.SWQEndpoint
-	ready   *uthread.FIFO
-	states  map[*uthread.Thread]*swqThreadState
-	waiting map[uint64]*descWait
+	e        *Env
+	coreID   int
+	resumeFn func() // the owning core's continuation
+	rq       *hostmem.RequestQueue
+	cq       *hostmem.CompletionQueue
+	ep       *device.SWQEndpoint
+	ready    *uthread.FIFO
+	states   map[*uthread.Thread]*swqThreadState
+	waiting  map[uint64]*descWait
 
 	waitFree []*descWait // settled descriptor records, for reuse
+
+	// The procedure in progress.
+	step        descStep
+	th          *uthread.Thread // submit: the batch's thread
+	addrs       []uint64        // submit: the batch's addresses
+	i           int             // submit: next of addrs; recovery: next of ids
+	obs         observe.Access  // submit: descriptor i's observers
+	gate        *sim.Gate       // wait: the completion gate
+	timeout     *sim.Timeout    // wait: the recovery wait's race
+	ids         []uint64        // recovery: outstanding IDs at expiry, sorted
+	w           *descWait       // recovery: the descriptor being resubmitted
+	resubmitted bool            // recovery: ring the doorbell when done
 }
+
+// descStep is a state of the queue's procedure in progress.
+type descStep uint8
+
+const (
+	dqIdle        descStep = iota // no procedure, or the last one finished
+	dqSubmit                      // open descriptor i, charge its cost
+	dqSubmitted                   // descriptor i's cost is paid: push it
+	dqRing                        // charge the doorbell write
+	dqRung                        // the doorbell write is issued
+	dqWait                        // nothing runnable: wait for a completion
+	dqWoke                        // the bounded recovery wait ended
+	dqResubmit                    // recover overdue descriptors, ids[i] onwards
+	dqResubmitted                 // w's rewrite cost is paid: push it
+)
 
 // newDescQueue builds core coreID's queues and device endpoint, hooks
 // their depths to the occupancy gauges, and makes every thread ready.
-func newDescQueue(e *Env, coreID int, threads []*uthread.Thread) *descQueue {
+// resume is the owning core's continuation.
+func newDescQueue(e *Env, coreID int, threads []*uthread.Thread, resume func()) *descQueue {
 	q := &descQueue{
-		e:       e,
-		coreID:  coreID,
-		rq:      hostmem.NewRequestQueue(),
-		cq:      hostmem.NewCompletionQueue(),
-		ready:   uthread.NewFIFO(),
-		states:  make(map[*uthread.Thread]*swqThreadState, len(threads)),
-		waiting: make(map[uint64]*descWait),
+		e:        e,
+		coreID:   coreID,
+		resumeFn: resume,
+		rq:       hostmem.NewRequestQueue(),
+		cq:       hostmem.NewCompletionQueue(),
+		ready:    uthread.NewFIFO(),
+		states:   make(map[*uthread.Thread]*swqThreadState, len(threads)),
+		waiting:  make(map[uint64]*descWait),
 	}
 	q.ep = e.dev.NewSWQEndpoint(coreID, q.rq, q.cq)
 	q.rq.OnChange = e.gauge(telemetry.GaugeSQ, fmt.Sprintf("sq/core%d", coreID))
@@ -97,30 +135,93 @@ func (q *descQueue) stop() {
 	q.ep.Stop()
 }
 
-// submit writes one read descriptor per address of th's batch, charging
-// the marginal per-descriptor queue-management cost on the core (§V-C:
-// overhead grows with the number of accesses "even when the accesses
-// are batched"). The caller charges the batch's fixed cost.
-func (q *descQueue) submit(p *sim.Proc, th *uthread.Thread, addrs []uint64) {
-	e := q.e
+// startSubmit begins writing one read descriptor per address of th's
+// batch, each charged the marginal per-descriptor queue-management
+// cost on the core (§V-C: overhead grows with the number of accesses
+// "even when the accesses are batched"). The caller charges the
+// batch's fixed cost.
+func (q *descQueue) startSubmit(th *uthread.Thread, addrs []uint64) {
 	st := q.states[th]
 	st.data = resize(st.data, len(addrs))
 	st.remaining = len(addrs)
-	for i, addr := range addrs {
-		// The ledger opens before the per-descriptor cost, the span
-		// after it.
-		obs := observe.Access{Ledger: e.at.Open(p.Now())}
-		p.Sleep(e.cfg.SWQPerAccessOverhead)
-		e.issued(p.Now(), obs)
-		obs.Span = e.beginSpan(q.coreID, addr, p.Now())
-		target := responseTarget(q.coreID, th.ID(), i)
-		id := q.rq.Push(addr, target, p.Now(), obs)
-		w := q.newWait()
-		w.th, w.slot, w.submitted = th, i, p.Now()
-		w.addr, w.target = addr, target
-		w.deadline = p.Now() + e.cfg.RetryTimeout(0)
-		w.obs = obs
-		q.waiting[id] = w
+	q.th, q.addrs, q.i = th, addrs, 0
+	q.step = dqSubmit
+}
+
+// push writes descriptor i of the batch being submitted into the
+// request queue and records it as outstanding.
+func (q *descQueue) push() {
+	e, now := q.e, q.e.eng.Now()
+	addr := q.addrs[q.i]
+	e.issued(now, q.obs)
+	q.obs.Span = e.beginSpan(q.coreID, addr, now)
+	target := responseTarget(q.coreID, q.th.ID(), q.i)
+	id := q.rq.Push(addr, target, now, q.obs)
+	w := q.newWait()
+	w.th, w.slot, w.submitted = q.th, q.i, now
+	w.addr, w.target = addr, target
+	w.deadline = now + e.cfg.RetryTimeout(0)
+	w.obs = q.obs
+	q.waiting[id] = w
+	q.obs = observe.Access{}
+}
+
+// run continues the procedure in progress until it must wait (true:
+// the caller parks, and its resumeFn calls run again) or has finished
+// (false).
+func (q *descQueue) run() bool {
+	e := q.e
+	for {
+		switch q.step {
+		case dqIdle:
+			return false
+
+		case dqSubmit:
+			if q.i == len(q.addrs) {
+				q.th, q.addrs = nil, nil
+				q.step = dqIdle
+				continue
+			}
+			// The ledger opens before the per-descriptor cost, the span
+			// after it.
+			q.obs = observe.Access{Ledger: e.at.Open(e.eng.Now())}
+			q.step = dqSubmitted
+			if e.eng.Delay(e.cfg.SWQPerAccessOverhead, q.resumeFn) {
+				return true
+			}
+
+		case dqSubmitted:
+			q.push()
+			q.i++
+			q.step = dqSubmit
+
+		case dqRing:
+			q.step = dqRung
+			if e.eng.Delay(e.cfg.DoorbellMMIO, q.resumeFn) {
+				return true
+			}
+
+		case dqRung:
+			q.rq.ClearDoorbellRequested()
+			q.ep.Doorbell()
+			q.step = dqIdle
+
+		case dqWait:
+			if q.waitOrRecover() {
+				return true
+			}
+
+		case dqWoke:
+			q.woke()
+
+		case dqResubmit:
+			if q.resubmitOverdue() {
+				return true
+			}
+
+		case dqResubmitted:
+			q.resubmit()
+		}
 	}
 }
 
@@ -141,20 +242,19 @@ func (q *descQueue) settled(w *descWait) {
 	q.waitFree = append(q.waitFree, w)
 }
 
-// doorbell rings the MMIO doorbell, waking the device's request fetcher.
-func (q *descQueue) doorbell(p *sim.Proc) {
-	p.Sleep(q.e.cfg.DoorbellMMIO)
-	q.rq.ClearDoorbellRequested()
-	q.ep.Doorbell()
-}
+// startDoorbell begins ringing the MMIO doorbell, waking the device's
+// request fetcher once the write is issued.
+func (q *descQueue) startDoorbell() { q.step = dqRing }
 
 // deliver matches drained completions to their outstanding descriptors
 // and lands each one's data in its thread's batch. Completions of
 // unknown IDs — fire-and-forget writes, and stragglers of resubmitted
-// descriptors — are dropped. mark charges the mechanism's attribution
-// for the time since the device posted the completion; the ledger then
-// parks on the thread state until the scheduler resumes the thread.
-func (q *descQueue) deliver(p *sim.Proc, compls []hostmem.Completion, mark func(aw *attrib.Access)) {
+// descriptors — are dropped. Each ledger is charged completion wait
+// from the device's post until waitEnd and switch overhead from there
+// until now (nothing when waitEnd is now); it then parks on the thread
+// state until the scheduler resumes the thread.
+func (q *descQueue) deliver(compls []hostmem.Completion, waitEnd sim.Time) {
+	now := q.e.eng.Now()
 	for _, compl := range compls {
 		w, ok := q.waiting[compl.ID]
 		if !ok {
@@ -163,10 +263,11 @@ func (q *descQueue) deliver(p *sim.Proc, compls []hostmem.Completion, mark func(
 		delete(q.waiting, compl.ID)
 		// Windowed at the drain time (monotone); the latency itself
 		// still ends at the device's post time.
-		q.e.rec.Finished(p.Now())
-		q.e.delivered(p.Now(), compl.Posted-w.submitted)
+		q.e.rec.Finished(now)
+		q.e.delivered(now, compl.Posted-w.submitted)
 		w.obs.Span.End(compl.Posted)
-		mark(w.obs.Ledger)
+		w.obs.Ledger.To(attrib.PhaseComplWait, waitEnd)
+		w.obs.Ledger.To(attrib.PhaseSwitch, now)
 		st := q.states[w.th]
 		if w.obs.Ledger != nil && st.atr == nil {
 			st.atr = make([]*attrib.Access, len(st.data))

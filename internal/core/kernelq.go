@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/attrib"
+	"repro/internal/hostmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/uthread"
@@ -19,83 +20,188 @@ import (
 // kernel-mode context switch, and on the device's completion interrupt
 // pays the interrupt cost plus another kernel switch before the thread
 // returns from its syscall.
-func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread) {
-	q := newDescQueue(e, coreID, threads)
-	defer q.stop()
-	live := len(threads)
+func runKernelQCore(e *Env, coreID int, threads []*uthread.Thread) *sched {
+	c := &kernelQCore{e: e, coreID: coreID, threads: threads}
+	c.resumeFn = c.resume
+	return &c.sched
+}
 
-	for live > 0 {
-		th := q.ready.Pop()
-		if th == nil {
-			// The OS idles (or runs unrelated processes) until the
-			// device raises a completion interrupt.
-			gate := q.ep.CompletionGate()
-			compls := q.cq.Drain()
-			if len(compls) == 0 {
-				// Recovery backstop: the kernel arms a timer at the
-				// earliest descriptor deadline in case the completion
-				// interrupt never comes.
-				q.waitOrRecover(p, gate)
+// kernelQCore is one core's kernel-queue scheduler, run as an engine
+// continuation: each state below follows one of the core's simulated
+// waits.
+type kernelQCore struct {
+	sched
+	e       *Env
+	coreID  int
+	threads []*uthread.Thread
+	state   kernelQState
+
+	q      *descQueue
+	live   int                  // threads not yet done
+	th     *uthread.Thread      // the thread running now
+	req    uthread.Request      // th's current request
+	compls []hostmem.Completion // completions awaiting the interrupt handler
+	mark   sim.Time             // interrupt or resume start, for attribution
+}
+
+type kernelQState uint8
+
+const (
+	kqStart       kernelQState = iota // build the queues
+	kqNext                            // run the next ready thread, or idle
+	kqWaiting                         // in the descQueue's park-or-recover wait
+	kqInterrupted                     // the completion interrupt is handled
+	kqSwitched                        // the kernel switch back to th is paid
+	kqReturned                        // th's syscall has returned
+	kqRun                             // act on th's request
+	kqWorked                          // th's work block has retired
+	kqSubmit                          // the syscall entry is paid
+	kqSubmitting                      // in the descQueue's submission
+	kqRing                            // ringing the doorbell
+	kqDescheduled                     // the kernel switch away from th is paid
+)
+
+// resume runs the scheduler until it must wait or the core finishes.
+func (c *kernelQCore) resume() {
+	e := c.e
+	for {
+		switch c.state {
+		case kqStart:
+			c.q = newDescQueue(e, c.coreID, c.threads, c.resumeFn)
+			c.live = len(c.threads)
+			c.state = kqNext
+
+		case kqNext:
+			if c.live == 0 {
+				e.c.coreFinished(e.eng.Now())
+				c.q.stop()
+				c.done = true
+				return
+			}
+			c.th = c.q.ready.Pop()
+			if c.th == nil {
+				// The OS idles (or runs unrelated processes) until the
+				// device raises a completion interrupt.
+				gate := c.q.ep.CompletionGate()
+				compls := c.q.cq.Drain()
+				if len(compls) == 0 {
+					// Recovery backstop: the kernel arms a timer at the
+					// earliest descriptor deadline in case the
+					// completion interrupt never comes.
+					c.q.startWait(gate)
+					c.state = kqWaiting
+					continue
+				}
+				// Interrupt delivery + handler, then wake the syscall
+				// waiters; completions present in the queue coalesce
+				// into one interrupt.
+				c.compls, c.mark = compls, e.eng.Now()
+				c.state = kqInterrupted
+				if e.eng.Delay(e.cfg.InterruptCost, c.resumeFn) {
+					return
+				}
 				continue
 			}
-			// Interrupt delivery + handler, then wake the syscall
-			// waiters; completions present in the queue coalesce into
-			// one interrupt. Time until the interrupt fired is
-			// completion wait; the interrupt delivery + handler is
-			// switch overhead.
-			intStart := p.Now()
-			p.Sleep(e.cfg.InterruptCost)
-			q.deliver(p, compls, func(aw *attrib.Access) {
-				aw.To(attrib.PhaseComplWait, intStart)
-				aw.To(attrib.PhaseSwitch, p.Now())
-			})
-			continue
-		}
-
-		st := q.states[th]
-		var req uthread.Request
-		if st.started {
+			st := c.q.states[c.th]
+			if !st.started {
+				st.started = true
+				c.req = c.th.Start()
+				c.state = kqRun
+				continue
+			}
 			// The thread was de-scheduled inside its syscall; resuming
 			// always pays a kernel-mode context switch (even a sole
 			// thread was switched away from), then the syscall returns.
-			resumeStart := p.Now()
-			p.Sleep(e.cfg.KernelCtxSwitch)
-			e.switched(p.Now())
-			p.Sleep(e.cfg.SyscallCost)
+			c.mark = e.eng.Now()
+			c.state = kqSwitched
+			if e.eng.Delay(e.cfg.KernelCtxSwitch, c.resumeFn) {
+				return
+			}
+
+		case kqWaiting:
+			if c.q.run() {
+				return
+			}
+			c.state = kqNext
+
+		case kqInterrupted:
+			// Time until the interrupt fired is completion wait; the
+			// interrupt delivery + handler is switch overhead.
+			c.q.deliver(c.compls, c.mark)
+			c.compls = nil
+			c.state = kqNext
+
+		case kqSwitched:
+			e.switched(e.eng.Now())
+			c.state = kqReturned
+			if e.eng.Delay(e.cfg.SyscallCost, c.resumeFn) {
+				return
+			}
+
+		case kqReturned:
 			// Ready-queue time is completion wait; the kernel switch
-			// plus syscall return is switch overhead, closing the batch's
-			// ledgers at the moment the thread gets its data.
+			// plus syscall return is switch overhead, closing the
+			// batch's ledgers at the moment the thread gets its data.
+			st := c.q.states[c.th]
 			for _, aw := range st.atr {
-				aw.To(attrib.PhaseComplWait, resumeStart)
-				aw.Close(attrib.PhaseSwitch, p.Now())
+				aw.To(attrib.PhaseComplWait, c.mark)
+				aw.Close(attrib.PhaseSwitch, e.eng.Now())
 			}
 			st.atr = nil
-			req = th.Resume(st.payload)
+			c.req = c.th.Resume(st.payload)
 			st.payload = nil
-		} else {
-			st.started = true
-			req = th.Start()
-		}
+			c.state = kqRun
 
-		for req.Kind == uthread.KindWork {
-			p.Sleep(e.cfg.WorkTime(req.Instr))
-			e.c.workInstr += int64(req.Instr)
-			req = th.Resume(nil)
-		}
+		case kqRun:
+			switch c.req.Kind {
+			case uthread.KindWork:
+				c.state = kqWorked
+				if e.eng.Delay(e.cfg.WorkTime(c.req.Instr), c.resumeFn) {
+					return
+				}
+			case uthread.KindAccess:
+				// Syscall entry, kernel queueing, unconditional doorbell,
+				// then the kernel de-schedules the thread.
+				c.state = kqSubmit
+				if e.eng.Delay(e.cfg.SyscallCost, c.resumeFn) {
+					return
+				}
+			case uthread.KindDone:
+				c.live--
+				c.state = kqNext
+			default:
+				c.state = kqNext
+			}
 
-		switch req.Kind {
-		case uthread.KindAccess:
-			// Syscall entry, kernel queueing, unconditional doorbell,
-			// then the kernel de-schedules the thread.
-			p.Sleep(e.cfg.SyscallCost)
-			q.submit(p, th, req.Addrs)
-			q.doorbell(p)
-			p.Sleep(e.cfg.KernelCtxSwitch) // de-schedule
-		case uthread.KindDone:
-			live--
+		case kqWorked:
+			e.c.workInstr += int64(c.req.Instr)
+			c.req = c.th.Resume(nil)
+			c.state = kqRun
+
+		case kqSubmit:
+			c.q.startSubmit(c.th, c.req.Addrs)
+			c.state = kqSubmitting
+
+		case kqSubmitting:
+			if c.q.run() {
+				return
+			}
+			c.q.startDoorbell()
+			c.state = kqRing
+
+		case kqRing:
+			if c.q.run() {
+				return
+			}
+			c.state = kqDescheduled
+			if e.eng.Delay(e.cfg.KernelCtxSwitch, c.resumeFn) {
+				return
+			}
+
+		case kqDescheduled:
+			c.state = kqNext
 		}
 	}
-	e.c.coreFinished(p.Now())
 }
 
 // RunKernelQueue measures the kernel-managed software-queue interface —

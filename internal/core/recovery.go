@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/attrib"
 	"repro/internal/platform"
@@ -27,74 +27,111 @@ func minDeadline(waiting map[uint64]*descWait) sim.Time {
 	return min
 }
 
-// waitOrRecover parks the scheduler on the completion gate when it has
-// nothing runnable. Fault-free (or with nothing outstanding) it waits
+// startWait begins the wait a queue scheduler enters when it has
+// nothing runnable and the completion queue is empty. Fault-free (or
+// with nothing outstanding) it waits on the completion gate
 // indefinitely — a completion must eventually arrive. Under fault
 // injection it bounds the wait by the earliest descriptor deadline, so
 // a lost completion or a swallowed doorbell cannot hang the core: on
 // expiry it runs timeout recovery over every overdue descriptor.
 // Callers must obtain the gate before their final completion-queue
 // drain to avoid a lost wakeup.
-func (q *descQueue) waitOrRecover(p *sim.Proc, gate *sim.Gate) {
+func (q *descQueue) startWait(gate *sim.Gate) {
+	q.gate = gate
+	q.step = dqWait
+}
+
+// waitOrRecover parks on the completion gate, bounded under fault
+// injection by the earliest deadline, reporting whether it parked.
+func (q *descQueue) waitOrRecover() bool {
+	gate := q.gate
+	q.gate = nil
 	if q.e.faults == nil || len(q.waiting) == 0 {
-		p.Wait(gate)
+		q.step = dqIdle
+		return gate.Await(q.resumeFn)
+	}
+	var park bool
+	q.timeout, park = gate.AwaitTimeout(minDeadline(q.waiting)-q.e.eng.Now(), q.resumeFn)
+	q.step = dqWoke
+	return park
+}
+
+// woke ends the bounded wait: a completion ends the procedure, an
+// expired deadline starts recovery. Descriptor IDs are scanned in
+// sorted order to keep the run deterministic.
+func (q *descQueue) woke() {
+	fired := q.timeout.GateFired()
+	q.timeout = nil
+	if fired {
+		q.step = dqIdle
 		return
 	}
-	if !p.WaitTimeout(gate, minDeadline(q.waiting)-p.Now()) {
-		q.resubmitOverdue(p)
+	q.ids = q.ids[:0]
+	for id := range q.waiting {
+		q.ids = append(q.ids, id)
 	}
+	slices.Sort(q.ids)
+	q.i, q.resubmitted = 0, false
+	q.step = dqResubmit
 }
 
 // resubmitOverdue performs timeout recovery for every outstanding
-// descriptor whose deadline has passed: within the retry budget the
-// descriptor is re-pushed under a fresh ID with a backed-off deadline
-// (the rewrite cost is charged to the core); past it the access is
-// abandoned and its slot filled with a zero line so the thread still
-// completes. If anything was resubmitted the doorbell is rung
-// unconditionally — the fetcher may be parked on a doorbell that a
-// fault swallowed. Descriptor IDs are scanned in sorted order to keep
-// the run deterministic.
-func (q *descQueue) resubmitOverdue(p *sim.Proc) {
+// descriptor whose deadline has passed, from ids[i] on: within the
+// retry budget the descriptor is re-pushed under a fresh ID with a
+// backed-off deadline (the rewrite cost is charged to the core); past
+// it the access is abandoned and its slot filled with a zero line so
+// the thread still completes. If anything was resubmitted the doorbell
+// is rung unconditionally — the fetcher may be parked on a doorbell
+// that a fault swallowed. It reports whether it parked on a rewrite.
+func (q *descQueue) resubmitOverdue() bool {
 	e := q.e
-	ids := make([]uint64, 0, len(q.waiting))
-	for id := range q.waiting {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	resubmitted := false
-	for _, id := range ids {
+	for ; q.i < len(q.ids); q.i++ {
+		now := e.eng.Now()
+		id := q.ids[q.i]
 		w := q.waiting[id]
-		if w.deadline > p.Now() {
+		if w.deadline > now {
 			continue
 		}
 		delete(q.waiting, id)
-		e.timedOut(p.Now(), w.obs)
+		e.timedOut(now, w.obs)
 		// Waiting out the timeout is retry backoff; the gap between the
 		// deadline expiring and the host acting on it is timeout slop.
 		w.obs.Ledger.To(attrib.PhaseRetry, w.deadline)
-		w.obs.Ledger.To(attrib.PhaseSlop, p.Now())
+		w.obs.Ledger.To(attrib.PhaseSlop, now)
 		if w.attempts >= e.cfg.MaxRetries {
 			// Out of budget: abandon with a zero-filled line.
-			e.abandoned(p.Now(), w.obs)
-			e.rec.Finished(p.Now())
-			e.delivered(p.Now(), p.Now()-w.submitted)
-			w.obs.Span.End(p.Now())
-			w.obs.Ledger.Close(attrib.PhaseSlop, p.Now())
+			e.abandoned(now, w.obs)
+			e.rec.Finished(now)
+			e.delivered(now, now-w.submitted)
+			w.obs.Span.End(now)
+			w.obs.Ledger.Close(attrib.PhaseSlop, now)
 			q.fill(w.th, w.slot, make([]byte, platform.CacheLineBytes))
 			q.settled(w)
 			continue
 		}
-		e.retried(p.Now())
-		p.Sleep(e.cfg.SWQPerAccessOverhead)
-		w.attempts++
-		w.deadline = p.Now() + e.cfg.RetryTimeout(w.attempts)
-		w.obs.Mark(p.Now(), "retry", attrib.PhaseRetry)
-		newID := q.rq.Push(w.addr, w.target, p.Now(), w.obs)
-		q.waiting[newID] = w
-		resubmitted = true
+		e.retried(now)
+		q.w = w
+		q.step = dqResubmitted
+		return e.eng.Delay(e.cfg.SWQPerAccessOverhead, q.resumeFn)
 	}
-	if resubmitted {
-		q.doorbell(p)
+	q.step = dqIdle
+	if q.resubmitted {
+		q.step = dqRing
 	}
+	return false
+}
+
+// resubmit re-pushes the overdue descriptor whose rewrite cost was just
+// paid, then goes on with the scan.
+func (q *descQueue) resubmit() {
+	e, w, now := q.e, q.w, q.e.eng.Now()
+	q.w = nil
+	w.attempts++
+	w.deadline = now + e.cfg.RetryTimeout(w.attempts)
+	w.obs.Mark(now, "retry", attrib.PhaseRetry)
+	newID := q.rq.Push(w.addr, w.target, now, w.obs)
+	q.waiting[newID] = w
+	q.resubmitted = true
+	q.i++
+	q.step = dqResubmit
 }

@@ -24,23 +24,49 @@ type recoveryHarness struct {
 
 func newRecoveryHarness(cfg platform.Config) *recoveryHarness {
 	e := NewEnv(cfg, replay.ZeroBacking{})
-	h := &recoveryHarness{e: e, q: newDescQueue(e, 0, nil), c: &e.c}
+	h := &recoveryHarness{e: e, c: &e.c}
+	h.q = newDescQueue(e, 0, nil, nil)
 	h.th = uthread.New(0, func(*uthread.API) {})
 	h.q.states[h.th] = &swqThreadState{data: make([][]byte, 1), remaining: 1}
 	return h
 }
 
+// wait runs the queue's park-or-recover wait the way a scheduler does,
+// as an engine continuation starting at time zero: setup prepares the
+// queue and returns the completion gate to wait on, and then runs once
+// the wait (with any recovery it did) has ended. The run ends when the
+// engine drains.
+func (h *recoveryHarness) wait(setup func() *sim.Gate, then func()) {
+	started := false
+	h.q.resumeFn = func() {
+		if !started {
+			started = true
+			h.q.startWait(setup())
+		}
+		if h.q.run() {
+			return
+		}
+		if then != nil {
+			then()
+		}
+		h.q.ep.Stop()
+	}
+	h.e.eng.At(0, h.q.resumeFn)
+	h.e.eng.Run()
+}
+
 // submit pushes one descriptor, lets the device-side fetch consume it,
 // and registers it as outstanding with the given attempt count and a
 // deadline d from now.
-func (h *recoveryHarness) submit(p *sim.Proc, attempts int, d sim.Time) uint64 {
-	id := h.q.rq.Push(0x1000, 0x2000, p.Now(), observe.Access{})
+func (h *recoveryHarness) submit(attempts int, d sim.Time) uint64 {
+	now := h.e.eng.Now()
+	id := h.q.rq.Push(0x1000, 0x2000, now, observe.Access{})
 	h.q.rq.PopBurst(1) // descriptor is at the device; host queue is empty
 	h.q.waiting[id] = &descWait{
-		th: h.th, slot: 0, submitted: p.Now(),
+		th: h.th, slot: 0, submitted: now,
 		addr: 0x1000, target: 0x2000,
 		attempts: attempts,
-		deadline: p.Now() + d,
+		deadline: now + d,
 	}
 	return id
 }
@@ -60,15 +86,12 @@ func faultyRecoveryCfg() platform.Config {
 func TestWaitCompletionOrRecoverParksWhenFaultFree(t *testing.T) {
 	h := newRecoveryHarness(platform.Default())
 	var woke sim.Time
-	h.e.eng.Go("core", func(p *sim.Proc) {
-		h.submit(p, 0, 2*sim.Microsecond)
+	h.wait(func() *sim.Gate {
+		h.submit(0, 2*sim.Microsecond)
 		gate := h.q.ep.CompletionGate()
 		h.e.eng.After(7*sim.Microsecond, gate.Fire) // completion long past the deadline
-		h.q.waitOrRecover(p, gate)
-		woke = p.Now()
-		h.q.ep.Stop()
-	})
-	h.e.eng.Run()
+		return gate
+	}, func() { woke = h.e.eng.Now() })
 	if woke != 7*sim.Microsecond {
 		t.Errorf("fault-free wait woke at %v, want the gate fire at 7us", woke)
 	}
@@ -84,15 +107,12 @@ func TestWaitCompletionOrRecoverParksWhenFaultFree(t *testing.T) {
 func TestWaitCompletionOrRecoverReturnsOnCompletion(t *testing.T) {
 	h := newRecoveryHarness(faultyRecoveryCfg())
 	var woke sim.Time
-	h.e.eng.Go("core", func(p *sim.Proc) {
-		h.submit(p, 0, 5*sim.Microsecond)
+	h.wait(func() *sim.Gate {
+		h.submit(0, 5*sim.Microsecond)
 		gate := h.q.ep.CompletionGate()
 		h.e.eng.After(1*sim.Microsecond, gate.Fire)
-		h.q.waitOrRecover(p, gate)
-		woke = p.Now()
-		h.q.ep.Stop()
-	})
-	h.e.eng.Run()
+		return gate
+	}, func() { woke = h.e.eng.Now() })
 	if woke != 1*sim.Microsecond {
 		t.Errorf("woke at %v, want the completion at 1us", woke)
 	}
@@ -112,17 +132,15 @@ func TestWaitCompletionOrRecoverResubmitsOverdue(t *testing.T) {
 	var oldID, newID uint64
 	var neww descWait
 	var woke sim.Time
-	h.e.eng.Go("core", func(p *sim.Proc) {
-		oldID = h.submit(p, 0, 2*sim.Microsecond)
-		gate := h.q.ep.CompletionGate() // never fires: the completion was lost
-		h.q.waitOrRecover(p, gate)
-		woke = p.Now()
+	h.wait(func() *sim.Gate {
+		oldID = h.submit(0, 2*sim.Microsecond)
+		return h.q.ep.CompletionGate() // never fires: the completion was lost
+	}, func() {
+		woke = h.e.eng.Now()
 		for id, w := range h.q.waiting {
 			newID, neww = id, *w
 		}
-		h.q.ep.Stop()
 	})
-	h.e.eng.Run()
 
 	if woke < 2*sim.Microsecond {
 		t.Fatalf("recovery ran at %v, before the 2us deadline", woke)
@@ -160,13 +178,10 @@ func TestWaitCompletionOrRecoverResubmitsOverdue(t *testing.T) {
 // recorded, thread made runnable — rather than resubmitted.
 func TestWaitCompletionOrRecoverAbandonsPastBudget(t *testing.T) {
 	h := newRecoveryHarness(faultyRecoveryCfg())
-	h.e.eng.Go("core", func(p *sim.Proc) {
-		h.submit(p, h.e.cfg.MaxRetries, 2*sim.Microsecond)
-		gate := h.q.ep.CompletionGate()
-		h.q.waitOrRecover(p, gate)
-		h.q.ep.Stop()
-	})
-	h.e.eng.Run()
+	h.wait(func() *sim.Gate {
+		h.submit(h.e.cfg.MaxRetries, 2*sim.Microsecond)
+		return h.q.ep.CompletionGate()
+	}, nil)
 
 	if h.c.abandoned != 1 || h.c.retries != 0 {
 		t.Errorf("counters = (abandoned %d, retries %d), want (1, 0)", h.c.abandoned, h.c.retries)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/attrib"
 	"repro/internal/cpu"
@@ -154,8 +155,22 @@ func RunOnDemandDevice(cfg platform.Config, w Workload) (Result, error) {
 	return res, nil
 }
 
-// coreRunner is one mechanism's per-core executor.
-type coreRunner func(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread)
+// coreRunner builds one mechanism's scheduler for one core, driving
+// that core's user-level threads. It only builds the record: the
+// scheduler does all of its work, its setup included, in engine
+// events, the first of which launch schedules.
+type coreRunner func(e *Env, coreID int, threads []*uthread.Thread) *sched
+
+// sched is what launch needs of a per-core scheduler. Each scheduler
+// is an engine continuation — a state machine whose bound resumeFn
+// runs until the core must wait on simulated time, a gate or a token,
+// registers resumeFn as the waiter and returns — so a core costs no
+// coroutine of its own: a thread step switches only between the engine
+// and the thread.
+type sched struct {
+	resumeFn func()
+	done     bool // the scheduler ran every thread to completion
+}
 
 // RunPrefetch measures the prefetch + user-level-context-switch
 // mechanism with threadsPerCore threads on each of cfg.Cores cores.
@@ -336,35 +351,45 @@ func record(cfg platform.Config, w Workload, threadsPerCore int, run coreRunner)
 	return out, nil
 }
 
-// launch starts one executor process per core, each driving its own set
-// of user-level threads, and runs the simulation to completion,
-// accumulating the run's totals in e.c. The watchdog in RunChecked
-// turns a core that deadlocks (e.g. waiting forever on a completion
-// that a fault swallowed and recovery failed to replace) into an error
-// naming the stuck process instead of a silently truncated measurement.
-// Whether the run ends cleanly, stuck, or in a panic from a workload
-// body, launch leaves no process or thread parked: RunChecked aborts
-// stuck processes, and the deferred teardown aborts any process a panic
-// left parked and stops every unfinished thread.
+// launch starts one scheduler per core, each driving its own set of
+// user-level threads, and runs the simulation to completion,
+// accumulating the run's totals in e.c. A scheduler starts in a
+// now-queue event of its own, as a process would. The watchdog after
+// the run turns a core that deadlocks (e.g. waiting forever on a
+// completion that a fault swallowed and recovery failed to replace)
+// into an error naming the stuck core instead of a silently truncated
+// measurement. Whether the run ends cleanly, stuck, or in a panic from
+// a workload body, launch leaves no thread parked: the deferred
+// teardown stops every unfinished thread, and a stuck scheduler holds
+// no coroutine — only its waiter entries, which the engine drops.
 func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) error {
 	all := make([]*uthread.Thread, e.cfg.Cores*threadsPerCore)
-	for coreID := 0; coreID < e.cfg.Cores; coreID++ {
+	scheds := make([]*sched, e.cfg.Cores)
+	for coreID := range scheds {
 		end := (coreID + 1) * threadsPerCore
 		threads := all[end-threadsPerCore : end : end]
 		for t := range threads {
 			threads[t] = uthread.New(t, w.Body(coreID, t, threadsPerCore))
 		}
-		coreID, threads := coreID, threads
-		e.eng.Go(fmt.Sprintf("core%d", coreID), func(p *sim.Proc) {
-			run(p, e, coreID, threads)
-		})
+		scheds[coreID] = run(e, coreID, threads)
+		e.eng.At(e.eng.Now(), scheds[coreID].resumeFn)
 	}
 	defer func() {
-		e.eng.Abort()
 		for _, th := range all {
 			th.Stop()
 		}
 	}()
-	_, err := e.eng.RunChecked()
-	return err
+	if _, err := e.eng.RunChecked(); err != nil {
+		return err
+	}
+	var stuck []string
+	for coreID, s := range scheds {
+		if !s.done {
+			stuck = append(stuck, fmt.Sprintf("core%d", coreID))
+		}
+	}
+	if len(stuck) > 0 {
+		return fmt.Errorf("core: quiescent with %d core(s) still blocked: %s", len(stuck), strings.Join(stuck, ", "))
+	}
+	return nil
 }

@@ -19,7 +19,7 @@
 package cpu
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/platform"
@@ -214,7 +214,7 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 		// Recycle the k slots used: each frees at its own completion.
 		copy(slots, slots[k:])
 		copy(slots[maxOutstanding-k:], loadDone)
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+		slices.Sort(slots)
 
 		records = append(records, iterRecord{
 			base: base, reads: k, workInstr: it.WorkInstr,

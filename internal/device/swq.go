@@ -39,7 +39,13 @@ type SWQEndpoint struct {
 
 	stopped bool // fetcher shutdown requested (end of run)
 
+	// The request fetcher's continuation state (see resume).
+	state fetchState
+	burst []hostmem.Descriptor // the burst the fetcher is reading
+	final bool                 // the burst is the re-check after the flag write
+
 	// Callbacks bound once at construction.
+	resumeFn          func() // the fetcher's continuation
 	stepDoneFn        func() // step.Fire
 	doorbellArrivedFn func()
 	flagArrivedFn     func()
@@ -59,10 +65,11 @@ func (d *Device) NewSWQEndpoint(coreID int, rq *hostmem.RequestQueue, cq *hostme
 		data:   map[uint64][]byte{},
 	}
 	e.doorbell.Init(d.eng)
+	e.resumeFn = e.resume
 	e.stepDoneFn = e.step.Fire
 	e.doorbellArrivedFn = e.doorbellArrived
 	e.flagArrivedFn = e.flagArrived
-	d.eng.Go("fetcher", e.runFetcher)
+	d.eng.At(d.eng.Now(), e.resumeFn)
 	return e
 }
 
@@ -120,8 +127,8 @@ func (e *SWQEndpoint) EmptyBursts() uint64 { return e.emptyBursts }
 func (e *SWQEndpoint) DoorbellHits() uint64 { return e.doorbellHits }
 
 // Stop shuts the request fetcher down after it drains its current work;
-// the harness calls it at the end of a measured run so the fetcher's
-// simulated process exits.
+// the harness calls it at the end of a measured run so the fetcher
+// stops parking on the doorbell.
 func (e *SWQEndpoint) Stop() {
 	e.stopped = true
 	if !e.doorbell.Fired() {
@@ -129,72 +136,102 @@ func (e *SWQEndpoint) Stop() {
 	}
 }
 
-// runFetcher is the request fetcher state machine. Parked until a
-// doorbell arrives, it then burst-reads descriptors from host memory and
-// keeps reading "so long as at least one new descriptor is retrieved
-// during the last burst" (§IV-A). When a burst comes back empty it sets
-// the in-memory doorbell-request flag, performs one final burst read to
-// close the race with a host that submitted after the empty burst but
-// before the flag landed, and parks again.
-func (e *SWQEndpoint) runFetcher(p *sim.Proc) {
+// fetchState is a state of the request fetcher.
+type fetchState uint8
+
+const (
+	fetchParked    fetchState = iota // wait for a doorbell
+	fetchBurst                       // issue a burst read's request TLP
+	fetchRequested                   // the request reached the host: read its memory
+	fetchRead                        // the descriptors are read: send them down
+	fetchLanded                      // the burst reached the device
+	fetchFlagged                     // the doorbell-request flag is written
+)
+
+// resume runs the request fetcher, an engine continuation, until it
+// must wait or is stopped. Parked until a doorbell arrives, it then
+// burst-reads descriptors from host memory and keeps reading "so long
+// as at least one new descriptor is retrieved during the last burst"
+// (§IV-A). When a burst comes back empty it sets the in-memory
+// doorbell-request flag, performs one final burst read to close the
+// race with a host that submitted after the empty burst but before the
+// flag landed, and parks again. Each DMA step re-arms the step gate
+// and waits on it.
+func (e *SWQEndpoint) resume() {
+	eng := e.dev.eng
 	for {
-		p.Wait(&e.doorbell)
-		if e.stopped {
-			return
-		}
-		e.doorbell.Init(e.dev.eng) // re-arm for the next park
+		switch e.state {
+		case fetchParked:
+			if e.doorbell.Await(e.resumeFn) {
+				return
+			}
+			if e.stopped {
+				return
+			}
+			e.doorbell.Init(eng) // re-arm for the next park
+			e.final = false
+			e.state = fetchBurst
 
-		for {
-			burst := e.fetchBurst(p)
-			if len(burst) > 0 {
+		case fetchBurst:
+			// One DMA burst read of up to FetchBurst descriptors: an
+			// upstream read-request TLP, the host memory access, and
+			// the downstream completion TLP carrying the descriptors.
+			e.fetchBursts++
+			e.step.Init(eng)
+			e.dev.link.SendUp(0, 0, e.stepDoneFn)
+			e.state = fetchRequested
+			if e.step.Await(e.resumeFn) {
+				return
+			}
+
+		case fetchRequested:
+			e.step.Init(eng)
+			e.dev.hostDRAM.Read(&e.step)
+			e.state = fetchRead
+			if e.step.Await(e.resumeFn) {
+				return
+			}
+
+		case fetchRead:
+			e.burst = e.rq.PopBurst(e.dev.cfg.FetchBurst)
+			if len(e.burst) == 0 {
+				e.emptyBursts++
+			}
+			payload := len(e.burst) * e.dev.cfg.DescriptorBytes
+			e.step.Init(eng)
+			e.dev.link.SendDown(payload, 0, e.stepDoneFn)
+			e.state = fetchLanded
+			if e.step.Await(e.resumeFn) {
+				return
+			}
+
+		case fetchLanded:
+			burst := e.burst
+			e.burst = nil
+			switch {
+			case len(burst) > 0:
 				e.process(burst)
-				continue
+				e.final = false
+				e.state = fetchBurst
+			case e.final:
+				e.state = fetchParked
+			default:
+				// Empty burst: publish the doorbell-request flag via a
+				// small DMA write, then re-check once.
+				e.step.Init(eng)
+				e.dev.link.SendUp(8, 0, e.flagArrivedFn)
+				e.state = fetchFlagged
+				if e.step.Await(e.resumeFn) {
+					return
+				}
 			}
-			// Empty burst: publish the doorbell-request flag via a DMA
-			// write, then re-check once.
-			e.writeDoorbellFlag(p)
-			final := e.fetchBurst(p)
-			if len(final) > 0 {
-				e.process(final)
-				continue
-			}
-			break
+
+		case fetchFlagged:
+			e.rq.SetDoorbellRequested()
+			e.final = true
+			e.state = fetchBurst
 		}
 	}
-}
-
-// fetchBurst performs one DMA burst read of up to FetchBurst descriptors
-// from the host request queue: an upstream read-request TLP, the host
-// memory access, and the downstream completion TLP carrying the
-// descriptors.
-func (e *SWQEndpoint) fetchBurst(p *sim.Proc) []hostmem.Descriptor {
-	e.fetchBursts++
-	e.step.Init(e.dev.eng)
-	e.dev.link.SendUp(0, 0, e.stepDoneFn)
-	p.Wait(&e.step)
-
-	e.step.Init(e.dev.eng)
-	e.dev.hostDRAM.Read(&e.step)
-	p.Wait(&e.step)
-	burst := e.rq.PopBurst(e.dev.cfg.FetchBurst)
-	if len(burst) == 0 {
-		e.emptyBursts++
-	}
-
-	payload := len(burst) * e.dev.cfg.DescriptorBytes
-	e.step.Init(e.dev.eng)
-	e.dev.link.SendDown(payload, 0, e.stepDoneFn)
-	p.Wait(&e.step)
-	return burst
-}
-
-// writeDoorbellFlag performs the small DMA write that sets the
-// doorbell-request flag in host memory.
-func (e *SWQEndpoint) writeDoorbellFlag(p *sim.Proc) {
-	e.step.Init(e.dev.eng)
-	e.dev.link.SendUp(8, 0, e.flagArrivedFn)
-	p.Wait(&e.step)
-	e.rq.SetDoorbellRequested()
 }
 
 // flagArrived writes the doorbell-request flag into host memory once

@@ -144,6 +144,21 @@ func (e *Engine) At(t Time, fn func()) {
 // After schedules fn to run d from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
+// Delay is the continuation form of sleeping for d. It schedules fn d
+// from now and reports true: the caller must park until fn runs. A zero
+// d schedules nothing and reports false, so the caller continues
+// inline and a zero-length step costs no event. A negative d panics.
+func (e *Engine) Delay(d Time, fn func()) bool {
+	if d <= 0 {
+		if d < 0 {
+			panic(fmt.Sprintf("sim: delay of negative duration %v", d))
+		}
+		return false
+	}
+	e.At(e.now+d, fn)
+	return true
+}
+
 // pushNow appends to the now-queue, compacting consumed head slots
 // before the backing array would otherwise grow.
 func (e *Engine) pushNow(fn func()) {

@@ -58,42 +58,41 @@ func TestStartedCompactionKeepsNamesStable(t *testing.T) {
 
 // TestWaitTimeoutArmDropsReferences pins the leak fix: whichever arm of
 // a WaitTimeout loses the race, the winning arm clears the shared
-// Proc reference — so a stale timer event sitting in the heap (or a
+// resume reference — so a stale timer event sitting in the heap (or a
 // stale waiter on an unfired gate) retains a two-word struct, not the
-// process and the workload reachable from it — and the loser never
-// resumes the process a second time.
+// waiter and the workload reachable from it — and the loser never
+// resumes the waiter a second time.
 func TestWaitTimeoutArmDropsReferences(t *testing.T) {
 	resumed := 0
-	p := &Proc{}
-	p.resumeFn = func() { resumed++ }
+	resume := func() { resumed++ }
 
 	// Gate wins; the stale timer fires later.
-	a := &wtArm{p: p}
+	a := &Timeout{fn: resume}
 	a.gateWin()
-	if a.p != nil {
-		t.Error("gate win kept the Proc reference alive")
+	if a.fn != nil {
+		t.Error("gate win kept the resume reference alive")
 	}
-	if !a.fired {
+	if !a.GateFired() {
 		t.Error("gate win did not record the gate as fired")
 	}
 	a.timerWin() // stale
 	if resumed != 1 {
-		t.Fatalf("process resumed %d times, want exactly once", resumed)
+		t.Fatalf("waiter resumed %d times, want exactly once", resumed)
 	}
 
 	// Timer wins; the gate fires later.
 	resumed = 0
-	a = &wtArm{p: p}
+	a = &Timeout{fn: resume}
 	a.timerWin()
-	if a.p != nil {
-		t.Error("timer win kept the Proc reference alive")
+	if a.fn != nil {
+		t.Error("timer win kept the resume reference alive")
 	}
-	if a.fired {
+	if a.GateFired() {
 		t.Error("timer win claimed the gate fired")
 	}
 	a.gateWin() // stale
 	if resumed != 1 {
-		t.Fatalf("process resumed %d times, want exactly once", resumed)
+		t.Fatalf("waiter resumed %d times, want exactly once", resumed)
 	}
 }
 

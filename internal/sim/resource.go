@@ -98,13 +98,24 @@ func (t *TokenPool) grant() {
 // OnAcquire requests a token and runs fn (as an engine event) once it is
 // granted; if a token is free now, fn is scheduled at the current time.
 func (t *TokenPool) OnAcquire(fn func()) {
-	if t.inUse < t.capacity && len(t.waiters) == 0 {
-		t.grant()
-		t.eng.At(t.eng.now, fn)
-		return
+	if !t.Acquire(fn) {
+		t.eng.pushNow(fn)
+	}
+}
+
+// Acquire is the continuation form of taking a token. If one is free
+// and no earlier waiter is queued, it is granted at once and Acquire
+// reports false: the caller continues inline, holding it, and nothing
+// is scheduled. Otherwise fn joins the FIFO and Acquire reports true:
+// the caller must park until Release grants the token and runs fn as
+// an engine event.
+func (t *TokenPool) Acquire(fn func()) bool {
+	if t.TryAcquire() {
+		return false
 	}
 	t.stalls++
 	t.waiters = append(t.waiters, fn)
+	return true
 }
 
 // Release returns a token to the pool, granting it to the oldest waiter
@@ -128,14 +139,9 @@ func (t *TokenPool) Release() {
 
 // AcquireToken blocks the process until a token is granted.
 func (p *Proc) AcquireToken(t *TokenPool) {
-	if t.TryAcquire() {
-		return
+	if t.Acquire(p.resumeFn) {
+		p.block()
 	}
-	// grant() is performed by Release before it schedules our resume, so
-	// the waiter slot carries the token with it.
-	t.stalls++
-	t.waiters = append(t.waiters, p.resumeFn)
-	p.block()
 }
 
 // Server models a work-conserving FIFO service center with deterministic
