@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/platform"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -197,6 +199,80 @@ func TestGoldenResults(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("no recorded digest for %d case(s):\n%s", len(missing), strings.Join(missing, "\n"))
+	}
+}
+
+// recordingDigests pins the KUREC1 file bytes RecordAccessTrace
+// produces for each workload whose lines the device serves from a
+// backing: the microbenchmark's zero lines and the applications' views
+// of their datasets. The recording stores whatever line the backing
+// returned, so a backing that started returning nil, a short line or
+// a different zero line would change the file.
+var recordingDigests = map[string]string{
+	"ubench/prefetch":    "b1e7b5f0f043139b",
+	"ubench/swqueue":     "b1e7b5f0f043139b",
+	"ubench/kernelq":     "b1e7b5f0f043139b",
+	"bloom/prefetch":     "67c79eab60567d65",
+	"bloom/swqueue":      "67c79eab60567d65",
+	"bloom/kernelq":      "67c79eab60567d65",
+	"memcached/prefetch": "d0d9dffac1e20e14",
+	"memcached/swqueue":  "d0d9dffac1e20e14",
+	"memcached/kernelq":  "d0d9dffac1e20e14",
+	"bfs/prefetch":       "81dc6b5981e5d893",
+	"bfs/swqueue":        "81dc6b5981e5d893",
+	"bfs/kernelq":        "81dc6b5981e5d893",
+}
+
+// TestGoldenRecordings compares each workload's recorded file bytes,
+// all cores in order, with the recorded digest, and checks that a
+// recording read back from its file writes the same bytes again. With
+// four threads a core issues the same sequence under every mechanism.
+func TestGoldenRecordings(t *testing.T) {
+	workloads := []struct {
+		name string
+		w    Workload
+	}{
+		{"ubench", workload.NewMicrobench(200, workload.DefaultWorkCount, 1)},
+		{"bloom", workload.NewBloom(1<<16, 4, 300, 200, workload.DefaultWorkCount)},
+		{"memcached", workload.NewMemcached(128, 4, 200, workload.DefaultWorkCount)},
+		{"bfs", workload.NewBFS(workload.NewKronecker(8, 8, 3), []int{1, 2, 3, 4}, 30, workload.DefaultWorkCount)},
+	}
+	var missing []string
+	for _, wl := range workloads {
+		for _, mech := range []string{"prefetch", "swqueue", "kernelq"} {
+			name := wl.name + "/" + mech
+			recs, err := RecordAccessTrace(platform.Default().WithCores(2), wl.w, 4, mech)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			h := sha256.New()
+			for coreID := 0; coreID < 2; coreID++ {
+				var file, again bytes.Buffer
+				if _, err := recs[coreID].WriteTo(&file); err != nil {
+					t.Fatalf("%s: core %d: %v", name, coreID, err)
+				}
+				h.Write(file.Bytes())
+				back, err := replay.ReadRecording(bytes.NewReader(file.Bytes()))
+				if err == nil {
+					_, err = back.WriteTo(&again)
+				}
+				if err != nil || !bytes.Equal(again.Bytes(), file.Bytes()) {
+					t.Errorf("%s: core %d: the file read back does not write the same bytes (%v)", name, coreID, err)
+				}
+			}
+			got := fmt.Sprintf("%x", h.Sum(nil))[:16]
+			want, ok := recordingDigests[name]
+			if !ok {
+				missing = append(missing, fmt.Sprintf("\t%q: %q,", name, got))
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: digest %s, recorded %s", name, got, want)
 			}
 		}
 	}
