@@ -6,7 +6,7 @@ import (
 	"repro/internal/attrib"
 	"repro/internal/cache"
 	"repro/internal/observe"
-	"repro/internal/platform"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/uthread"
@@ -363,7 +363,9 @@ func (l *lineRead) read() {
 // land is the line's one completion path. Under fault injection a
 // duplicated or straggling response can race a retry's response or an
 // abandon; the gate is the deliver-once guard. An abandoned line lands
-// as nil: the thread gets a zero-filled line that is never cached.
+// as nil: the thread gets the shared zero line, which is never cached.
+// A line is delivered as the device served it (a read-only view) and
+// never written.
 func (l *lineRead) land(data []byte) {
 	if l.g.Fired() {
 		return
@@ -371,7 +373,7 @@ func (l *lineRead) land(data []byte) {
 	e := l.e
 	l.obs.Ledger.To(attrib.PhaseTransit, e.eng.Now())
 	if data == nil {
-		data = make([]byte, platform.CacheLineBytes)
+		data = replay.ZeroLine()
 	} else if l.cache != nil {
 		l.cache.Insert(l.addr, data)
 	}

@@ -4,7 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/attrib"
-	"repro/internal/platform"
+	"repro/internal/replay"
 	"repro/internal/sim"
 )
 
@@ -105,7 +105,7 @@ func (q *descQueue) resubmitOverdue() bool {
 			e.delivered(now, now-w.submitted)
 			w.obs.Span.End(now)
 			w.obs.Ledger.Close(attrib.PhaseSlop, now)
-			q.fill(w.th, w.slot, make([]byte, platform.CacheLineBytes))
+			q.fill(w.th, w.slot, replay.ZeroLine())
 			q.settled(w)
 			continue
 		}

@@ -219,7 +219,9 @@ const (
 	// the fault plan; without faults the two see the same access
 	// sequence event for event, and a recorder answers at the same
 	// timing with the same line as a matching replay module. So the
-	// measured run needs no recording run in front of it.
+	// measured run needs no recording run in front of it, and the
+	// device keeps only the count of captured lines (EnableCounting),
+	// which is all the on-board capacity check reads.
 	replayInline
 	// replayTwoPass is the paper's two runs (§IV-A): a clean recording
 	// run, then the measured run served through the replay modules,
@@ -243,7 +245,7 @@ func runReplay(cfg platform.Config, w Workload, mech string, threadsPerCore int,
 	switch mode {
 	case replayInline:
 		for coreID := 0; coreID < cfg.Cores; coreID++ {
-			e.dev.EnableRecording(coreID)
+			e.dev.EnableCounting(coreID)
 		}
 	case replayTwoPass:
 		recs, err := record(cfg, w, threadsPerCore, run)

@@ -123,6 +123,8 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 	// slots[i] is the time the i-th oldest outstanding-access slot
 	// frees; with a single latency class, slots free in FIFO order.
 	slots := make([]sim.Time, maxOutstanding)
+	// loadDone[:k] holds the current batch's load completion times.
+	loadDone := make([]sim.Time, maxOutstanding)
 
 	records := make([]iterRecord, 0, len(trace))
 	ptr := 0 // monotone pointer into records for retirement queries
@@ -184,7 +186,6 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 		// gap; the dependent work waits for the last of them. Under
 		// fault injection each load's latency is its own recovery-
 		// inclusive draw instead of the uniform value.
-		loadDone := make([]sim.Time, k)
 		for i := 0; i < k; i++ {
 			lat := latency
 			out := fault.AccessOutcome{Latency: lat}
@@ -204,7 +205,7 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 			}
 		}
 		complete := loadDone[0]
-		for _, t := range loadDone[1:] {
+		for _, t := range loadDone[1:k] {
 			complete = maxTime(complete, t)
 		}
 
@@ -213,7 +214,7 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 
 		// Recycle the k slots used: each frees at its own completion.
 		copy(slots, slots[k:])
-		copy(slots[maxOutstanding-k:], loadDone)
+		copy(slots[maxOutstanding-k:], loadDone[:k])
 		slices.Sort(slots)
 
 		records = append(records, iterRecord{

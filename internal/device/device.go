@@ -90,7 +90,7 @@ func New(eng *sim.Engine, cfg platform.Config, link *pcie.Link, hostDRAM *mem.DR
 // across cores "after applying an address offset"). It reports an error
 // if on-board DRAM capacity would be exceeded.
 func (d *Device) LoadRecording(coreID int, rec *replay.Recording, offset uint64) error {
-	if err := d.reserve(coreID, rec); err != nil {
+	if err := d.reserve(coreID, rec.Bytes()); err != nil {
 		return err
 	}
 	d.modules[coreID] = replay.NewModule(rec, d.cfg.ReplayWindow, offset)
@@ -100,17 +100,22 @@ func (d *Device) LoadRecording(coreID int, rec *replay.Recording, offset uint64)
 // KeepRecording stops recording for coreID and charges the captured
 // sequence against on-board DRAM capacity exactly as LoadRecording
 // would, without building a replay module: for a run that recorded its
-// own sequence there is nothing left to replay it to.
+// own sequence there is nothing left to replay it to. Only the
+// sequence's size is needed, so it works after EnableCounting as well
+// as after EnableRecording.
 func (d *Device) KeepRecording(coreID int) error {
-	return d.reserve(coreID, d.TakeRecording(coreID))
+	r := d.recorders[coreID]
+	delete(d.recorders, coreID)
+	return d.reserve(coreID, r.Bytes())
 }
 
-// reserve charges rec against on-board DRAM capacity.
-func (d *Device) reserve(coreID int, rec *replay.Recording) error {
-	if d.loadedBytes+rec.Bytes() > OnBoardDRAMBytes {
-		return fmt.Errorf("device: recording for core %d (%d bytes) exceeds on-board DRAM capacity", coreID, rec.Bytes())
+// reserve charges a recording of the given size against on-board DRAM
+// capacity.
+func (d *Device) reserve(coreID int, bytes int64) error {
+	if d.loadedBytes+bytes > OnBoardDRAMBytes {
+		return fmt.Errorf("device: recording for core %d (%d bytes) exceeds on-board DRAM capacity", coreID, bytes)
 	}
-	d.loadedBytes += rec.Bytes()
+	d.loadedBytes += bytes
 	return nil
 }
 
@@ -145,6 +150,13 @@ func (d *Device) OnDemandServed() uint64 { return d.onDemandServed }
 // experiment (§IV-A), or, without faults, the measured run itself.
 func (d *Device) EnableRecording(coreID int) {
 	d.recorders[coreID] = replay.NewRecorder(d.backing, &replay.Recording{})
+}
+
+// EnableCounting is EnableRecording for a run that records its own
+// access sequence: requests are served the same way, but only the
+// number of captured lines is kept, which is all KeepRecording needs.
+func (d *Device) EnableCounting(coreID int) {
+	d.recorders[coreID] = replay.NewRecorder(d.backing, nil)
 }
 
 // TakeRecording stops recording for coreID and returns the captured

@@ -162,6 +162,49 @@ func TestSyntheticRecording(t *testing.T) {
 	}
 }
 
+// TestZeroLinesAllocateNothing: ZeroBacking and a match on a nil-data
+// entry both hand out the one shared zero line.
+func TestZeroLinesAllocateNothing(t *testing.T) {
+	var b Backing = ZeroBacking{}
+	if n := testing.AllocsPerRun(100, func() { b.ReadLine(0x40) }); n != 0 {
+		t.Errorf("ZeroBacking.ReadLine allocates %v objects", n)
+	}
+	m := NewModule(Synthetic(0, 200), 8, 0)
+	next := uint64(0)
+	n := testing.AllocsPerRun(100, func() {
+		if line, ok := m.Lookup(next * LineSize); !ok || &line[0] != &ZeroLine()[0] {
+			t.Fatalf("lookup %d: ok=%v, line is not the shared zero line", next, ok)
+		}
+		next++
+	})
+	if n != 0 {
+		t.Errorf("Lookup of a nil-data entry allocates %v objects", n)
+	}
+	for _, c := range ZeroLine() {
+		if c != 0 {
+			t.Fatal("the shared zero line is not zero")
+		}
+	}
+}
+
+// TestCountingRecorder: without a Recording the recorder serves the
+// same lines and reports the same size, storing nothing.
+func TestCountingRecorder(t *testing.T) {
+	backing := &SliceBacking{Base: 0, Data: bytes.Repeat([]byte{7}, 256)}
+	stored, counted := NewRecorder(backing, &Recording{}), NewRecorder(backing, nil)
+	for _, addr := range []uint64{0x40, 0, 0x40, 0x1000} {
+		if a, b := stored.ReadLine(addr), counted.ReadLine(addr); !bytes.Equal(a, b) {
+			t.Errorf("%#x: lines differ", addr)
+		}
+	}
+	if counted.Recording() != nil {
+		t.Error("counting recorder has a recording")
+	}
+	if got, want := counted.Bytes(), stored.Recording().Bytes(); got != want || got != stored.Bytes() {
+		t.Errorf("counted %d bytes, stored recording %d (recorder %d)", got, want, stored.Bytes())
+	}
+}
+
 func TestZeroWindowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

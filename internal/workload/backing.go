@@ -19,12 +19,18 @@ type mirrorBacking struct {
 var _ replay.Backing = mirrorBacking{}
 
 // ReadLine returns the 64-byte line at addr's offset within its core
-// region; out-of-range reads return zero lines.
+// region as a read-only view of the dataset. Only a partial tail line
+// is copied (zero-padded); out-of-range reads return the shared zero
+// line.
 func (m mirrorBacking) ReadLine(addr uint64) []byte {
-	out := make([]byte, LineSize)
 	off := (addr & (1<<coreRegionBits - 1)) &^ (LineSize - 1)
-	if off < uint64(len(m.data)) {
+	switch n := uint64(len(m.data)); {
+	case off+LineSize <= n:
+		return m.data[off : off+LineSize : off+LineSize]
+	case off < n:
+		out := make([]byte, LineSize)
 		copy(out, m.data[off:])
+		return out
 	}
-	return out
+	return replay.ZeroLine()
 }

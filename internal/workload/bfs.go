@@ -95,35 +95,36 @@ type BFS struct {
 func NewBFS(g *Graph, sources []int, maxVisits, workInstr int) *BFS {
 	b := &BFS{G: g, Sources: sources, MaxVisits: maxVisits, WorkInstr: workInstr, adj: g.adjBytes()}
 	// Functional pass: direct reads, recording the batch shapes.
-	read := func(addrs []uint64) [][]byte {
-		lines := make([][]byte, len(addrs))
-		backing := mirrorBacking{data: b.adj}
+	var s bfsScratch
+	read := b.directRead()
+	onBatch := func(batchLines int) {
+		b.trace = append(b.trace, cpu.IterSpec{Reads: batchLines, WorkInstr: workInstr})
+	}
+	for _, src := range sources {
+		b.expectedVisits += b.traverse(&s, src, 0, read, onBatch, nil)
+	}
+	return b
+}
+
+// directRead returns a read function for functional traversals: it
+// reads the adjacency lines straight from the dataset into one reused
+// batch slice.
+func (b *BFS) directRead() func([]uint64) [][]byte {
+	backing := mirrorBacking{data: b.adj}
+	var lines [2][]byte
+	return func(addrs []uint64) [][]byte {
 		for i, a := range addrs {
 			lines[i] = backing.ReadLine(a)
 		}
-		return lines
+		return lines[:len(addrs)]
 	}
-	for _, src := range sources {
-		b.expectedVisits += b.traverse(src, 0, read, func(batchLines int) {
-			b.trace = append(b.trace, cpu.IterSpec{Reads: batchLines, WorkInstr: workInstr})
-		}, nil)
-	}
-	return b
 }
 
 // TreeFor runs a functional traversal from src and returns its parent
 // tree — the reference for validating device-run trees.
 func (b *BFS) TreeFor(src int) *Tree {
-	backing := mirrorBacking{data: b.adj}
-	read := func(addrs []uint64) [][]byte {
-		lines := make([][]byte, len(addrs))
-		for i, a := range addrs {
-			lines[i] = backing.ReadLine(a)
-		}
-		return lines
-	}
 	tree := newTree(src)
-	b.traverse(src, 0, read, func(int) {}, tree)
+	b.traverse(&bfsScratch{}, src, 0, b.directRead(), func(int) {}, tree)
 	return tree
 }
 
@@ -133,22 +134,33 @@ func (b *BFS) Name() string { return fmt.Sprintf("bfs-s%d", len(b.Sources)) }
 // Backing exposes the adjacency array in every core region.
 func (b *BFS) Backing() replay.Backing { return mirrorBacking{data: b.adj} }
 
+// bfsScratch is a traversal's working memory, reused across the
+// traversals of one thread (or of one functional pass): the visited
+// marks, the frontier queue, and the addresses of the batch in flight.
+type bfsScratch struct {
+	visited []bool
+	queue   []int
+	addrs   [2]uint64
+}
+
 // traverse runs one truncated BFS from src, reading adjacency lines
 // through read (device or direct) in batches of at most two lines, and
 // invoking onBatch for every batch issued. It returns the number of
 // vertices expanded. coreBase offsets device addresses into the calling
-// core's region.
-func (b *BFS) traverse(src int, coreBase uint64, read func([]uint64) [][]byte, onBatch func(batchLines int), tree *Tree) int {
+// core's region. s is the caller's scratch; traverse leaves its visited
+// marks all clear again.
+func (b *BFS) traverse(s *bfsScratch, src int, coreBase uint64, read func([]uint64) [][]byte, onBatch func(batchLines int), tree *Tree) int {
 	g := b.G
-	visited := make([]bool, g.V)
-	queue := make([]int, 0, b.MaxVisits)
+	if s.visited == nil {
+		s.visited = make([]bool, g.V)
+	}
+	visited := s.visited
 	visited[src] = true
-	queue = append(queue, src)
+	queue := append(s.queue[:0], src)
 	expanded := 0
 
-	for len(queue) > 0 && expanded < b.MaxVisits {
-		u := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue) && expanded < b.MaxVisits; head++ {
+		u := queue[head]
 		expanded++
 
 		startB := 4 * int(g.RowStart[u]) // adjacency byte range of u
@@ -164,7 +176,7 @@ func (b *BFS) traverse(src int, coreBase uint64, read func([]uint64) [][]byte, o
 			if line+1 > lastLine {
 				batch = 1
 			}
-			addrs := make([]uint64, batch)
+			addrs := s.addrs[:batch]
 			for i := range addrs {
 				addrs[i] = coreBase + uint64(line+i)*LineSize
 			}
@@ -198,6 +210,12 @@ func (b *BFS) traverse(src int, coreBase uint64, read func([]uint64) [][]byte, o
 			}
 		}
 	}
+	// Every vertex marked visited was queued, so clearing the queued
+	// vertices' marks readies the scratch for the next traversal.
+	for _, v := range queue {
+		visited[v] = false
+	}
+	s.queue = queue
 	return expanded
 }
 
@@ -206,14 +224,14 @@ func (b *BFS) traverse(src int, coreBase uint64, read func([]uint64) [][]byte, o
 func (b *BFS) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
 	base := coreRegion(coreID)
 	return func(a *uthread.API) {
+		var s bfsScratch
+		work := func(int) { a.Work(b.WorkInstr) }
 		for j := threadID; j < len(b.Sources); j += threadsPerCore {
 			var tree *Tree
 			if b.RecordTrees {
 				tree = newTree(b.Sources[j])
 			}
-			b.Visited += b.traverse(b.Sources[j], base,
-				a.AccessBatch,
-				func(int) { a.Work(b.WorkInstr) }, tree)
+			b.Visited += b.traverse(&s, b.Sources[j], base, a.AccessBatch, work, tree)
 			if tree != nil {
 				b.Trees = append(b.Trees, tree)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/replay"
 	"repro/internal/uthread"
 )
 
@@ -131,7 +132,66 @@ func TestMirrorBackingPerCoreRegions(t *testing.T) {
 	}
 }
 
+// TestMirrorBackingViews: a full line is a capacity-clipped view of the
+// dataset, read without allocating; a partial tail line is a
+// zero-padded copy; an out-of-range read is the shared zero line.
+func TestMirrorBackingViews(t *testing.T) {
+	data := make([]byte, 3*LineSize+8)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	b := mirrorBacking{data: data}
+	if l := b.ReadLine(coreRegion(3) + LineSize); &l[0] != &data[LineSize] || len(l) != LineSize || cap(l) != LineSize {
+		t.Errorf("full line is not a clipped view: len %d cap %d", len(l), cap(l))
+	}
+	tail := b.ReadLine(3 * LineSize)
+	if len(tail) != LineSize || &tail[0] == &data[3*LineSize] || tail[7] != data[3*LineSize+7] || tail[8] != 0 {
+		t.Errorf("tail line %v is not a zero-padded copy", tail)
+	}
+	if far := b.ReadLine(1 << 20); &far[0] != &replay.ZeroLine()[0] {
+		t.Error("out-of-range read is not the shared zero line")
+	}
+	var backing replay.Backing = b
+	if n := testing.AllocsPerRun(100, func() { backing.ReadLine(coreRegion(1) + 2*LineSize) }); n != 0 {
+		t.Errorf("full-line read allocates %v objects", n)
+	}
+}
+
+// bodyAllocs runs body to completion under an instant executor that
+// serves accesses from backing into one reused batch slice, and returns
+// the objects the run allocates.
+func bodyAllocs(body func(*uthread.API), backing replay.Backing) float64 {
+	var lines [][]byte
+	return testing.AllocsPerRun(1, func() {
+		th := uthread.New(0, body)
+		for req := th.Start(); req.Kind != uthread.KindDone; {
+			if req.Kind != uthread.KindAccess {
+				req = th.Resume(nil)
+				continue
+			}
+			lines = lines[:0]
+			for _, a := range req.Addrs {
+				lines = append(lines, backing.ReadLine(a))
+			}
+			req = th.Resume(lines)
+		}
+	})
+}
+
 // --- bloom filter ---
+
+// TestBloomLookupAllocatesNothing: a thread's lookups allocate nothing
+// once its buffers exist, so a body with four times the lookups
+// allocates no more.
+func TestBloomLookupAllocatesNothing(t *testing.T) {
+	run := func(lookups int) float64 {
+		b := NewBloom(1<<14, 4, 300, lookups, 0)
+		return bodyAllocs(b.Body(0, 0, 1), b.Backing())
+	}
+	if few, many := run(100), run(400); many > few {
+		t.Errorf("100 lookups allocate %v objects, 400 allocate %v", few, many)
+	}
+}
 
 func TestBloomLookupsMatchReference(t *testing.T) {
 	b := NewBloom(1<<16, 4, 500, 400, 100)
@@ -185,9 +245,10 @@ func TestBloomBadGeometryPanics(t *testing.T) {
 // Property: a key inserted into the filter is always reported present.
 func TestBloomNoFalseNegativesProperty(t *testing.T) {
 	b := NewBloom(1<<14, 4, 300, 0, 0)
+	pos := make([]uint64, b.KHash)
 	f := func(k uint16) bool {
 		key := presentKey(int(k) % 300)
-		for _, p := range b.probePositions(key) {
+		for _, p := range b.probePositions(key, pos) {
 			if b.bitArray[p/8]&(1<<(p%8)) == 0 {
 				return false
 			}
