@@ -158,6 +158,27 @@ func TestKeepRecordingCapacity(t *testing.T) {
 	}
 }
 
+// TestEnableCountingKeepsOnlyTheSize: a counting recorder serves every
+// read on the replay fast path like a storing one, stores no sequence,
+// and KeepRecording charges the same bytes.
+func TestEnableCountingKeepsOnlyTheSize(t *testing.T) {
+	r := newRig(platform.Default())
+	r.dev.EnableCounting(0)
+	for i := 0; i < 8; i++ {
+		r.dev.MMIORead(0, uint64(i)*64, observe.Access{}, func([]byte) {})
+	}
+	r.eng.Run()
+	if r.dev.recorders[0].Recording() != nil {
+		t.Error("counting recorder stored a sequence")
+	}
+	if err := r.dev.KeepRecording(0); err != nil {
+		t.Fatal(err)
+	}
+	if want := replay.Synthetic(0, 8).Bytes(); r.dev.loadedBytes != want || r.dev.ReplayServed() != 8 {
+		t.Errorf("loaded %d bytes, replay served %d; want %d bytes, 8 reads", r.dev.loadedBytes, r.dev.ReplayServed(), want)
+	}
+}
+
 func TestPreloadCost(t *testing.T) {
 	r := newRig(platform.Default())
 	rec := replay.Synthetic(0, 1000) // 72000 bytes

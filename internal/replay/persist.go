@@ -54,7 +54,9 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadRecording deserializes a recording written by WriteTo.
+// ReadRecording deserializes a recording written by WriteTo. Every
+// line's data is read into one slab, and each entry's Data is a
+// capacity-clipped view of its line there.
 func ReadRecording(r io.Reader) (*Recording, error) {
 	br := bufio.NewReader(r)
 	var magic [6]byte
@@ -73,24 +75,33 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 	if n > maxEntries {
 		return nil, fmt.Errorf("replay: implausible entry count %d", n)
 	}
-	rec := &Recording{Entries: make([]Entry, 0, n)}
-	for i := uint64(0); i < n; i++ {
+	rec := &Recording{Entries: make([]Entry, n)}
+	var slab []byte // the lines, in entry order
+	for i := range rec.Entries {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("replay: reading entry %d: %w", i, err)
 		}
-		addr := binary.LittleEndian.Uint64(buf[:8])
-		dataLen := binary.LittleEndian.Uint32(buf[8:])
-		switch dataLen {
+		e := &rec.Entries[i]
+		e.Addr = binary.LittleEndian.Uint64(buf[:8])
+		switch dataLen := binary.LittleEndian.Uint32(buf[8:]); dataLen {
 		case 0:
-			rec.Entries = append(rec.Entries, Entry{Addr: addr})
 		case LineSize:
-			data := make([]byte, LineSize)
-			if _, err := io.ReadFull(br, data); err != nil {
+			slab = append(slab, make([]byte, LineSize)...)
+			if _, err := io.ReadFull(br, slab[len(slab)-LineSize:]); err != nil {
 				return nil, fmt.Errorf("replay: reading entry %d data: %w", i, err)
 			}
-			rec.Entries = append(rec.Entries, Entry{Addr: addr, Data: data})
+			// A non-nil empty Data marks the entry as having a line;
+			// the slab may still move, so the view is taken below.
+			e.Data = slab[:0]
 		default:
 			return nil, fmt.Errorf("replay: entry %d has %d-byte line (want 0 or %d)", i, dataLen, LineSize)
+		}
+	}
+	off := 0
+	for i := range rec.Entries {
+		if e := &rec.Entries[i]; e.Data != nil {
+			e.Data = slab[off : off+LineSize : off+LineSize]
+			off += LineSize
 		}
 	}
 	return rec, nil

@@ -127,3 +127,36 @@ func TestPersistProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReadRecordingOneSlab: the lines of a recording read back are
+// capacity-clipped views into one slab, so reading a thousand of them
+// takes a handful of allocations rather than one per line.
+func TestReadRecordingOneSlab(t *testing.T) {
+	rec := &Recording{}
+	for i := 0; i < 1000; i++ {
+		var data []byte
+		if i%10 != 0 { // every tenth entry is a nil zero line
+			data = bytes.Repeat([]byte{byte(i)}, LineSize)
+		}
+		rec.Record(uint64(i)*LineSize, data)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadRecording(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range got.Entries {
+		if !bytes.Equal(e.Data, rec.Entries[i].Data) || (e.Data == nil) != (rec.Entries[i].Data == nil) {
+			t.Fatalf("entry %d: data %v, want %v", i, e.Data, rec.Entries[i].Data)
+		}
+		if e.Data != nil && cap(e.Data) != LineSize {
+			t.Fatalf("entry %d: view has capacity %d, want %d", i, cap(e.Data), LineSize)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { ReadRecording(bytes.NewReader(buf.Bytes())) }); n > 40 {
+		t.Errorf("reading %d entries allocates %v objects", rec.Len(), n)
+	}
+}
