@@ -183,13 +183,35 @@ func TestWriteReadRoundTrip(t *testing.T) {
 // FromTables hands it to Encode. Each float field holds NaN or a value
 // of at least 1e6, where Float ('g' formatting, NaN as null) and a bare
 // float64 (fixed-point, NaN is an error) disagree, so retyping any
-// payload field to float64 fails this test.
+// payload field to float64 fails this test. The table also pins notes,
+// a null y cell, the null entries a point without payloads leaves
+// before a point with them, a payload-free series (no payload keys at
+// all), and a flight-recorder series with coalesced windows and phase
+// columns; decoding the bytes and encoding again must reproduce them.
 func TestFromTablesGolden(t *testing.T) {
 	nan := stats.Float(math.NaN())
 	st := &stats.Table{ID: "g", Title: "golden", XLabel: "x", YLabel: "y"}
+	st.Note("knee at %d threads", 4)
 	s := st.AddSeries("a")
-	s.AddRun(1, 0.5, stats.RunDiag{Accesses: 7, P50Ns: 1.25e6, P99Ns: 2.5e6, P999Ns: nan,
+	s.Add(1, math.NaN())
+	s.AddRun(2, 0.5, stats.RunDiag{Accesses: 7, P50Ns: 1.25e6, P99Ns: 2.5e6, P999Ns: nan,
 		MeanLFBOccupancy: 3e6, MeanChipOccupancy: 4.5e6, SimEvents: 11})
+	s.AttachMetrics(&stats.TimeSeries{
+		WindowPs: 2e12, LastSpanPs: 1.5e12, Coalesced: 2,
+		Starts: []uint64{3, 1}, Completes: []uint64{2, 2}, Retries: []uint64{1, 0},
+		Timeouts: []uint64{1, 0}, Abandoned: []uint64{0, 1}, Switches: []uint64{4, 5},
+		P50Ns: []float64{1e6, math.NaN()}, P99Ns: []float64{2e6, 3e6}, P999Ns: []float64{math.NaN(), 4e6},
+		LFBMean: []float64{1.5e6, 2e6}, LFBMax: []int{10, 9},
+		ChipMean: []float64{math.NaN(), 1e7}, ChipMax: []int{14, 0},
+		SQMean: []float64{1e6, 1e6}, SQMax: []int{2, 3},
+		CQMean: []float64{3e6, math.NaN()}, CQMax: []int{1, 1},
+		RunnableMean: []float64{5e6, 6e6}, RunnableMax: []int{7, 8},
+		PhaseNames: []string{"issue", "device"},
+		Phases:     [][]int64{{2000, 5000}, {0, 9000}},
+		TotalStarts: 4, TotalCompletes: 4, TotalRetries: 1, TotalTimeouts: 1,
+		TotalAbandoned: 1, TotalSwitches: 9,
+		TotalP50Ns: 1.5e6, TotalP99Ns: math.NaN(), TotalP999Ns: 4e6,
+	})
 	s.AttachAttrib(&stats.AttribSummary{
 		Label: "a",
 		Phases: []stats.PhaseSum{
@@ -206,6 +228,7 @@ func TestFromTablesGolden(t *testing.T) {
 		Instances: []stats.FleetInstance{{Arrived: 5, Completed: 4, Windows: 3, SaturatedWindows: 1,
 			PeakOutstanding: 2, P50Ns: 1.1e6, P99Ns: 2.2e6, P999Ns: nan}},
 	})
+	st.AddSeries("b").Add(1, 2e6)
 	r := &Report{Schema: SchemaName, Version: SchemaVersion, Tool: "golden", Tables: FromTables([]*stats.Table{st})}
 	b, err := r.Encode()
 	if err != nil {
@@ -253,16 +276,22 @@ func TestFromTablesGolden(t *testing.T) {
       "title": "golden",
       "x_label": "x",
       "y_label": "y",
+      "notes": [
+        "knee at 4 threads"
+      ],
       "series": [
         {
           "label": "a",
           "x": [
-            1
+            1,
+            2
           ],
           "y": [
+            null,
             0.5
           ],
           "diags": [
+            null,
             {
               "accesses": 7,
               "p50_ns": 1.25e+06,
@@ -273,7 +302,115 @@ func TestFromTablesGolden(t *testing.T) {
               "sim_events": 11
             }
           ],
+          "metrics": [
+            null,
+            {
+              "window_us": 2e+06,
+              "last_span_us": 1.5e+06,
+              "coalesced": 2,
+              "starts": [
+                3,
+                1
+              ],
+              "completes": [
+                2,
+                2
+              ],
+              "retries": [
+                1,
+                0
+              ],
+              "timeouts": [
+                1,
+                0
+              ],
+              "abandoned": [
+                0,
+                1
+              ],
+              "switches": [
+                4,
+                5
+              ],
+              "p50_ns": [
+                1e+06,
+                null
+              ],
+              "p99_ns": [
+                2e+06,
+                3e+06
+              ],
+              "p999_ns": [
+                null,
+                4e+06
+              ],
+              "lfb_mean": [
+                1.5e+06,
+                2e+06
+              ],
+              "lfb_max": [
+                10,
+                9
+              ],
+              "chipq_mean": [
+                null,
+                1e+07
+              ],
+              "chipq_max": [
+                14,
+                0
+              ],
+              "sq_mean": [
+                1e+06,
+                1e+06
+              ],
+              "sq_max": [
+                2,
+                3
+              ],
+              "cq_mean": [
+                3e+06,
+                null
+              ],
+              "cq_max": [
+                1,
+                1
+              ],
+              "runnable_mean": [
+                5e+06,
+                6e+06
+              ],
+              "runnable_max": [
+                7,
+                8
+              ],
+              "phase_names": [
+                "issue",
+                "device"
+              ],
+              "phases": [
+                [
+                  2000,
+                  5000
+                ],
+                [
+                  0,
+                  9000
+                ]
+              ],
+              "total_starts": 4,
+              "total_completes": 4,
+              "total_retries": 1,
+              "total_timeouts": 1,
+              "total_abandoned": 1,
+              "total_switches": 9,
+              "total_p50_ns": 1.5e+06,
+              "total_p99_ns": null,
+              "total_p999_ns": 4e+06
+            }
+          ],
           "attrib": [
+            null,
             {
               "label": "a",
               "phases": [
@@ -300,6 +437,7 @@ func TestFromTablesGolden(t *testing.T) {
             }
           ],
           "fleet": [
+            null,
             {
               "policy": "round-robin",
               "shape": "poisson",
@@ -327,6 +465,15 @@ func TestFromTablesGolden(t *testing.T) {
               ]
             }
           ]
+        },
+        {
+          "label": "b",
+          "x": [
+            1
+          ],
+          "y": [
+            2e+06
+          ]
         }
       ]
     }
@@ -335,6 +482,13 @@ func TestFromTablesGolden(t *testing.T) {
 `
 	if got := string(b); got != want {
 		t.Fatalf("FromTables payload bytes changed:\n got: %s\nwant: %s", got, want)
+	}
+	var back Report
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := back.Encode(); err != nil || !bytes.Equal(again, b) {
+		t.Fatalf("decode then encode changed the bytes (err %v):\n%s", err, again)
 	}
 }
 
