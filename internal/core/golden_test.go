@@ -22,65 +22,65 @@ import (
 // reproduce these exactly: same instants, same order, same event count.
 var goldenDigests = map[string]string{
 	"prefetch/ubench/clean/cores=1/observed=false":      "2125f6f694dec9b0",
-	"prefetch/ubench/clean/cores=1/observed=true":       "4e3dd02a1142cf07",
+	"prefetch/ubench/clean/cores=1/observed=true":       "d1e6418362c5869c",
 	"prefetch/ubench/clean/cores=2/observed=false":      "2c894c73208c9016",
-	"prefetch/ubench/clean/cores=2/observed=true":       "d991e1c008dc1055",
+	"prefetch/ubench/clean/cores=2/observed=true":       "fa5b4e28ff2654db",
 	"prefetch/ubench/recover/cores=1/observed=false":    "9ec75b269e8dbcf2",
-	"prefetch/ubench/recover/cores=1/observed=true":     "e016f80c1ca61b43",
+	"prefetch/ubench/recover/cores=1/observed=true":     "1934aba83d0ab838",
 	"prefetch/ubench/recover/cores=2/observed=false":    "8b8d486e62c7b8d7",
-	"prefetch/ubench/recover/cores=2/observed=true":     "73688a7efa4b4152",
+	"prefetch/ubench/recover/cores=2/observed=true":     "1a9d61944ef3eb2a",
 	"prefetch/ubench/abandon/cores=1/observed=false":    "81325ff2c06e62a0",
-	"prefetch/ubench/abandon/cores=1/observed=true":     "e4a9114f68362482",
+	"prefetch/ubench/abandon/cores=1/observed=true":     "a268803344206a32",
 	"prefetch/ubench/abandon/cores=2/observed=false":    "c2329ddbd0bb36c5",
-	"prefetch/ubench/abandon/cores=2/observed=true":     "a913899d4de2a46c",
+	"prefetch/ubench/abandon/cores=2/observed=true":     "83d1ff4a9c76d011",
 	"prefetch/memcached/clean/cores=1/observed=false":   "6942fcbce8d9eda7",
 	"prefetch/memcached/clean/cores=2/observed=false":   "c69a4a348ef328f7",
 	"prefetch/memcached/recover/cores=1/observed=false": "385eb52e813d7b08",
 	"prefetch/memcached/recover/cores=2/observed=false": "27c654d141aee35c",
 	"smt/ubench/clean/cores=1/observed=false":           "eb3387fa756bb3bb",
-	"smt/ubench/clean/cores=1/observed=true":            "72ef5f60a4ed0b61",
+	"smt/ubench/clean/cores=1/observed=true":            "15291aa704c307e7",
 	"smt/ubench/clean/cores=2/observed=false":           "7e5bb18c96cb0ead",
-	"smt/ubench/clean/cores=2/observed=true":            "7e269e26efbb8b46",
+	"smt/ubench/clean/cores=2/observed=true":            "1d369eb131d8f2bf",
 	"smt/ubench/recover/cores=1/observed=false":         "5bd2504ab28a97b3",
-	"smt/ubench/recover/cores=1/observed=true":          "866bb1cb6eba2724",
+	"smt/ubench/recover/cores=1/observed=true":          "3926eac0f5075eaf",
 	"smt/ubench/recover/cores=2/observed=false":         "df875ead5540361a",
-	"smt/ubench/recover/cores=2/observed=true":          "4dc13fa78d025d43",
+	"smt/ubench/recover/cores=2/observed=true":          "3244716ae51b3143",
 	"smt/ubench/abandon/cores=1/observed=false":         "a182eb368fbfc36a",
-	"smt/ubench/abandon/cores=1/observed=true":          "ae31cfbcefa21bb8",
+	"smt/ubench/abandon/cores=1/observed=true":          "04b761000cceb397",
 	"smt/ubench/abandon/cores=2/observed=false":         "d541f057f281546d",
-	"smt/ubench/abandon/cores=2/observed=true":          "14b751d0a63aa7be",
+	"smt/ubench/abandon/cores=2/observed=true":          "7f7811b168ee67d3",
 	"smt/memcached/clean/cores=1/observed=false":        "af1c35439fd9e2fa",
 	"smt/memcached/clean/cores=2/observed=false":        "559c7789b9a3d0cd",
 	"smt/memcached/recover/cores=1/observed=false":      "6741cb103e888634",
 	"smt/memcached/recover/cores=2/observed=false":      "89b0ddc67bb68e7a",
 	"swqueue/ubench/clean/cores=1/observed=false":       "75771b605e1deaf5",
-	"swqueue/ubench/clean/cores=1/observed=true":        "c3971b22ebc11fa7",
+	"swqueue/ubench/clean/cores=1/observed=true":        "0240f3a385abd4a1",
 	"swqueue/ubench/clean/cores=2/observed=false":       "97d34c6c70375058",
-	"swqueue/ubench/clean/cores=2/observed=true":        "0f5f06b18272ce2b",
+	"swqueue/ubench/clean/cores=2/observed=true":        "a35ca778d2cdd931",
 	"swqueue/ubench/recover/cores=1/observed=false":     "cb3cd3fffbca80aa",
-	"swqueue/ubench/recover/cores=1/observed=true":      "87327ba11d65a9fa",
+	"swqueue/ubench/recover/cores=1/observed=true":      "c5e58c338b2678ff",
 	"swqueue/ubench/recover/cores=2/observed=false":     "49de593d46999430",
-	"swqueue/ubench/recover/cores=2/observed=true":      "7dfe5ac7c594a544",
+	"swqueue/ubench/recover/cores=2/observed=true":      "c9f5121baf3498b0",
 	"swqueue/ubench/abandon/cores=1/observed=false":     "b3bc215053db5688",
-	"swqueue/ubench/abandon/cores=1/observed=true":      "5e75f41f1bee61ee",
+	"swqueue/ubench/abandon/cores=1/observed=true":      "a1ade809851da8ce",
 	"swqueue/ubench/abandon/cores=2/observed=false":     "58c3990859ec324c",
-	"swqueue/ubench/abandon/cores=2/observed=true":      "2f89a662ae0053f1",
+	"swqueue/ubench/abandon/cores=2/observed=true":      "bf9ec78383222960",
 	"swqueue/memcached/clean/cores=1/observed=false":    "921eab8a09d28622",
 	"swqueue/memcached/clean/cores=2/observed=false":    "a82e699d1ec2aaef",
 	"swqueue/memcached/recover/cores=1/observed=false":  "a4a6ed66f2018ef6",
 	"swqueue/memcached/recover/cores=2/observed=false":  "c5f5df3092786ecc",
 	"kernelq/ubench/clean/cores=1/observed=false":       "d03f6d18e13cec25",
-	"kernelq/ubench/clean/cores=1/observed=true":        "f068ecd13af80ad6",
+	"kernelq/ubench/clean/cores=1/observed=true":        "6748219053edfd48",
 	"kernelq/ubench/clean/cores=2/observed=false":       "27aed052b2cac4a6",
-	"kernelq/ubench/clean/cores=2/observed=true":        "19af39bd155c38b4",
+	"kernelq/ubench/clean/cores=2/observed=true":        "318801c5721e87c7",
 	"kernelq/ubench/recover/cores=1/observed=false":     "d4ef037e39734d0f",
-	"kernelq/ubench/recover/cores=1/observed=true":      "a6668ae05cede136",
+	"kernelq/ubench/recover/cores=1/observed=true":      "7d0587ee04f24665",
 	"kernelq/ubench/recover/cores=2/observed=false":     "7522cfa47131db20",
-	"kernelq/ubench/recover/cores=2/observed=true":      "ec8ac8f20477538f",
+	"kernelq/ubench/recover/cores=2/observed=true":      "b156c5b8320e87f2",
 	"kernelq/ubench/abandon/cores=1/observed=false":     "3b001d54c2b4d34d",
-	"kernelq/ubench/abandon/cores=1/observed=true":      "730bd1ff5c76704e",
+	"kernelq/ubench/abandon/cores=1/observed=true":      "8d3cc243432dabec",
 	"kernelq/ubench/abandon/cores=2/observed=false":     "6433d90ac913241e",
-	"kernelq/ubench/abandon/cores=2/observed=true":      "859e5844205c0b81",
+	"kernelq/ubench/abandon/cores=2/observed=true":      "227e00fd2cc042fe",
 	"kernelq/memcached/clean/cores=1/observed=false":    "2148216cf14b95cc",
 	"kernelq/memcached/clean/cores=2/observed=false":    "d2e267dd81c30b12",
 	"kernelq/memcached/recover/cores=1/observed=false":  "764368f2b9f2ae55",

@@ -91,7 +91,7 @@ func TestRecorderTotalsMatchCounters(t *testing.T) {
 		pf := runs["prefetch"].Series
 		var lfb float64
 		for _, v := range pf.LFBMean {
-			lfb += v
+			lfb += float64(v)
 		}
 		if lfb == 0 {
 			t.Errorf("%s/prefetch: LFB gauge never moved", tc.name)
@@ -99,7 +99,7 @@ func TestRecorderTotalsMatchCounters(t *testing.T) {
 		sq := runs["swqueue"].Series
 		var sqSum float64
 		for _, v := range sq.SQMean {
-			sqSum += v
+			sqSum += float64(v)
 		}
 		if sqSum == 0 {
 			t.Errorf("%s/swqueue: request-queue gauge never moved", tc.name)

@@ -168,7 +168,7 @@ func (c CellSpec) Key() string {
 	cl := c.Cluster
 	cl.Shards = 0
 	return resultstore.Key(
-		"cell-v2",
+		"cell-v3",
 		c.Mech,
 		strconv.Itoa(c.Threads),
 		strconv.FormatBool(c.Replay),

@@ -312,7 +312,7 @@ func (s Suite) Fig6() *stats.Table {
 	}
 	resolve(cells)
 	for _, reads := range mlpLevels {
-		knee := seriesByReads[reads].SaturationX(0.97)
+		knee := seriesByReads[reads].KneeX(0.97)
 		t.Note("%d-read saturates at ~%.0f threads (paper: %d)", reads, knee,
 			map[int]int{1: 10, 2: 5, 4: 3}[reads])
 	}

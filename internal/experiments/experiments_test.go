@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -67,9 +66,9 @@ func TestFig4Shape(t *testing.T) {
 	// fraction of the peak.
 	w100 := tb.FindSeries("work=100")
 	w1000 := tb.FindSeries("work=1000")
-	if w1000.SaturationX(0.9) >= w100.SaturationX(0.9) {
+	if w1000.KneeX(0.9) >= w100.KneeX(0.9) {
 		t.Errorf("work=1000 saturates at %.0f threads, work=100 at %.0f; want fewer with more work",
-			w1000.SaturationX(0.9), w100.SaturationX(0.9))
+			w1000.KneeX(0.9), w100.KneeX(0.9))
 	}
 }
 
@@ -194,7 +193,7 @@ func TestFig10Shape(t *testing.T) {
 			t.Fatalf("%s has %d series, want 3 apps + ubench", tb.ID, len(tb.Series))
 		}
 		for _, series := range tb.Series {
-			if len(series.Y) == 0 || math.IsNaN(series.Y[0]) {
+			if len(series.Y) == 0 || series.Y[0].IsNaN() {
 				t.Fatalf("%s/%s empty", tb.ID, series.Label)
 			}
 		}

@@ -238,7 +238,7 @@ func (s Suite) ExpDevices() *stats.Table {
 			base := must(core.RunDRAMBaseline(cfg, wl))
 			series.Add(float64(n), must(core.RunPrefetch(cfg, wl, n, false)).NormalizedTo(base.Measurement))
 		}
-		knee := series.SaturationX(0.9)
+		knee := series.KneeX(0.9)
 		t.Note("%s reaches 90%% of its peak at ~%.0f threads", dev.label, knee)
 	}
 	return t

@@ -40,7 +40,7 @@ func (s Suite) Report(tables []*stats.Table) *report.Report {
 	var cl *report.ClusterMeta
 	for _, t := range tables {
 		for _, sr := range t.Series {
-			if sr.HasFleet() {
+			if len(sr.Fleet) > 0 {
 				cl = &report.ClusterMeta{
 					Version:  report.ClusterVersion,
 					Policies: cluster.Policies(),
@@ -69,6 +69,6 @@ func (s Suite) Report(tables []*stats.Table) *report.Report {
 		Timeseries:  ts,
 		Attribution: at,
 		Cluster:     cl,
-		Tables:      report.FromTables(tables),
+		Tables:      tables,
 	}
 }

@@ -16,10 +16,8 @@ package report
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
-	"sort"
 
 	"repro/internal/platform"
 	"repro/internal/stats"
@@ -174,217 +172,20 @@ type Sweep struct {
 	KroneckerSeed int64     `json:"kronecker_seed"`
 }
 
-// Table mirrors stats.Table: one figure-shaped result.
-type Table struct {
-	ID     string    `json:"id"`
-	Title  string    `json:"title"`
-	XLabel string    `json:"x_label"`
-	YLabel string    `json:"y_label"`
-	Notes  []string  `json:"notes,omitempty"`
-	Series []*Series `json:"series"`
-}
-
-// Series is one labeled curve: X[i] maps to Y[i]; Diags, when present,
-// is index-aligned with X and holds the per-cell run diagnostics (null
-// entries for cells measured without an engine). Metrics, present only
-// in -metrics sweeps, is likewise index-aligned and carries each
-// cell's flight-recorder time series (null for cells that record none,
-// e.g. DRAM baselines). Attrib, present only in -attrib sweeps, is
-// likewise index-aligned and carries each cell's latency-attribution
-// summary (null for cells measured without an engine).
-type Series struct {
-	Label   string           `json:"label"`
-	X       []Float          `json:"x"`
-	Y       []Float          `json:"y"`
-	Diags   []*Diag          `json:"diags,omitempty"`
-	Metrics []*TimeSeries    `json:"metrics,omitempty"`
-	Attrib  []*AttribSummary `json:"attrib,omitempty"`
-	// Fleet, present only in cluster tables, is likewise index-aligned
-	// and carries each cell's fleet summary.
-	Fleet []*FleetSummary `json:"fleet,omitempty"`
-}
-
-// The per-cell diagnostic, attribution and fleet payloads are the
-// stats types, serialized as they are: their fields carry the report's
-// JSON tags and every float is a Float.
+// The report's tables, series and per-cell payloads are the stats
+// types, serialized as they are: their fields carry the report's JSON
+// tags and every float cell is a Float. A series carries a payload key
+// only when some cell has that payload (see stats.Series).
 type (
+	Table         = stats.Table
+	Series        = stats.Series
 	Diag          = stats.RunDiag
+	TimeSeries    = stats.TimeSeries
 	AttribSummary = stats.AttribSummary
 	PhaseSum      = stats.PhaseSum
 	FleetSummary  = stats.FleetSummary
 	FleetInstance = stats.FleetInstance
 )
-
-// TimeSeries is stats.TimeSeries converted into report units:
-// microseconds for window spans, nanoseconds for latencies. It is the
-// one per-cell payload the report restates rather than serializing the
-// stats type as it is, because stats holds window spans in integer
-// picoseconds and per-window values as raw float64 slices, while the
-// report's schema carries microsecond spans and Float cells. All
-// per-window arrays are index-aligned; window i covers
-// [i*window_us, (i+1)*window_us) except the last, whose actual span is
-// last_span_us.
-type TimeSeries struct {
-	WindowUs   Float `json:"window_us"`
-	LastSpanUs Float `json:"last_span_us"`
-	Coalesced  int   `json:"coalesced,omitempty"`
-
-	Starts    []uint64 `json:"starts"`
-	Completes []uint64 `json:"completes"`
-	Retries   []uint64 `json:"retries"`
-	Timeouts  []uint64 `json:"timeouts"`
-	Abandoned []uint64 `json:"abandoned"`
-	Switches  []uint64 `json:"switches"`
-
-	P50Ns  []Float `json:"p50_ns"`
-	P99Ns  []Float `json:"p99_ns"`
-	P999Ns []Float `json:"p999_ns"`
-
-	LFBMean      []Float `json:"lfb_mean"`
-	LFBMax       []int   `json:"lfb_max"`
-	ChipMean     []Float `json:"chipq_mean"`
-	ChipMax      []int   `json:"chipq_max"`
-	SQMean       []Float `json:"sq_mean"`
-	SQMax        []int   `json:"sq_max"`
-	CQMean       []Float `json:"cq_mean"`
-	CQMax        []int   `json:"cq_max"`
-	RunnableMean []Float `json:"runnable_mean"`
-	RunnableMax  []int   `json:"runnable_max"`
-
-	// Per-window latency-attribution phase columns, present only when
-	// the sweep ran with both -metrics and -attrib: PhaseNames is the
-	// taxonomy order and Phases[w][p] the exact picoseconds windows w's
-	// completed accesses spent in phase p.
-	PhaseNames []string  `json:"phase_names,omitempty"`
-	Phases     [][]int64 `json:"phases,omitempty"`
-
-	TotalStarts    uint64 `json:"total_starts"`
-	TotalCompletes uint64 `json:"total_completes"`
-	TotalRetries   uint64 `json:"total_retries"`
-	TotalTimeouts  uint64 `json:"total_timeouts"`
-	TotalAbandoned uint64 `json:"total_abandoned"`
-	TotalSwitches  uint64 `json:"total_switches"`
-	TotalP50Ns     Float  `json:"total_p50_ns"`
-	TotalP99Ns     Float  `json:"total_p99_ns"`
-	TotalP999Ns    Float  `json:"total_p999_ns"`
-}
-
-// Windows returns the number of recorded windows.
-func (ts *TimeSeries) Windows() int {
-	if ts == nil {
-		return 0
-	}
-	return len(ts.Starts)
-}
-
-// FromTables converts harness tables (with any per-point payloads they
-// carry) into report tables. Diag, attribution and fleet payloads are
-// handed through as they are, sharing the stats values; only the
-// flight-recorder series is converted.
-func FromTables(tables []*stats.Table) []*Table {
-	out := make([]*Table, 0, len(tables))
-	for _, t := range tables {
-		rt := &Table{
-			ID:     t.ID,
-			Title:  t.Title,
-			XLabel: t.XLabel,
-			YLabel: t.YLabel,
-			Notes:  append([]string(nil), t.Notes...),
-		}
-		for _, s := range t.Series {
-			rs := &Series{Label: s.Label}
-			for i := range s.X {
-				rs.X = append(rs.X, Float(s.X[i]))
-				rs.Y = append(rs.Y, Float(s.Y[i]))
-			}
-			if s.HasDiags() {
-				rs.Diags = s.Diags
-			}
-			if s.HasMetrics() {
-				for _, ts := range s.Metrics {
-					rs.Metrics = append(rs.Metrics, fromTimeSeries(ts))
-				}
-			}
-			if s.HasAttrib() {
-				rs.Attrib = s.Attrib
-			}
-			if s.HasFleet() {
-				rs.Fleet = s.Fleet
-			}
-			rt.Series = append(rt.Series, rs)
-		}
-		out = append(out, rt)
-	}
-	return out
-}
-
-// fromTimeSeries converts a stats.TimeSeries (picoseconds, raw floats)
-// to the report layout (microsecond window spans, Float cells). A nil
-// input stays nil — the cell recorded no telemetry.
-func fromTimeSeries(ts *stats.TimeSeries) *TimeSeries {
-	if ts == nil {
-		return nil
-	}
-	toFloats := func(vs []float64) []Float {
-		out := make([]Float, len(vs))
-		for i, v := range vs {
-			out[i] = Float(v)
-		}
-		return out
-	}
-	return &TimeSeries{
-		WindowUs:   Float(float64(ts.WindowPs) / 1e6),
-		LastSpanUs: Float(float64(ts.LastSpanPs) / 1e6),
-		Coalesced:  ts.Coalesced,
-
-		Starts:    append([]uint64(nil), ts.Starts...),
-		Completes: append([]uint64(nil), ts.Completes...),
-		Retries:   append([]uint64(nil), ts.Retries...),
-		Timeouts:  append([]uint64(nil), ts.Timeouts...),
-		Abandoned: append([]uint64(nil), ts.Abandoned...),
-		Switches:  append([]uint64(nil), ts.Switches...),
-
-		P50Ns:  toFloats(ts.P50Ns),
-		P99Ns:  toFloats(ts.P99Ns),
-		P999Ns: toFloats(ts.P999Ns),
-
-		LFBMean:      toFloats(ts.LFBMean),
-		LFBMax:       append([]int(nil), ts.LFBMax...),
-		ChipMean:     toFloats(ts.ChipMean),
-		ChipMax:      append([]int(nil), ts.ChipMax...),
-		SQMean:       toFloats(ts.SQMean),
-		SQMax:        append([]int(nil), ts.SQMax...),
-		CQMean:       toFloats(ts.CQMean),
-		CQMax:        append([]int(nil), ts.CQMax...),
-		RunnableMean: toFloats(ts.RunnableMean),
-		RunnableMax:  append([]int(nil), ts.RunnableMax...),
-
-		PhaseNames: append([]string(nil), ts.PhaseNames...),
-		Phases:     copyPhaseRows(ts.Phases),
-
-		TotalStarts:    ts.TotalStarts,
-		TotalCompletes: ts.TotalCompletes,
-		TotalRetries:   ts.TotalRetries,
-		TotalTimeouts:  ts.TotalTimeouts,
-		TotalAbandoned: ts.TotalAbandoned,
-		TotalSwitches:  ts.TotalSwitches,
-		TotalP50Ns:     Float(ts.TotalP50Ns),
-		TotalP99Ns:     Float(ts.TotalP99Ns),
-		TotalP999Ns:    Float(ts.TotalP999Ns),
-	}
-}
-
-// copyPhaseRows deep-copies the per-window phase matrix.
-func copyPhaseRows(rows [][]int64) [][]int64 {
-	if rows == nil {
-		return nil
-	}
-	out := make([][]int64, len(rows))
-	for i, row := range rows {
-		out[i] = append([]int64(nil), row...)
-	}
-	return out
-}
 
 // Table returns the table with the given ID, or nil.
 func (r *Report) Table(id string) *Table {
@@ -394,101 +195,6 @@ func (r *Report) Table(id string) *Table {
 		}
 	}
 	return nil
-}
-
-// FindSeries returns the series with the given label, or nil.
-func (t *Table) FindSeries(label string) *Series {
-	if t == nil {
-		return nil
-	}
-	for _, s := range t.Series {
-		if s.Label == label {
-			return s
-		}
-	}
-	return nil
-}
-
-// YAt returns the y value at the given x, or NaN if absent.
-func (s *Series) YAt(x float64) float64 {
-	if s == nil {
-		return math.NaN()
-	}
-	for i := range s.X {
-		if float64(s.X[i]) == x {
-			return float64(s.Y[i])
-		}
-	}
-	return math.NaN()
-}
-
-// FleetAt returns the fleet summary attached at the given x, or nil.
-func (s *Series) FleetAt(x float64) *FleetSummary {
-	if s == nil {
-		return nil
-	}
-	for i := range s.X {
-		if float64(s.X[i]) == x && i < len(s.Fleet) {
-			return s.Fleet[i]
-		}
-	}
-	return nil
-}
-
-// Peak returns the maximum finite y and the x where it occurs (NaNs for
-// a series with no finite cells).
-func (s *Series) Peak() (x, y float64) {
-	x, y = math.NaN(), math.NaN()
-	if s == nil {
-		return
-	}
-	for i := range s.Y {
-		v := float64(s.Y[i])
-		if math.IsNaN(v) {
-			continue
-		}
-		if math.IsNaN(y) || v > y {
-			x, y = float64(s.X[i]), v
-		}
-	}
-	return
-}
-
-// KneeX returns the smallest x at which y reaches frac of the series
-// peak — the saturation knee.
-func (s *Series) KneeX(frac float64) float64 {
-	_, peak := s.Peak()
-	if math.IsNaN(peak) {
-		return math.NaN()
-	}
-	for i := range s.Y {
-		v := float64(s.Y[i])
-		if !math.IsNaN(v) && v >= frac*peak {
-			return float64(s.X[i])
-		}
-	}
-	return math.NaN()
-}
-
-// Last returns the y value at the largest x with a finite cell.
-func (s *Series) Last() float64 {
-	if s == nil {
-		return math.NaN()
-	}
-	for i := len(s.Y) - 1; i >= 0; i-- {
-		if !math.IsNaN(float64(s.Y[i])) {
-			return float64(s.Y[i])
-		}
-	}
-	return math.NaN()
-}
-
-// Cells returns the number of datapoints in the series.
-func (s *Series) Cells() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.Y)
 }
 
 // Validate reports the first schema violation, or nil. It checks the
@@ -558,7 +264,7 @@ func (r *Report) Validate() error {
 					return fmt.Errorf("report: table %q series %q cell %d has metrics but the report has no timeseries block",
 						t.ID, s.Label, mi)
 				}
-				if err := ts.validate(); err != nil {
+				if err := ts.Validate(); err != nil {
 					return fmt.Errorf("report: table %q series %q cell %d: %v",
 						t.ID, s.Label, mi, err)
 				}
@@ -628,58 +334,6 @@ func (r *Report) Validate() error {
 		if len(r.Cluster.Shapes) == 0 {
 			return fmt.Errorf("report: cluster block has no shapes")
 		}
-	}
-	return nil
-}
-
-// validate checks the internal shape of one flight-recorder series:
-// positive window span, a last span no longer than the window, and all
-// per-window arrays aligned with the starts array.
-func (ts *TimeSeries) validate() error {
-	if ts.WindowUs <= 0 {
-		return fmt.Errorf("timeseries: window_us %v not positive", float64(ts.WindowUs))
-	}
-	if ts.LastSpanUs <= 0 || float64(ts.LastSpanUs) > float64(ts.WindowUs) {
-		return fmt.Errorf("timeseries: last_span_us %v outside (0, %v]",
-			float64(ts.LastSpanUs), float64(ts.WindowUs))
-	}
-	n := len(ts.Starts)
-	if n == 0 {
-		return fmt.Errorf("timeseries: no windows")
-	}
-	counts := map[string]int{
-		"completes": len(ts.Completes), "retries": len(ts.Retries),
-		"timeouts": len(ts.Timeouts), "abandoned": len(ts.Abandoned),
-		"switches": len(ts.Switches),
-		"p50_ns":   len(ts.P50Ns), "p99_ns": len(ts.P99Ns), "p999_ns": len(ts.P999Ns),
-		"lfb_mean": len(ts.LFBMean), "lfb_max": len(ts.LFBMax),
-		"chipq_mean": len(ts.ChipMean), "chipq_max": len(ts.ChipMax),
-		"sq_mean": len(ts.SQMean), "sq_max": len(ts.SQMax),
-		"cq_mean": len(ts.CQMean), "cq_max": len(ts.CQMax),
-		"runnable_mean": len(ts.RunnableMean), "runnable_max": len(ts.RunnableMax),
-	}
-	names := make([]string, 0, len(counts))
-	for name := range counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if counts[name] != n {
-			return fmt.Errorf("timeseries: %d %s windows for %d starts windows", counts[name], name, n)
-		}
-	}
-	if len(ts.PhaseNames) > 0 {
-		if len(ts.Phases) != n {
-			return fmt.Errorf("timeseries: %d phase windows for %d starts windows", len(ts.Phases), n)
-		}
-		for w, row := range ts.Phases {
-			if len(row) != len(ts.PhaseNames) {
-				return fmt.Errorf("timeseries: phase window %d has %d columns for %d phase names",
-					w, len(row), len(ts.PhaseNames))
-			}
-		}
-	} else if len(ts.Phases) != 0 {
-		return fmt.Errorf("timeseries: %d phase windows but no phase names", len(ts.Phases))
 	}
 	return nil
 }

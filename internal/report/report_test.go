@@ -179,8 +179,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromTablesGolden pins the bytes of every per-cell payload as
-// FromTables hands it to Encode. Each float field holds NaN or a value
+// TestReportGolden pins the bytes of a table and every per-cell
+// payload as Encode writes them. Each float field holds NaN or a value
 // of at least 1e6, where Float ('g' formatting, NaN as null) and a bare
 // float64 (fixed-point, NaN is an error) disagree, so retyping any
 // payload field to float64 fails this test. The table also pins notes,
@@ -188,29 +188,29 @@ func TestWriteReadRoundTrip(t *testing.T) {
 // before a point with them, a payload-free series (no payload keys at
 // all), and a flight-recorder series with coalesced windows and phase
 // columns; decoding the bytes and encoding again must reproduce them.
-func TestFromTablesGolden(t *testing.T) {
+func TestReportGolden(t *testing.T) {
 	nan := stats.Float(math.NaN())
-	st := &stats.Table{ID: "g", Title: "golden", XLabel: "x", YLabel: "y"}
+	st := &Table{ID: "g", Title: "golden", XLabel: "x", YLabel: "y"}
 	st.Note("knee at %d threads", 4)
 	s := st.AddSeries("a")
 	s.Add(1, math.NaN())
 	s.AddRun(2, 0.5, stats.RunDiag{Accesses: 7, P50Ns: 1.25e6, P99Ns: 2.5e6, P999Ns: nan,
 		MeanLFBOccupancy: 3e6, MeanChipOccupancy: 4.5e6, SimEvents: 11})
 	s.AttachMetrics(&stats.TimeSeries{
-		WindowPs: 2e12, LastSpanPs: 1.5e12, Coalesced: 2,
+		WindowUs: 2e6, LastSpanUs: 1.5e6, Coalesced: 2,
 		Starts: []uint64{3, 1}, Completes: []uint64{2, 2}, Retries: []uint64{1, 0},
 		Timeouts: []uint64{1, 0}, Abandoned: []uint64{0, 1}, Switches: []uint64{4, 5},
-		P50Ns: []float64{1e6, math.NaN()}, P99Ns: []float64{2e6, 3e6}, P999Ns: []float64{math.NaN(), 4e6},
-		LFBMean: []float64{1.5e6, 2e6}, LFBMax: []int{10, 9},
-		ChipMean: []float64{math.NaN(), 1e7}, ChipMax: []int{14, 0},
-		SQMean: []float64{1e6, 1e6}, SQMax: []int{2, 3},
-		CQMean: []float64{3e6, math.NaN()}, CQMax: []int{1, 1},
-		RunnableMean: []float64{5e6, 6e6}, RunnableMax: []int{7, 8},
-		PhaseNames: []string{"issue", "device"},
-		Phases:     [][]int64{{2000, 5000}, {0, 9000}},
+		P50Ns: []stats.Float{1e6, nan}, P99Ns: []stats.Float{2e6, 3e6}, P999Ns: []stats.Float{nan, 4e6},
+		LFBMean: []stats.Float{1.5e6, 2e6}, LFBMax: []int{10, 9},
+		ChipMean: []stats.Float{nan, 1e7}, ChipMax: []int{14, 0},
+		SQMean: []stats.Float{1e6, 1e6}, SQMax: []int{2, 3},
+		CQMean: []stats.Float{3e6, nan}, CQMax: []int{1, 1},
+		RunnableMean: []stats.Float{5e6, 6e6}, RunnableMax: []int{7, 8},
+		PhaseNames:  []string{"issue", "device"},
+		Phases:      [][]int64{{2000, 5000}, {0, 9000}},
 		TotalStarts: 4, TotalCompletes: 4, TotalRetries: 1, TotalTimeouts: 1,
 		TotalAbandoned: 1, TotalSwitches: 9,
-		TotalP50Ns: 1.5e6, TotalP99Ns: math.NaN(), TotalP999Ns: 4e6,
+		TotalP50Ns: 1.5e6, TotalP99Ns: nan, TotalP999Ns: 4e6,
 	})
 	s.AttachAttrib(&stats.AttribSummary{
 		Label: "a",
@@ -229,7 +229,7 @@ func TestFromTablesGolden(t *testing.T) {
 			PeakOutstanding: 2, P50Ns: 1.1e6, P99Ns: 2.2e6, P999Ns: nan}},
 	})
 	st.AddSeries("b").Add(1, 2e6)
-	r := &Report{Schema: SchemaName, Version: SchemaVersion, Tool: "golden", Tables: FromTables([]*stats.Table{st})}
+	r := &Report{Schema: SchemaName, Version: SchemaVersion, Tool: "golden", Tables: []*Table{st}}
 	b, err := r.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +481,7 @@ func TestFromTablesGolden(t *testing.T) {
 }
 `
 	if got := string(b); got != want {
-		t.Fatalf("FromTables payload bytes changed:\n got: %s\nwant: %s", got, want)
+		t.Fatalf("report bytes changed:\n got: %s\nwant: %s", got, want)
 	}
 	var back Report
 	if err := json.Unmarshal(b, &back); err != nil {
@@ -489,27 +489,6 @@ func TestFromTablesGolden(t *testing.T) {
 	}
 	if again, err := back.Encode(); err != nil || !bytes.Equal(again, b) {
 		t.Fatalf("decode then encode changed the bytes (err %v):\n%s", err, again)
-	}
-}
-
-func TestFromTablesCarriesDiags(t *testing.T) {
-	st := &stats.Table{ID: "x", Title: "x", XLabel: "x", YLabel: "y"}
-	s := st.AddSeries("a")
-	s.Add(1, 0.5)
-	s.AddRun(2, 0.9, stats.RunDiag{Accesses: 7, P99Ns: 1500, MeanChipOccupancy: 3.5, SimEvents: 11})
-	rt := FromTables([]*stats.Table{st})
-	if len(rt) != 1 {
-		t.Fatalf("tables = %d", len(rt))
-	}
-	rs := rt[0].FindSeries("a")
-	if rs == nil || len(rs.Diags) != 2 {
-		t.Fatalf("diags not carried: %+v", rs)
-	}
-	if rs.Diags[0] != nil {
-		t.Fatal("plain Add cell should carry a nil diag")
-	}
-	if d := rs.Diags[1]; d.Accesses != 7 || float64(d.P99Ns) != 1500 || d.SimEvents != 11 {
-		t.Fatalf("diag = %+v", rs.Diags[1])
 	}
 }
 
@@ -533,8 +512,13 @@ func TestSeriesAccessors(t *testing.T) {
 		t.Fatalf("Last = %v", got)
 	}
 	var nilSeries *Series
-	if !math.IsNaN(nilSeries.YAt(1)) || !math.IsNaN(nilSeries.Last()) || nilSeries.Cells() != 0 {
+	if !math.IsNaN(nilSeries.YAt(1)) || !math.IsNaN(nilSeries.Last()) || nilSeries.FleetAt(1) != nil ||
+		!math.IsNaN(nilSeries.KneeX(0.9)) {
 		t.Fatal("nil series accessors must degrade to NaN/zero")
+	}
+	var nilTable *Table
+	if _, y := nilTable.FindSeries("s").Peak(); !math.IsNaN(y) {
+		t.Fatal("a series of an absent table must read as NaN")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package stats provides the result containers used by the experiment
 // harness: measurement summaries, (x, y) series, and tables that mirror
 // the layout of the paper's figures. Tables render as aligned text for
-// terminals and as CSV for plotting.
+// terminals and as CSV for plotting, and they and their per-point
+// payloads are the run report's tables, serialized as they are.
 package stats
 
 import (
@@ -94,139 +95,109 @@ type RunDiag struct {
 	SimEvents         uint64 `json:"sim_events"`          // engine events executed for this run
 }
 
-// Series is one labeled curve in a figure: y-values sampled at x-values.
-// Diags, when a point was added with AddRun, holds the per-point run
-// diagnostics; it is index-aligned with X/Y and nil-padded for points
-// added without diagnostics. Metrics likewise holds the per-point
-// flight-recorder time series when the run recorded one, attached with
-// AttachMetrics after the point is added, and Attrib the per-point
-// latency-attribution summary, attached with AttachAttrib.
+// Series is one labeled curve in a figure: y-values sampled at
+// x-values. It is also the report's series, serialized as it is.
+//
+// The payload slices (Diags, Metrics, Attrib, Fleet) are nil until a
+// point carries that payload; from then on they are index-aligned with
+// X, holding nil for the points without one. Diags is set by AddRun,
+// the others by the Attach methods after the point is added. A nil
+// slice is omitted from the report, so a series carries a payload key
+// only when some cell has that payload.
 type Series struct {
-	Label   string
-	X       []float64
-	Y       []float64
-	Diags   []*RunDiag
-	Metrics []*TimeSeries
-	Attrib  []*AttribSummary
-	Fleet   []*FleetSummary
+	Label   string           `json:"label"`
+	X       []Float          `json:"x"`
+	Y       []Float          `json:"y"`
+	Diags   []*RunDiag       `json:"diags,omitempty"`
+	Metrics []*TimeSeries    `json:"metrics,omitempty"`
+	Attrib  []*AttribSummary `json:"attrib,omitempty"`
+	Fleet   []*FleetSummary  `json:"fleet,omitempty"`
 }
 
-// Add appends a point without diagnostics.
+// Add appends a point without payloads.
 func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-	s.Diags = append(s.Diags, nil)
-	s.Metrics = append(s.Metrics, nil)
-	s.Attrib = append(s.Attrib, nil)
-	s.Fleet = append(s.Fleet, nil)
+	s.X = append(s.X, Float(x))
+	s.Y = append(s.Y, Float(y))
+	if s.Diags != nil {
+		s.Diags = append(s.Diags, nil)
+	}
+	if s.Metrics != nil {
+		s.Metrics = append(s.Metrics, nil)
+	}
+	if s.Attrib != nil {
+		s.Attrib = append(s.Attrib, nil)
+	}
+	if s.Fleet != nil {
+		s.Fleet = append(s.Fleet, nil)
+	}
 }
 
 // AddRun appends a measured point together with its run diagnostics.
 func (s *Series) AddRun(x, y float64, d RunDiag) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-	s.Diags = append(s.Diags, &d)
-	s.Metrics = append(s.Metrics, nil)
-	s.Attrib = append(s.Attrib, nil)
-	s.Fleet = append(s.Fleet, nil)
+	s.Add(x, y)
+	s.Diags = attach(s.Diags, len(s.X), &d)
 }
 
 // AttachMetrics attaches a flight-recorder series to the most recently
 // added point; a nil ts is a no-op, so callers can pass the run's
 // Series field unconditionally.
 func (s *Series) AttachMetrics(ts *TimeSeries) {
-	if ts == nil || len(s.Metrics) == 0 {
-		return
-	}
-	s.Metrics[len(s.Metrics)-1] = ts
-}
-
-// HasDiags reports whether any point carries run diagnostics.
-func (s *Series) HasDiags() bool {
-	for _, d := range s.Diags {
-		if d != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// HasMetrics reports whether any point carries a flight-recorder
-// series.
-func (s *Series) HasMetrics() bool {
-	for _, ts := range s.Metrics {
-		if ts != nil {
-			return true
-		}
-	}
-	return false
+	s.Metrics = attach(s.Metrics, len(s.X), ts)
 }
 
 // AttachAttrib attaches an attribution summary to the most recently
 // added point; a nil summary is a no-op, so callers can pass the run's
 // Attrib field unconditionally.
 func (s *Series) AttachAttrib(a *AttribSummary) {
-	if a == nil || len(s.Attrib) == 0 {
-		return
-	}
-	s.Attrib[len(s.Attrib)-1] = a
-}
-
-// HasAttrib reports whether any point carries an attribution summary.
-func (s *Series) HasAttrib() bool {
-	for _, a := range s.Attrib {
-		if a != nil {
-			return true
-		}
-	}
-	return false
+	s.Attrib = attach(s.Attrib, len(s.X), a)
 }
 
 // AttachFleet attaches a fleet summary to the most recently added
 // point; a nil summary is a no-op, so callers can pass the run's Fleet
 // field unconditionally.
 func (s *Series) AttachFleet(f *FleetSummary) {
-	if f == nil || len(s.Fleet) == 0 {
+	s.Fleet = attach(s.Fleet, len(s.X), f)
+}
+
+// attach sets the payload of point n-1, first growing a nil payload
+// slice to n nil entries. A nil payload, or a series without points,
+// leaves ps as it is.
+func attach[T any](ps []*T, n int, p *T) []*T {
+	if p == nil || n == 0 {
+		return ps
+	}
+	if ps == nil {
+		ps = make([]*T, n)
+	}
+	ps[n-1] = p
+	return ps
+}
+
+// Peak returns the maximum finite y and the x where it occurs (NaNs
+// for a nil series or one with no finite cells).
+func (s *Series) Peak() (x, y float64) {
+	x, y = math.NaN(), math.NaN()
+	if s == nil {
 		return
 	}
-	s.Fleet[len(s.Fleet)-1] = f
-}
-
-// HasFleet reports whether any point carries a fleet summary.
-func (s *Series) HasFleet() bool {
-	for _, f := range s.Fleet {
-		if f != nil {
-			return true
+	for i, v := range s.Y {
+		if !v.IsNaN() && (math.IsNaN(y) || float64(v) > y) {
+			x, y = float64(s.X[i]), float64(v)
 		}
 	}
-	return false
+	return
 }
 
-// Peak returns the maximum y value and the x at which it occurs.
-// It returns NaNs for an empty series.
-func (s *Series) Peak() (x, y float64) {
-	if len(s.Y) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	x, y = s.X[0], s.Y[0]
-	for i := range s.Y {
-		if s.Y[i] > y {
-			x, y = s.X[i], s.Y[i]
-		}
-	}
-	return x, y
-}
-
-// SaturationX returns the smallest x at which y reaches frac of the
-// series peak — the "knee" used to report where a curve saturates.
-func (s *Series) SaturationX(frac float64) float64 {
+// KneeX returns the smallest x at which y reaches frac of the series
+// peak — the "knee" used to report where a curve saturates.
+func (s *Series) KneeX(frac float64) float64 {
 	_, peak := s.Peak()
 	if math.IsNaN(peak) {
 		return math.NaN()
 	}
-	for i := range s.Y {
-		if s.Y[i] >= frac*peak {
-			return s.X[i]
+	for i, v := range s.Y {
+		if float64(v) >= frac*peak {
+			return float64(s.X[i])
 		}
 	}
 	return math.NaN()
@@ -234,23 +205,53 @@ func (s *Series) SaturationX(frac float64) float64 {
 
 // YAt returns the y value at the given x, or NaN if absent.
 func (s *Series) YAt(x float64) float64 {
+	if s == nil {
+		return math.NaN()
+	}
 	for i := range s.X {
-		if s.X[i] == x {
-			return s.Y[i]
+		if float64(s.X[i]) == x {
+			return float64(s.Y[i])
 		}
 	}
 	return math.NaN()
 }
 
+// Last returns the y value at the largest x with a finite cell.
+func (s *Series) Last() float64 {
+	if s == nil {
+		return math.NaN()
+	}
+	for i := len(s.Y) - 1; i >= 0; i-- {
+		if !s.Y[i].IsNaN() {
+			return float64(s.Y[i])
+		}
+	}
+	return math.NaN()
+}
+
+// FleetAt returns the fleet summary attached at the given x, or nil.
+func (s *Series) FleetAt(x float64) *FleetSummary {
+	if s == nil {
+		return nil
+	}
+	for i := range s.X {
+		if float64(s.X[i]) == x && i < len(s.Fleet) {
+			return s.Fleet[i]
+		}
+	}
+	return nil
+}
+
 // Table is a figure-shaped result: multiple series over a shared x-axis
-// meaning (e.g. "threads per core") plus captions.
+// meaning (e.g. "threads per core") plus captions. It is also the
+// report's table, serialized as it is.
 type Table struct {
-	ID     string // e.g. "fig3"
-	Title  string
-	XLabel string
-	YLabel string
-	Series []*Series
-	Notes  []string // free-form observations recorded by the experiment
+	ID     string    `json:"id"` // e.g. "fig3"
+	Title  string    `json:"title"`
+	XLabel string    `json:"x_label"`
+	YLabel string    `json:"y_label"`
+	Notes  []string  `json:"notes,omitempty"` // free-form observations recorded by the experiment
+	Series []*Series `json:"series"`
 }
 
 // AddSeries creates, registers, and returns a new series.
@@ -260,8 +261,12 @@ func (t *Table) AddSeries(label string) *Series {
 	return s
 }
 
-// FindSeries returns the series with the given label, or nil.
+// FindSeries returns the series with the given label, or nil (also
+// for a nil table).
 func (t *Table) FindSeries(label string) *Series {
+	if t == nil {
+		return nil
+	}
 	for _, s := range t.Series {
 		if s.Label == label {
 			return s
@@ -281,9 +286,9 @@ func (t *Table) xs() []float64 {
 	var xs []float64
 	for _, s := range t.Series {
 		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
+			if v := float64(x); !seen[v] {
+				seen[v] = true
+				xs = append(xs, v)
 			}
 		}
 	}

@@ -57,13 +57,10 @@ func TestSeriesAddRunDiags(t *testing.T) {
 	tab := &Table{ID: "t", Title: "t", XLabel: "x", YLabel: "y"}
 	s := tab.AddSeries("a")
 	s.Add(1, 0.5)
-	if s.HasDiags() {
+	if s.Diags != nil {
 		t.Fatal("plain Add should not mark the series as diagnosed")
 	}
 	s.AddRun(2, 0.9, RunDiag{Accesses: 3, P99Ns: 1200, SimEvents: 5})
-	if !s.HasDiags() {
-		t.Fatal("AddRun should mark the series as diagnosed")
-	}
 	if len(s.Diags) != 2 || s.Diags[0] != nil {
 		t.Fatalf("Diags misaligned: %+v", s.Diags)
 	}
@@ -103,11 +100,104 @@ func TestSeriesPeakAndSaturation(t *testing.T) {
 	if px != 4 || py != 1.0 {
 		t.Errorf("peak = (%v,%v), want (4,1)", px, py)
 	}
-	if got := s.SaturationX(0.95); got != 4 {
+	if got := s.KneeX(0.95); got != 4 {
 		t.Errorf("saturation = %v, want 4", got)
 	}
-	if got := s.SaturationX(0.5); got != 3 {
+	if got := s.KneeX(0.5); got != 3 {
 		t.Errorf("saturation(0.5) = %v, want 3", got)
+	}
+}
+
+// TestSeriesPayloadsNilOrAligned pins the payload invariant over mixed
+// Add/AddRun/Attach sequences: each payload slice stays nil until a
+// point carries that payload, and from then on has one entry per
+// point, nil where the point carries none.
+func TestSeriesPayloadsNilOrAligned(t *testing.T) {
+	ts, a, f := &TimeSeries{}, &AttribSummary{}, &FleetSummary{}
+	type op func(*Series)
+	var (
+		add    op = func(s *Series) { s.Add(float64(len(s.X)), 1) }
+		run    op = func(s *Series) { s.AddRun(float64(len(s.X)), 1, RunDiag{Accesses: len(s.X)}) }
+		metric op = func(s *Series) { s.AttachMetrics(ts) }
+		attr   op = func(s *Series) { s.AttachAttrib(a) }
+		fleet  op = func(s *Series) { s.AttachFleet(f) }
+		noop   op = func(s *Series) { s.AttachMetrics(nil); s.AttachAttrib(nil); s.AttachFleet(nil) }
+	)
+	// want lists, per payload, the indices of the points that carry it
+	// (nil: the slice must stay nil).
+	cases := []struct {
+		name                       string
+		ops                        []op
+		diags, metrics, at, fleets []int
+	}{
+		{"empty", nil, nil, nil, nil, nil},
+		{"attach before any point", []op{metric, attr, fleet}, nil, nil, nil, nil},
+		{"plain points", []op{add, add, noop, add}, nil, nil, nil, nil},
+		{"run after plain", []op{add, add, run}, []int{2}, nil, nil, nil},
+		{"plain after run", []op{run, add, add}, []int{0}, nil, nil, nil},
+		{"metrics mid-series", []op{add, run, metric, add, run}, []int{1, 3}, []int{1}, nil, nil},
+		{"attrib on a plain point", []op{add, add, attr, add}, nil, nil, []int{1}, nil},
+		{"fleet on every point", []op{add, fleet, add, fleet}, nil, nil, nil, []int{0, 1}},
+		{"all payloads", []op{run, metric, attr, fleet, add, run, attr}, []int{0, 2}, []int{0}, []int{0, 2}, []int{0}},
+	}
+	for _, tc := range cases {
+		var s Series
+		for _, o := range tc.ops {
+			o(&s)
+		}
+		check := func(what string, n int, isNil func(i int) bool, sliceNil bool, want []int) {
+			if want == nil {
+				if !sliceNil {
+					t.Errorf("%s: %s should be nil", tc.name, what)
+				}
+				return
+			}
+			if n != len(s.X) {
+				t.Errorf("%s: %d %s entries for %d points", tc.name, n, what, len(s.X))
+				return
+			}
+			carried := map[int]bool{}
+			for _, i := range want {
+				carried[i] = true
+			}
+			for i := 0; i < n; i++ {
+				if isNil(i) == carried[i] {
+					t.Errorf("%s: %s[%d] carried=%v, want %v", tc.name, what, i, !isNil(i), carried[i])
+				}
+			}
+		}
+		check("diags", len(s.Diags), func(i int) bool { return s.Diags[i] == nil }, s.Diags == nil, tc.diags)
+		check("metrics", len(s.Metrics), func(i int) bool { return s.Metrics[i] == nil }, s.Metrics == nil, tc.metrics)
+		check("attrib", len(s.Attrib), func(i int) bool { return s.Attrib[i] == nil }, s.Attrib == nil, tc.at)
+		check("fleet", len(s.Fleet), func(i int) bool { return s.Fleet[i] == nil }, s.Fleet == nil, tc.fleets)
+		for i, d := range s.Diags {
+			if d != nil && d.Accesses != i {
+				t.Errorf("%s: diags[%d] belongs to point %d", tc.name, i, d.Accesses)
+			}
+		}
+	}
+}
+
+// TestSeriesPeakSkipsNaN: a null cell, even the first, is never the
+// peak, and the knee is measured against the finite peak.
+func TestSeriesPeakSkipsNaN(t *testing.T) {
+	s := &Series{}
+	for i, y := range []float64{math.NaN(), 0.4, math.NaN(), 1.0, 0.9} {
+		s.Add(float64(i+1), y)
+	}
+	if x, y := s.Peak(); x != 4 || y != 1.0 {
+		t.Errorf("peak = (%v,%v), want (4,1)", x, y)
+	}
+	if got := s.KneeX(0.9); got != 4 {
+		t.Errorf("knee = %v, want 4", got)
+	}
+	if got := s.Last(); got != 0.9 {
+		t.Errorf("last = %v, want 0.9", got)
+	}
+	all := &Series{}
+	all.Add(1, math.NaN())
+	if x, y := all.Peak(); !math.IsNaN(x) || !math.IsNaN(y) || !math.IsNaN(all.KneeX(0.5)) || !math.IsNaN(all.Last()) {
+		t.Errorf("all-null series: peak (%v,%v), want NaNs", x, y)
 	}
 }
 
@@ -116,7 +206,7 @@ func TestSeriesEmptyPeak(t *testing.T) {
 	if x, y := s.Peak(); !math.IsNaN(x) || !math.IsNaN(y) {
 		t.Errorf("empty peak = (%v,%v), want NaNs", x, y)
 	}
-	if got := s.SaturationX(0.9); !math.IsNaN(got) {
+	if got := s.KneeX(0.9); !math.IsNaN(got) {
 		t.Errorf("empty saturation = %v, want NaN", got)
 	}
 }

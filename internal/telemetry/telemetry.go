@@ -406,7 +406,7 @@ func (r *Recorder) Finish(end sim.Time) *stats.TimeSeries {
 func (r *Recorder) series() *stats.TimeSeries {
 	n := len(r.sealed)
 	ts := &stats.TimeSeries{
-		WindowPs:  int64(r.window),
+		WindowUs:  spanUs(int64(r.window)),
 		Coalesced: r.coalesced,
 
 		Starts:    make([]uint64, n),
@@ -416,19 +416,19 @@ func (r *Recorder) series() *stats.TimeSeries {
 		Abandoned: make([]uint64, n),
 		Switches:  make([]uint64, n),
 
-		P50Ns:  make([]float64, n),
-		P99Ns:  make([]float64, n),
-		P999Ns: make([]float64, n),
+		P50Ns:  make([]stats.Float, n),
+		P99Ns:  make([]stats.Float, n),
+		P999Ns: make([]stats.Float, n),
 
-		LFBMean:      make([]float64, n),
+		LFBMean:      make([]stats.Float, n),
 		LFBMax:       make([]int, n),
-		ChipMean:     make([]float64, n),
+		ChipMean:     make([]stats.Float, n),
 		ChipMax:      make([]int, n),
-		SQMean:       make([]float64, n),
+		SQMean:       make([]stats.Float, n),
 		SQMax:        make([]int, n),
-		CQMean:       make([]float64, n),
+		CQMean:       make([]stats.Float, n),
 		CQMax:        make([]int, n),
-		RunnableMean: make([]float64, n),
+		RunnableMean: make([]stats.Float, n),
 		RunnableMax:  make([]int, n),
 	}
 	if len(r.phaseNames) > 0 {
@@ -444,20 +444,20 @@ func (r *Recorder) series() *stats.TimeSeries {
 		ts.Abandoned[i] = sw.counts[cAbandoned]
 		ts.Switches[i] = sw.counts[cSwitches]
 
-		ts.P50Ns[i] = quantileNs(sw.hist, 0.50)
-		ts.P99Ns[i] = quantileNs(sw.hist, 0.99)
-		ts.P999Ns[i] = quantileNs(sw.hist, 0.999)
+		ts.P50Ns[i] = stats.Float(quantileNs(sw.hist, 0.50))
+		ts.P99Ns[i] = stats.Float(quantileNs(sw.hist, 0.99))
+		ts.P999Ns[i] = stats.Float(quantileNs(sw.hist, 0.999))
 
 		span := float64(sw.spanPs)
-		ts.LFBMean[i] = sw.occInt[GaugeLFB] / span
+		ts.LFBMean[i] = stats.Float(sw.occInt[GaugeLFB] / span)
 		ts.LFBMax[i] = sw.occMax[GaugeLFB]
-		ts.ChipMean[i] = sw.occInt[GaugeChip] / span
+		ts.ChipMean[i] = stats.Float(sw.occInt[GaugeChip] / span)
 		ts.ChipMax[i] = sw.occMax[GaugeChip]
-		ts.SQMean[i] = sw.occInt[GaugeSQ] / span
+		ts.SQMean[i] = stats.Float(sw.occInt[GaugeSQ] / span)
 		ts.SQMax[i] = sw.occMax[GaugeSQ]
-		ts.CQMean[i] = sw.occInt[GaugeCQ] / span
+		ts.CQMean[i] = stats.Float(sw.occInt[GaugeCQ] / span)
 		ts.CQMax[i] = sw.occMax[GaugeCQ]
-		ts.RunnableMean[i] = sw.occInt[GaugeRunnable] / span
+		ts.RunnableMean[i] = stats.Float(sw.occInt[GaugeRunnable] / span)
 		ts.RunnableMax[i] = sw.occMax[GaugeRunnable]
 
 		if ts.Phases != nil {
@@ -475,12 +475,12 @@ func (r *Recorder) series() *stats.TimeSeries {
 		rollup.Merge(sw.hist)
 
 		if i == n-1 {
-			ts.LastSpanPs = sw.spanPs
+			ts.LastSpanUs = spanUs(sw.spanPs)
 		}
 	}
-	ts.TotalP50Ns = quantileNs(rollup, 0.50)
-	ts.TotalP99Ns = quantileNs(rollup, 0.99)
-	ts.TotalP999Ns = quantileNs(rollup, 0.999)
+	ts.TotalP50Ns = stats.Float(quantileNs(rollup, 0.50))
+	ts.TotalP99Ns = stats.Float(quantileNs(rollup, 0.99))
+	ts.TotalP999Ns = stats.Float(quantileNs(rollup, 0.999))
 	return ts
 }
 
@@ -491,4 +491,10 @@ func quantileNs(h *stats.Histogram, q float64) float64 {
 		return 0
 	}
 	return sim.Time(h.Quantile(q)).Nanoseconds()
+}
+
+// spanUs converts a window span in picoseconds to the series'
+// microseconds.
+func spanUs(ps int64) stats.Float {
+	return stats.Float(float64(ps) / 1e6)
 }

@@ -39,11 +39,11 @@ func TestRecorderWindowBucketing(t *testing.T) {
 	if err := ts.Validate(); err != nil {
 		t.Fatalf("series invalid: %v", err)
 	}
-	if ts.WindowPs != int64(us(10)) {
-		t.Errorf("WindowPs = %d, want %d", ts.WindowPs, int64(us(10)))
+	if ts.WindowUs != 10 {
+		t.Errorf("WindowUs = %g, want 10", ts.WindowUs)
 	}
-	if ts.LastSpanPs != int64(us(5)) {
-		t.Errorf("LastSpanPs = %d, want a 5us partial window", ts.LastSpanPs)
+	if ts.LastSpanUs != 5 {
+		t.Errorf("LastSpanUs = %g, want a 5us partial window", ts.LastSpanUs)
 	}
 	if want := []uint64{1, 2, 1}; !reflect.DeepEqual(ts.Starts, want) {
 		t.Errorf("Starts = %v, want %v", ts.Starts, want)
@@ -85,8 +85,8 @@ func TestRecorderCoalescingConservesTotals(t *testing.T) {
 		t.Errorf("windows = %d, want <= maxWindows 4", got)
 	}
 	// The window doubled coalesced times.
-	if want := int64(us(1)) << ts.Coalesced; ts.WindowPs != want {
-		t.Errorf("WindowPs = %d, want %d after %d doublings", ts.WindowPs, want, ts.Coalesced)
+	if want := stats.Float(int64(1) << ts.Coalesced); ts.WindowUs != want {
+		t.Errorf("WindowUs = %g, want %g after %d doublings", ts.WindowUs, want, ts.Coalesced)
 	}
 	var sum uint64
 	for _, v := range ts.Starts {
@@ -110,17 +110,17 @@ func TestRecorderGaugeIntegral(t *testing.T) {
 	r.GaugeAdd(GaugeSQ, us(12), 3)  // second window only
 	ts := r.Finish(us(20))
 
-	if math.Abs(ts.LFBMean[0]-1.5) > 1e-9 {
+	if math.Abs(float64(ts.LFBMean[0])-1.5) > 1e-9 {
 		t.Errorf("LFBMean[0] = %g, want 1.5 (time-weighted)", ts.LFBMean[0])
 	}
 	if ts.LFBMax[0] != 2 {
 		t.Errorf("LFBMax[0] = %d, want 2", ts.LFBMax[0])
 	}
 	// The gauge level persists across the boundary: 1 slot all window.
-	if math.Abs(ts.LFBMean[1]-1.0) > 1e-9 || ts.LFBMax[1] != 1 {
+	if math.Abs(float64(ts.LFBMean[1])-1.0) > 1e-9 || ts.LFBMax[1] != 1 {
 		t.Errorf("carry-over window: mean=%g max=%d, want 1/1", ts.LFBMean[1], ts.LFBMax[1])
 	}
-	if math.Abs(ts.SQMean[1]-3*0.8) > 1e-9 { // 3 over [12us, 20us) of a 10us window
+	if math.Abs(float64(ts.SQMean[1])-3*0.8) > 1e-9 { // 3 over [12us, 20us) of a 10us window
 		t.Errorf("SQMean[1] = %g, want 2.4", ts.SQMean[1])
 	}
 	if ts.SQMean[0] != 0 || ts.SQMax[0] != 0 {
