@@ -23,6 +23,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -155,7 +156,7 @@ func describe(rec *replay.Recording) string {
 	zero := 0
 	for _, e := range rec.Entries {
 		unique[e.Addr] = true
-		if e.Data == nil {
+		if e.Data == nil || bytes.Equal(e.Data, replay.ZeroLine()) {
 			zero++
 		}
 	}

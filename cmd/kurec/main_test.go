@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -50,6 +51,37 @@ func TestDescribe(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("describe missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestDescribeRecordedZeroLines: a recorded run stores the zero lines
+// its backing delivered, so info counts them as zero lines too.
+func TestDescribeRecordedZeroLines(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace")
+	if err := cmdRecord([]string{"-workload", "ubench", "-cores", "2", "-lookups", "200", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := readTrace(out + ".core0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := rec.Len()
+	if n == 0 {
+		t.Fatal("empty ubench recording")
+	}
+	s := describe(rec)
+	if want := fmt.Sprintf("zero lines:    %d\n", n); !strings.Contains(s, want) {
+		t.Errorf("describe missing %q:\n%s", want, s)
+	}
+
+	if err := cmdRecord([]string{"-workload", "memcached", "-out", out, "-threads", "4", "-lookups", "60"}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = readTrace(out + ".core0"); err != nil {
+		t.Fatal(err)
+	}
+	if s := describe(rec); strings.Contains(s, fmt.Sprintf("zero lines:    %d\n", rec.Len())) {
+		t.Errorf("memcached values counted as all-zero lines:\n%s", s)
 	}
 }
 
