@@ -4,7 +4,9 @@
 // benchmarks report a rate metric (events/sec, cells/sec) and
 // allocs/op, benchgate takes the best rate and the fewest allocs/op per
 // benchmark across -count repetitions (best-of filters scheduler noise
-// on shared runners), and compares them with the baseline file.
+// on shared runners), and compares them with the baseline file. -update
+// records each benchmark's median rate across the repetitions, so one
+// fast outlier cannot set a floor the typical run falls below.
 //
 // Usage:
 //
@@ -39,7 +41,7 @@ type Baseline struct {
 	Schema int    `json:"schema"`
 	Note   string `json:"note,omitempty"`
 	// Benchmarks maps the bare benchmark name (GOMAXPROCS suffix
-	// stripped) to its recorded best rate.
+	// stripped) to its recorded rate.
 	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
@@ -48,7 +50,7 @@ type Baseline struct {
 // -update, which only refreshes the measured fields).
 type Entry struct {
 	Metric string  `json:"metric"`        // rate unit, e.g. "events/sec"
-	Rate   float64 `json:"rate"`          // best observed rate at -update time
+	Rate   float64 `json:"rate"`          // median rate of the -update run; the best of this run when parsed
 	Allocs float64 `json:"allocs_per_op"` // fewest observed allocs/op: a ceiling (0: not gated)
 
 	// MinProcs skips this entry entirely when the run's GOMAXPROCS
@@ -68,6 +70,10 @@ type Entry struct {
 	// the -N suffix); carried in memory for MinProcs checks, not
 	// serialized.
 	Procs int `json:"-"`
+
+	// Rates holds every repetition's rate in input order, for the
+	// median -update records; not serialized.
+	Rates []float64 `json:"-"`
 }
 
 // allocSlack is how far above its baseline a benchmark's allocs/op may
@@ -103,29 +109,8 @@ func main() {
 	}
 
 	if *update {
-		note := "best-of-run engine benchmark rates; regenerate with `make bench-baseline`"
-		// Refresh measured fields only: gate conditions (min_procs,
-		// versus, min_speedup) and the note are hand-pinned policy, so
-		// an existing baseline's survive the update.
-		if data, err := os.ReadFile(*basePath); err == nil {
-			var prev Baseline
-			if json.Unmarshal(data, &prev) == nil {
-				if prev.Note != "" {
-					note = prev.Note
-				}
-				for name, e := range got {
-					if p, ok := prev.Benchmarks[name]; ok {
-						e.MinProcs, e.Versus, e.MinSpeedup = p.MinProcs, p.Versus, p.MinSpeedup
-						got[name] = e
-					}
-				}
-			}
-		}
-		b := Baseline{
-			Schema:     1,
-			Note:       note,
-			Benchmarks: got,
-		}
+		prev, _ := os.ReadFile(*basePath)
+		b := updated(got, prev)
 		data, err := json.MarshalIndent(&b, "", "  ")
 		if err != nil {
 			fatal(2, "%v", err)
@@ -133,7 +118,7 @@ func main() {
 		if err := os.WriteFile(*basePath, append(data, '\n'), 0o644); err != nil {
 			fatal(2, "%v", err)
 		}
-		fmt.Printf("benchgate: wrote %d benchmarks to %s\n", len(got), *basePath)
+		fmt.Printf("benchgate: wrote %d benchmarks to %s\n", len(b.Benchmarks), *basePath)
 		return
 	}
 
@@ -221,6 +206,34 @@ func main() {
 	fmt.Printf("benchgate: %d benchmarks within %.0f%% of %s\n", len(names), *threshold*100, *basePath)
 }
 
+// updated builds the baseline -update writes from this run's entries
+// and the previous baseline file's bytes (nil when there is none). Each
+// benchmark's rate is the median of its repetitions (the lower middle
+// one for an even count). Only measured fields are refreshed: gate
+// conditions (min_procs, versus, min_speedup) and the note are
+// hand-pinned policy, so an existing baseline's survive the update.
+func updated(got map[string]Entry, prev []byte) Baseline {
+	b := Baseline{
+		Schema:     1,
+		Note:       "median-of-run engine benchmark rates (floors, met by each run's best rate) and fewest allocs/op (ceilings); regenerate with `make bench-baseline`",
+		Benchmarks: map[string]Entry{},
+	}
+	var old Baseline
+	if prev != nil && json.Unmarshal(prev, &old) == nil && old.Note != "" {
+		b.Note = old.Note
+	}
+	for name, e := range got {
+		rates := append([]float64(nil), e.Rates...)
+		sort.Float64s(rates)
+		e.Rate = rates[(len(rates)-1)/2]
+		if p, ok := old.Benchmarks[name]; ok {
+			e.MinProcs, e.Versus, e.MinSpeedup = p.MinProcs, p.Versus, p.MinSpeedup
+		}
+		b.Benchmarks[name] = e
+	}
+	return b
+}
+
 // parseBench extracts the best rate and the fewest allocs/op per
 // benchmark from `go test -bench` output. A result line looks like:
 //
@@ -229,7 +242,7 @@ func main() {
 // The rate is the value whose unit ends in "/sec"; the "-8" GOMAXPROCS
 // suffix is stripped so baselines transfer across machines. With
 // -count>1 the same name repeats; the maximum rate and the minimum
-// allocs/op win, each on its own.
+// allocs/op win, each on its own, and Rates keeps every rate.
 func parseBench(r io.Reader) (map[string]Entry, error) {
 	out := map[string]Entry{}
 	sc := bufio.NewScanner(r)
@@ -268,9 +281,10 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 		}
 		prev, ok := out[name]
 		if !ok {
-			out[name] = Entry{Metric: metric, Rate: rate, Allocs: allocs, Procs: procs}
+			out[name] = Entry{Metric: metric, Rate: rate, Allocs: allocs, Procs: procs, Rates: []float64{rate}}
 			continue
 		}
+		prev.Rates = append(prev.Rates, rate)
 		if rate > prev.Rate {
 			prev.Rate = rate
 		}
