@@ -267,25 +267,3 @@ type ZeroBacking struct{}
 
 // ReadLine returns the shared zero line.
 func (ZeroBacking) ReadLine(uint64) []byte { return ZeroLine() }
-
-// SliceBacking is a Backing over a contiguous []byte dataset starting at
-// a base address. Reads beyond the slice return zero lines, matching
-// hardware that returns junk (here: zeroes) for unmapped addresses.
-type SliceBacking struct {
-	Base uint64
-	Data []byte
-}
-
-// ReadLine returns the 64-byte line containing addr (aligned down).
-func (s *SliceBacking) ReadLine(addr uint64) []byte {
-	out := make([]byte, LineSize)
-	if addr < s.Base {
-		return out
-	}
-	off := (addr - s.Base) &^ (LineSize - 1)
-	if off >= uint64(len(s.Data)) {
-		return out
-	}
-	copy(out, s.Data[off:])
-	return out
-}
