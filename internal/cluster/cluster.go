@@ -178,9 +178,10 @@ func Run(cfg Config) (*stats.FleetSummary, error) {
 	}
 
 	// Every instance serves the same memcached-style item store; the
-	// backing is content-only (no engine state, reads allocate their
-	// own line buffers), so sharing one across instances is safe — for
-	// concurrent shard workers too — and keeps N-instantiation cheap.
+	// backing is content-only (no engine state, and reads return shared
+	// read-only views of its dataset that no reader writes), so sharing
+	// one across instances is safe — for the fanOut goroutines too —
+	// and keeps N-instantiation cheap.
 	backing := workload.NewMemcached(cfg.Items, cfg.ValueLines, 1, 1).Backing()
 	insts := make([]*instance, cfg.Instances)
 	for i := range insts {
