@@ -223,7 +223,7 @@ func Run(cfg Config) (*stats.FleetSummary, error) {
 	// window-sized lockstep so the saturation accounting still observes
 	// the backlog being worked off, not just the final state. If no
 	// instance makes progress for a long stretch the loop hands over to
-	// RunChecked, whose watchdog names the stuck process.
+	// a full run and the Server's check, which names every stuck worker.
 	for _, in := range insts {
 		in.srv.Close()
 	}
@@ -240,6 +240,9 @@ func Run(cfg Config) (*stats.FleetSummary, error) {
 	}
 	for _, in := range insts {
 		if _, err := in.env.Engine().RunChecked(); err != nil {
+			return nil, fmt.Errorf("cluster: instance drain: %w", err)
+		}
+		if err := in.srv.Check(); err != nil {
 			return nil, fmt.Errorf("cluster: instance drain: %w", err)
 		}
 	}

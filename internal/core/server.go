@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -58,12 +59,44 @@ type serverReq struct {
 	arrival sim.Time
 }
 
+// serverWorker is one user-level worker context, run as an engine
+// continuation: each state below follows one of the worker's simulated
+// waits.
 type serverWorker struct {
-	id    int
-	core  int
-	gate  *sim.Gate
-	lines []*lineRead // the request's reads in flight, reused across requests
+	s        *Server
+	id       int
+	core     int
+	resumeFn func()
+	state    workerState
+	done     bool // the worker exited after Close
+
+	req    serverReq
+	n      int         // lines of req
+	i      int         // next line of req to issue
+	lines  []*lineRead // the request's reads in flight, reused across requests
+	waited int         // lines already awaited
+	landed workerState // the state to continue in once every line has landed
 }
+
+type workerState uint8
+
+const (
+	swIdle       workerState = iota // take the next request, or park until one arrives
+	swDispatch                      // the core slot is held: switch to the worker
+	swFetch                         // the worker is on the core: fetch by mechanism
+	swPrefetch                      // prefetch line w.i
+	swLFBTaken                      // line w.i holds its LFB entry
+	swPrefetched                    // line w.i's prefetch is issued
+	swDescribe                      // write line w.i's descriptor
+	swDescribed                     // line w.i's descriptor is written
+	swDemand                        // demand-load line w.i
+	swAwait                         // wait for the lines in flight, then go to w.landed
+	swRetake                        // the lines have landed: take the core back
+	swPoll                          // poll the completion queue
+	swSwitchBack                    // switch back to the worker
+	swWork                          // run the post-fetch work
+	swServed                        // the request is served: release the core
+)
 
 // ServerConfig parameterizes an open-loop service.
 type ServerConfig struct {
@@ -104,12 +137,14 @@ func NewServer(e *Env, sc ServerConfig) (*Server, error) {
 	for i := range s.slot {
 		s.slot[i] = e.eng.NewTokenPool("coreslot", 1)
 	}
-	for i := 0; i < sc.Workers; i++ {
-		w := &serverWorker{id: i, core: i % e.cfg.Cores}
-		s.workers = append(s.workers, w)
-		s.e.eng.Go(fmt.Sprintf("srvworker%d", i), func(p *sim.Proc) {
-			s.workerLoop(p, w)
-		})
+	// Each worker starts in a now-queue event of its own, as a process
+	// would.
+	s.workers = make([]*serverWorker, sc.Workers)
+	for i := range s.workers {
+		w := &serverWorker{s: s, id: i, core: i % e.cfg.Cores}
+		w.resumeFn = w.resume
+		s.workers[i] = w
+		e.eng.At(e.eng.Now(), w.resumeFn)
 	}
 	return s, nil
 }
@@ -167,35 +202,33 @@ func (s *Server) LastComplete() sim.Time { return s.lastComplete }
 // engine has drained.
 func (s *Server) Latencies() *stats.Histogram { return s.lat }
 
+// Check is the server's quiescence watchdog, for after the arrival
+// stream is closed and the engine has drained: a worker that has not
+// exited is parked on a wakeup that will never come (a lost
+// completion, say), and Check names every such worker instead of
+// letting the caller summarize a truncated run.
+func (s *Server) Check() error {
+	var stuck []string
+	for _, w := range s.workers {
+		if !w.done {
+			stuck = append(stuck, fmt.Sprintf("srvworker%d", w.id))
+		}
+	}
+	if len(stuck) > 0 {
+		return fmt.Errorf("core: quiescent with %d server worker(s) still blocked: %s", len(stuck), strings.Join(stuck, ", "))
+	}
+	return nil
+}
+
+// wakeOne resumes the most recently parked idle worker, if any, in a
+// now-queue event of its own.
 func (s *Server) wakeOne() {
 	if len(s.idle) == 0 {
 		return
 	}
 	w := s.idle[len(s.idle)-1]
 	s.idle = s.idle[:len(s.idle)-1]
-	w.gate.Fire()
-}
-
-func (s *Server) workerLoop(p *sim.Proc, w *serverWorker) {
-	for {
-		for len(s.queue) == 0 {
-			if s.closed {
-				return
-			}
-			w.gate = s.e.eng.NewGate()
-			s.idle = append(s.idle, w)
-			p.Wait(w.gate)
-		}
-		req := s.queue[0]
-		s.queue = s.queue[1:]
-		s.serve(p, w, req)
-		s.completed++
-		s.outstanding--
-		if now := p.Now(); now > s.lastComplete {
-			s.lastComplete = now
-		}
-		s.lat.Record(int64(p.Now() - req.arrival))
-	}
+	s.e.eng.At(s.e.eng.Now(), w.resumeFn)
 }
 
 // addrFor lays the request's value out in the worker core's private
@@ -224,82 +257,183 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// serve executes one request under the server's mechanism. Every path
-// charges one context switch at dispatch (the worker context is
-// scheduled onto the core) and runs the post-fetch work with the core
-// slot held, so mechanisms differ only in how they fetch.
-func (s *Server) serve(p *sim.Proc, w *serverWorker, req serverReq) {
+// resume runs the worker until it must wait or exits. One request
+// runs under the server's mechanism: every path charges one context
+// switch at dispatch (the worker context is scheduled onto the core)
+// and runs the post-fetch work with the core slot held, so mechanisms
+// differ only in how they fetch.
+func (w *serverWorker) resume() {
+	s := w.s
 	e := s.e
-	lines := s.lines(req.key)
 	slot := s.slot[w.core]
-	p.AcquireToken(slot)
-	p.Sleep(e.cfg.CtxSwitch)
+	for {
+		switch w.state {
+		case swIdle:
+			if len(s.queue) == 0 {
+				if s.closed {
+					w.done = true
+					return
+				}
+				s.idle = append(s.idle, w)
+				return
+			}
+			w.req = s.queue[0]
+			s.queue = s.queue[1:]
+			w.n = s.lines(w.req.key)
+			w.i = 0
+			w.state = swDispatch
+			if slot.Acquire(w.resumeFn) {
+				return
+			}
 
-	switch s.mech {
-	case "prefetch":
-		// Listing 1 shape: issue a non-binding prefetch per line (LFB
-		// entry, then a chip-level queue slot on the way out), yield the
-		// core while the lines are in flight, and pay a context switch
-		// when the demand loads resume.
-		for l := 0; l < lines; l++ {
-			addr := s.addrFor(w.core, req.key, l)
-			p.AcquireToken(e.lfb[w.core])
-			p.Sleep(e.cfg.PrefetchIssue)
-			ln := e.newLine(w.core, addr)
+		case swDispatch:
+			w.state = swFetch
+			if e.eng.Delay(e.cfg.CtxSwitch, w.resumeFn) {
+				return
+			}
+
+		case swFetch:
+			switch s.mech {
+			case "prefetch":
+				w.state = swPrefetch
+			case "swqueue":
+				// The batch management cost is paid on the core first.
+				w.state = swDescribe
+				if e.eng.Delay(e.cfg.SWQBatchOverhead, w.resumeFn) {
+					return
+				}
+			case "ondemand":
+				w.state = swDemand
+			}
+
+		case swPrefetch:
+			// Listing 1 shape: issue a non-binding prefetch per line
+			// (LFB entry, then a chip-level queue slot on the way out),
+			// yield the core while the lines are in flight, and pay a
+			// context switch when the demand loads resume.
+			if w.i == w.n {
+				slot.Release()
+				w.await(swRetake)
+				continue
+			}
+			w.state = swLFBTaken
+			if e.lfb[w.core].Acquire(w.resumeFn) {
+				return
+			}
+
+		case swLFBTaken:
+			w.state = swPrefetched
+			if e.eng.Delay(e.cfg.PrefetchIssue, w.resumeFn) {
+				return
+			}
+
+		case swPrefetched:
+			ln := e.newLine(w.core, s.addrFor(w.core, w.req.key, w.i))
 			ln.chip, ln.lfb = e.chip, e.lfb[w.core]
 			w.lines = append(w.lines, ln)
 			e.chip.OnAcquire(ln.acquiredFn)
-		}
-		slot.Release()
-		s.await(p, w)
-		p.AcquireToken(slot)
-		p.Sleep(e.cfg.CtxSwitch)
-	case "swqueue":
-		// §III-A shape: the batch + per-descriptor queue management cost
-		// is paid on the core, the descriptors then travel by DMA —
-		// no LFB entries, no chip-queue slots — and the worker yields
-		// until the batch completes.
-		p.Sleep(e.cfg.SWQBatchOverhead)
-		for l := 0; l < lines; l++ {
-			addr := s.addrFor(w.core, req.key, l)
-			p.Sleep(e.cfg.SWQPerAccessOverhead)
-			ln := e.newLine(w.core, addr)
+			w.i++
+			w.state = swPrefetch
+
+		case swDescribe:
+			// §III-A shape: the per-descriptor queue management cost is
+			// paid on the core, the descriptors then travel by DMA — no
+			// LFB entries, no chip-queue slots — and the worker yields
+			// until the batch completes.
+			if w.i == w.n {
+				slot.Release()
+				w.await(swRetake)
+				continue
+			}
+			w.state = swDescribed
+			if e.eng.Delay(e.cfg.SWQPerAccessOverhead, w.resumeFn) {
+				return
+			}
+
+		case swDescribed:
+			ln := e.newLine(w.core, s.addrFor(w.core, w.req.key, w.i))
 			w.lines = append(w.lines, ln)
 			ln.read()
-		}
-		slot.Release()
-		s.await(p, w)
-		p.AcquireToken(slot)
-		p.Sleep(e.cfg.CompletionPoll)
-		p.Sleep(e.cfg.CtxSwitch)
-	case "ondemand":
-		// Blocking demand loads: the core slot is held for every full
-		// device round trip, one line at a time.
-		for l := 0; l < lines; l++ {
-			addr := s.addrFor(w.core, req.key, l)
-			ln := e.newLine(w.core, addr)
+			w.i++
+			w.state = swDescribe
+
+		case swDemand:
+			// Blocking demand loads: the core slot is held for every
+			// full device round trip, one line at a time.
+			if w.i == w.n {
+				w.state = swWork
+				continue
+			}
+			ln := e.newLine(w.core, s.addrFor(w.core, w.req.key, w.i))
 			ln.chip = e.chip
 			w.lines = append(w.lines, ln)
 			e.chip.OnAcquire(ln.acquiredFn)
-			s.await(p, w)
+			w.i++
+			w.await(swDemand)
+
+		case swAwait:
+			// Wait until every line in flight has landed, then recycle
+			// the lines.
+			for w.waited < len(w.lines) {
+				ln := w.lines[w.waited]
+				w.waited++
+				if ln.g.Await(w.resumeFn) {
+					return
+				}
+			}
+			for i, ln := range w.lines {
+				e.consumed(ln)
+				w.lines[i] = nil
+			}
+			w.lines = w.lines[:0]
+			w.state = w.landed
+
+		case swRetake:
+			// The lines have landed: take the core back.
+			w.state = swSwitchBack
+			if s.mech == "swqueue" {
+				w.state = swPoll
+			}
+			if slot.Acquire(w.resumeFn) {
+				return
+			}
+
+		case swPoll:
+			w.state = swSwitchBack
+			if e.eng.Delay(e.cfg.CompletionPoll, w.resumeFn) {
+				return
+			}
+
+		case swSwitchBack:
+			w.state = swWork
+			if e.eng.Delay(e.cfg.CtxSwitch, w.resumeFn) {
+				return
+			}
+
+		case swWork:
+			w.state = swServed
+			if s.workInstr > 0 && e.eng.Delay(e.cfg.WorkTime(s.workInstr), w.resumeFn) {
+				return
+			}
+
+		case swServed:
+			slot.Release()
+			s.completed++
+			s.outstanding--
+			now := e.eng.Now()
+			if now > s.lastComplete {
+				s.lastComplete = now
+			}
+			s.lat.Record(int64(now - w.req.arrival))
+			w.state = swIdle
 		}
 	}
-
-	if s.workInstr > 0 {
-		p.Sleep(e.cfg.WorkTime(s.workInstr))
-	}
-	slot.Release()
 }
 
-// await blocks the worker until every line it has in flight has
-// landed, then recycles the lines.
-func (s *Server) await(p *sim.Proc, w *serverWorker) {
-	for _, ln := range w.lines {
-		p.Wait(&ln.g)
-	}
-	for i, ln := range w.lines {
-		s.e.consumed(ln)
-		w.lines[i] = nil
-	}
-	w.lines = w.lines[:0]
+// await makes the worker wait for every line it has in flight, then
+// continue in state landed.
+func (w *serverWorker) await(landed workerState) {
+	w.waited = 0
+	w.landed = landed
+	w.state = swAwait
 }

@@ -6,13 +6,16 @@ import "repro/internal/coro"
 
 // Proc is a simulated process: sequential code that can block on
 // simulated time (Sleep), one-shot events (Wait), and resources
-// (AcquireToken). A process expresses an agent — an open-loop service
-// worker that waits for requests, or a benchmark probe — as ordinary
+// (AcquireToken). A process expresses an agent as ordinary
 // straight-line Go code. Its blocking calls are the continuation
 // primitives (Engine.Delay, Gate.Await, TokenPool.Acquire,
 // Gate.AwaitTimeout) plus a coroutine switch, so a hot agent that is
 // rewritten as a state machine on those primitives keeps the same
-// instants, order and event count and saves the switch.
+// instants, order and event count and saves the switch. Every agent of
+// the simulated platform — the per-core schedulers, the SWQ fetcher and
+// the open-loop server's workers — has been rewritten that way; Proc
+// remains for benchmark probes and tests, where straight-line code is
+// worth the switch.
 //
 // Under the hood each Proc is a runtime coroutine (coro.Coro): the
 // engine resumes it with Next, and a blocking call hands control back
