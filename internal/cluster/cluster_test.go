@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func quickCfg() Config {
@@ -140,6 +142,34 @@ func TestKeyAffinityIsSticky(t *testing.T) {
 	}
 	if nonEmpty != 1 {
 		t.Fatalf("affinity spread one key over %d instances", nonEmpty)
+	}
+}
+
+// A queue-weighted decision runs on every arrival, so it must not
+// allocate. The instances carry different backlogs, so their weights
+// differ.
+func TestQueueWeightedPickDoesNotAllocate(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Policy = PolicyQueueWeighted
+	backing := workload.NewMemcached(cfg.Items, cfg.ValueLines, 1, 1).Backing()
+	insts := make([]*instance, cfg.Instances)
+	for i := range insts {
+		env := core.NewEnv(cfg.Base, backing)
+		srv, err := core.NewServer(env, core.ServerConfig{Mech: cfg.Mech, Workers: 1, ValueLines: cfg.ValueLines})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3*i; k++ {
+			srv.Submit(uint64(k))
+		}
+		insts[i] = &instance{env: env, srv: srv}
+	}
+	rt, err := newRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { rt.pick(insts, 7) }); n != 0 {
+		t.Fatalf("queue-weighted pick allocates %v times per call", n)
 	}
 }
 

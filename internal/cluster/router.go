@@ -95,16 +95,15 @@ func (rt *router) pick(insts []*instance, key uint64) int {
 		// Draw proportionally to 1/(1+backlog): an idle instance is
 		// (1+b) times likelier than one with b queued requests, but
 		// loaded instances still receive traffic — the soft variant of
-		// least-outstanding.
-		weights := make([]float64, len(insts))
+		// least-outstanding. Weights are recomputed, not stored, so an
+		// arrival allocates nothing.
 		var total float64
-		for i, in := range insts {
-			weights[i] = 1 / float64(1+in.srv.QueueDepth())
-			total += weights[i]
+		for _, in := range insts {
+			total += 1 / float64(1+in.srv.QueueDepth())
 		}
 		x := rt.r.Float64() * total
-		for i, w := range weights {
-			x -= w
+		for i, in := range insts {
+			x -= 1 / float64(1+in.srv.QueueDepth())
 			if x < 0 {
 				return i
 			}
