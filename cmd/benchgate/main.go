@@ -6,7 +6,8 @@
 // benchmark across -count repetitions (best-of filters scheduler noise
 // on shared runners), and compares them with the baseline file. -update
 // records each benchmark's median rate across the repetitions, so one
-// fast outlier cannot set a floor the typical run falls below.
+// fast outlier cannot set a floor the typical run falls below, and
+// never loosens an existing floor or allocs/op ceiling.
 //
 // Usage:
 //
@@ -40,6 +41,7 @@ import (
 type Baseline struct {
 	Schema int    `json:"schema"`
 	Note   string `json:"note,omitempty"`
+	Host   *Host  `json:"host,omitempty"` // where -update last ran
 	// Benchmarks maps the bare benchmark name (GOMAXPROCS suffix
 	// stripped) to its recorded rate.
 	Benchmarks map[string]Entry `json:"benchmarks"`
@@ -76,6 +78,22 @@ type Entry struct {
 	Rates []float64 `json:"-"`
 }
 
+// Host is the machine a run came from: `go test -bench` header lines
+// and GOMAXPROCS from the -N suffix.
+type Host struct {
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	Procs  int    `json:"procs,omitempty"`
+}
+
+func (h *Host) String() string {
+	if h == nil {
+		return "unrecorded"
+	}
+	return fmt.Sprintf("%s/%s, %s, %d procs", h.GOOS, h.GOARCH, h.CPU, h.Procs)
+}
+
 // allocSlack is how far above its baseline a benchmark's allocs/op may
 // rise before the gate fails. The counts are deterministic up to the
 // warm-up share of b.N, so the slack only absorbs that.
@@ -100,7 +118,7 @@ func main() {
 		in = f
 	}
 
-	got, err := parseBench(in)
+	got, host, err := parseBench(in)
 	if err != nil {
 		fatal(2, "%v", err)
 	}
@@ -110,7 +128,7 @@ func main() {
 
 	if *update {
 		prev, _ := os.ReadFile(*basePath)
-		b := updated(got, prev)
+		b := updated(got, host, prev)
 		data, err := json.MarshalIndent(&b, "", "  ")
 		if err != nil {
 			fatal(2, "%v", err)
@@ -133,6 +151,8 @@ func main() {
 	if base.Schema != 1 {
 		fatal(2, "%s: unsupported schema %d", *basePath, base.Schema)
 	}
+
+	fmt.Printf("host: baseline %s; this run %s\n", base.Host, &host)
 
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -208,14 +228,15 @@ func main() {
 
 // updated builds the baseline -update writes from this run's entries
 // and the previous baseline file's bytes (nil when there is none). Each
-// benchmark's rate is the median of its repetitions (the lower middle
-// one for an even count). Only measured fields are refreshed: gate
-// conditions (min_procs, versus, min_speedup) and the note are
-// hand-pinned policy, so an existing baseline's survive the update.
-func updated(got map[string]Entry, prev []byte) Baseline {
+// rate is the median of the repetitions (the lower middle one for an
+// even count) raised to the old floor, and allocs/op drops to the old
+// non-zero ceiling. Gate conditions (min_procs, versus, min_speedup) and
+// the note are hand-pinned policy, so an existing baseline's survive.
+func updated(got map[string]Entry, host Host, prev []byte) Baseline {
 	b := Baseline{
 		Schema:     1,
 		Note:       "median-of-run engine benchmark rates (floors, met by each run's best rate) and fewest allocs/op (ceilings); regenerate with `make bench-baseline`",
+		Host:       &host,
 		Benchmarks: map[string]Entry{},
 	}
 	var old Baseline
@@ -227,6 +248,10 @@ func updated(got map[string]Entry, prev []byte) Baseline {
 		sort.Float64s(rates)
 		e.Rate = rates[(len(rates)-1)/2]
 		if p, ok := old.Benchmarks[name]; ok {
+			e.Rate = max(e.Rate, p.Rate)
+			if p.Allocs > 0 && (e.Allocs == 0 || p.Allocs < e.Allocs) {
+				e.Allocs = p.Allocs
+			}
 			e.MinProcs, e.Versus, e.MinSpeedup = p.MinProcs, p.Versus, p.MinSpeedup
 		}
 		b.Benchmarks[name] = e
@@ -234,8 +259,8 @@ func updated(got map[string]Entry, prev []byte) Baseline {
 	return b
 }
 
-// parseBench extracts the best rate and the fewest allocs/op per
-// benchmark from `go test -bench` output. A result line looks like:
+// parseBench extracts the host, and the best rate and fewest allocs/op
+// per benchmark, from `go test -bench` output. A result line looks like:
 //
 //	BenchmarkSchedule-8  242  4941329 ns/op  11367105 events/sec  376 B/op  6 allocs/op
 //
@@ -243,12 +268,24 @@ func updated(got map[string]Entry, prev []byte) Baseline {
 // suffix is stripped so baselines transfer across machines. With
 // -count>1 the same name repeats; the maximum rate and the minimum
 // allocs/op win, each on its own, and Rates keeps every rate.
-func parseBench(r io.Reader) (map[string]Entry, error) {
+func parseBench(r io.Reader) (map[string]Entry, Host, error) {
 	out := map[string]Entry{}
+	var host Host
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		if key, val, ok := strings.Cut(line, ": "); ok {
+			switch key {
+			case "goos":
+				host.GOOS = val
+			case "goarch":
+				host.GOARCH = val
+			case "cpu":
+				host.CPU = val
+			}
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
@@ -279,6 +316,9 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 		if metric == "" {
 			continue // benchmark without a rate metric; not gated
 		}
+		if host.Procs == 0 {
+			host.Procs = procs
+		}
 		prev, ok := out[name]
 		if !ok {
 			out[name] = Entry{Metric: metric, Rate: rate, Allocs: allocs, Procs: procs, Rates: []float64{rate}}
@@ -294,9 +334,9 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 		out[name] = prev
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, Host{}, err
 	}
-	return out, nil
+	return out, host, nil
 }
 
 func fatal(code int, format string, args ...interface{}) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ BenchmarkAccess/prefetch-2   210  1200000 ns/op  430000 accesses/sec  211400 B/o
 BenchmarkNoRate-2            100  5000 ns/op  12 allocs/op
 PASS
 `
-	got, err := parseBench(strings.NewReader(in))
+	got, _, err := parseBench(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,30 +31,42 @@ PASS
 
 // TestUpdateRecordsMedianRate: -update writes the median of the
 // repetitions' rates, so one fast outlier does not set a floor above
-// the typical run, while the comparison still takes the best.
+// the typical run, while the comparison still takes the best. Over an
+// existing baseline it never lowers a floor or raises an allocs/op
+// ceiling: a re-run below the old floor keeps the old floor, and one
+// above the old ceiling keeps the old ceiling.
 func TestUpdateRecordsMedianRate(t *testing.T) {
 	in := `BenchmarkAccess/kernelq-2   30  3000000 ns/op  351593 accesses/sec  900 allocs/op
 BenchmarkAccess/kernelq-2   30  3100000 ns/op  325576 accesses/sec  880 allocs/op
 BenchmarkAccess/kernelq-2   40  2000000 ns/op  519706 accesses/sec  910 allocs/op
 `
-	got, err := parseBench(strings.NewReader(in))
+	got, host, err := parseBench(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e := got["BenchmarkAccess/kernelq"]; e.Rate != 519706 || e.Allocs != 880 {
 		t.Errorf("parsed %+v, want best rate 519706 and fewest allocs 880 for the comparison", e)
 	}
-	prev := []byte(`{"schema": 1, "note": "pinned", "benchmarks": {"BenchmarkAccess/kernelq":
-		{"metric": "accesses/sec", "rate": 1, "allocs_per_op": 1, "min_procs": 4, "versus": "BenchmarkAccess/swqueue", "min_speedup": 1.5}}}`)
+	baseline := func(rate, allocs string) []byte {
+		return []byte(`{"schema": 1, "note": "pinned", "benchmarks": {"BenchmarkAccess/kernelq":
+		{"metric": "accesses/sec", "rate": ` + rate + `, "allocs_per_op": ` + allocs + `, "min_procs": 4, "versus": "BenchmarkAccess/swqueue", "min_speedup": 1.5}}}`)
+	}
 	for _, tc := range []struct {
-		name string
-		prev []byte
-		note string
-	}{{"fresh", nil, "median-of-run"}, {"over a baseline", prev, "pinned"}} {
-		b := updated(got, tc.prev)
+		name   string
+		prev   []byte
+		note   string
+		rate   float64
+		allocs float64
+	}{
+		{"fresh", nil, "median-of-run", 351593, 880},
+		{"over a baseline", baseline("1", "1"), "pinned", 351593, 1},
+		{"below the old floor, above the old ceiling", baseline("400000", "870"), "pinned", 400000, 870},
+		{"over an ungated ceiling", baseline("1", "0"), "pinned", 351593, 880},
+	} {
+		b := updated(got, host, tc.prev)
 		e := b.Benchmarks["BenchmarkAccess/kernelq"]
-		if e.Rate != 351593 || e.Allocs != 880 {
-			t.Errorf("%s: wrote %+v, want the median rate 351593 and allocs 880", tc.name, e)
+		if e.Rate != tc.rate || e.Allocs != tc.allocs {
+			t.Errorf("%s: wrote %+v, want rate %v and allocs %v", tc.name, e, tc.rate, tc.allocs)
 		}
 		if !strings.HasPrefix(b.Note, tc.note) {
 			t.Errorf("%s: note %q, want it to start with %q", tc.name, b.Note, tc.note)
@@ -61,5 +74,47 @@ BenchmarkAccess/kernelq-2   40  2000000 ns/op  519706 accesses/sec  910 allocs/o
 		if tc.prev != nil && (e.MinProcs != 4 || e.Versus != "BenchmarkAccess/swqueue" || e.MinSpeedup != 1.5) {
 			t.Errorf("%s: hand-pinned gates lost: %+v", tc.name, e)
 		}
+	}
+}
+
+// TestHostStamp: parseBench reads the host from the header lines and
+// the GOMAXPROCS suffix, -update writes it into the baseline, and a
+// baseline without one prints as unrecorded.
+func TestHostStamp(t *testing.T) {
+	in := `goos: linux
+goarch: amd64
+pkg: repro/internal/cluster
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkFleet/mechs/shards=1-2   32  10697922 ns/op  8999768 events/sec  972354 B/op  2385 allocs/op
+PASS
+`
+	got, host, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Host{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor", Procs: 2}
+	if host != want {
+		t.Fatalf("host %+v, want %+v", host, want)
+	}
+	data, err := json.Marshal(updated(got, host, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Host == nil || *b.Host != want {
+		t.Fatalf("baseline host %v, want %+v", b.Host, want)
+	}
+	if s := b.Host.String(); s != "linux/amd64, Intel(R) Xeon(R) Processor, 2 procs" {
+		t.Errorf("host prints as %q", s)
+	}
+	var old Baseline
+	if err := json.Unmarshal([]byte(`{"schema": 1, "benchmarks": {}}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if s := old.Host.String(); s != "unrecorded" {
+		t.Errorf("a baseline without a host prints as %q", s)
 	}
 }
