@@ -23,7 +23,8 @@ bench-engine:
 	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/core/ ./internal/experiments/ | tee bench_engine.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -input bench_engine.txt
 
-# Rewrite BENCH_engine.json from a fresh run on this machine.
+# Refresh BENCH_engine.json from a fresh run on this machine (old floors
+# and allocs/op ceilings are never loosened).
 bench-baseline:
 	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/core/ ./internal/experiments/ | tee bench_engine.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -update -input bench_engine.txt
@@ -39,21 +40,22 @@ sweep-par:
 
 # Cluster-scale fleet sweep: routing policies, arrival shapes, and
 # backend mechanisms vs fleet-merged tail latency, rendered with the
-# per-instance saturation view. Fleet cells fan their window advances
-# (and a lookahead policy's whole arrival phase) out across the cores
-# -parallel leaves free (see -shards).
+# per-instance saturation view. Fleet cells run a lookahead policy's
+# whole arrival phase across the cores -parallel leaves free; window
+# advances are serial.
 fleet:
 	$(GO) run ./cmd/killerusec -fleet -json fleet_run.json
 	$(GO) run ./cmd/kurec fleet fleet_run.json -instances
 
 # Determinism gate for the sharded fleet executor: the quick fleet
-# sweep must be byte-identical at -shards 1 and -shards 4.
+# sweep must be byte-identical at 1 and 4 shards. At -parallel 1 each
+# fleet cell gets GOMAXPROCS shards.
 fleet-shards:
-	$(GO) run ./cmd/killerusec -fleet -quick -shards 1 -json fleet_s1.json > fleet_s1.txt
-	$(GO) run ./cmd/killerusec -fleet -quick -shards 4 -json fleet_s4.json > fleet_s4.txt
+	GOMAXPROCS=1 $(GO) run ./cmd/killerusec -fleet -quick -parallel 1 -json fleet_s1.json > fleet_s1.txt
+	GOMAXPROCS=4 $(GO) run ./cmd/killerusec -fleet -quick -parallel 1 -json fleet_s4.json > fleet_s4.txt
 	cmp fleet_s1.json fleet_s4.json
 	cmp fleet_s1.txt fleet_s4.txt
-	@echo "fleet reports byte-identical at -shards 1 and -shards 4"
+	@echo "fleet reports byte-identical at 1 and 4 shards"
 
 # Fleet benchmarks, gated against the committed baseline (rate floors
 # everywhere; on >=4-proc machines also a >=2x shards=4 speedup on the
@@ -62,8 +64,9 @@ bench-cluster:
 	$(GO) test -bench BenchmarkFleet -benchtime=0.3s -count=3 -run '^$$' ./internal/cluster/ | tee bench_cluster.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_cluster.json -input bench_cluster.txt
 
-# Refresh BENCH_cluster.json's measured rates from this machine
-# (hand-pinned speedup gates survive the update).
+# Refresh BENCH_cluster.json's measured rates from this machine (old
+# floors and allocs/op ceilings are never loosened, and hand-pinned
+# speedup gates survive the update).
 bench-cluster-baseline:
 	$(GO) test -bench BenchmarkFleet -benchtime=0.3s -count=3 -run '^$$' ./internal/cluster/ | tee bench_cluster.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_cluster.json -update -input bench_cluster.txt

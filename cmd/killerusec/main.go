@@ -56,7 +56,6 @@ func main() {
 		traceOut = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every measured run to this file")
 		jsonOut  = flag.String("json", "", "write a machine-readable run report (schema-versioned JSON) to this file; check it with `kurec check`")
 		parallel = flag.Int("parallel", 1, "worker goroutines for independent simulation cells; output is byte-identical at any value")
-		shards   = flag.Int("shards", 0, "engine-advance workers inside each fleet cell (see -plans for the families that honor it); 0 splits GOMAXPROCS with -parallel; output is byte-identical at any value")
 		cachedir = flag.String("cachedir", "", "persist cell results to this directory and reuse them across invocations of the same build")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memprof  = flag.String("memprofile", "", "write a pprof heap profile (taken after the sweep) to this file")
@@ -131,10 +130,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "killerusec: -parallel %d must be at least 1\n", *parallel)
 		os.Exit(1)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "killerusec: -shards %d must be non-negative\n", *shards)
-		os.Exit(1)
-	}
 
 	suite := experiments.Default()
 	if *quick {
@@ -147,13 +142,9 @@ func main() {
 		suite.AppLookups = *lookups
 	}
 	suite.UseReplay = *replay
-	// Fleet cells shard their engine advances; -shards 0 (the default)
-	// splits the machine with -parallel so cells × shards never
-	// oversubscribes. Either way the reports are byte-identical.
-	suite.FleetShards = *shards
-	if *shards == 0 {
-		suite.FleetShards = experiments.ShardBudget(*parallel)
-	}
+	// Fleet cells shard over the cores -parallel leaves free, so cells ×
+	// shards never oversubscribes; reports are identical at any split.
+	suite.FleetShards = experiments.ShardBudget(*parallel)
 	if *threads != "" {
 		var sweep []int
 		for _, part := range strings.Split(*threads, ",") {
@@ -325,9 +316,7 @@ func planOne(s experiments.Suite, id string) []experiments.Experiment {
 }
 
 // planListing renders the -plans output: every runnable id with its
-// aliases and one-line description, in registry order. Families whose
-// cells shard their engine advances across cores carry a [-shards]
-// marker; everything else parallelizes across cells only (-parallel).
+// aliases and one-line description, in registry order.
 func planListing() string {
 	var b strings.Builder
 	for _, p := range experiments.Plans() {
@@ -335,12 +324,7 @@ func planListing() string {
 		if len(p.Aliases) > 0 {
 			id += " (" + strings.Join(p.Aliases, ", ") + ")"
 		}
-		desc := p.Desc
-		if p.Shards {
-			desc += " [-shards]"
-		}
-		fmt.Fprintf(&b, "%-28s %s\n", id, desc)
+		fmt.Fprintf(&b, "%-28s %s\n", id, p.Desc)
 	}
-	b.WriteString("\nfamilies marked [-shards] advance each cell's instance engines in parallel;\nall families honor -parallel (independent cells across workers)\n")
 	return b.String()
 }

@@ -13,15 +13,12 @@
 // which is what lets cluster cells ride the content-addressed result
 // cache and the parallel sweep executor unchanged.
 //
-// Config.Shards spreads one fleet run across OS cores without touching
-// that property. Instance engines share no state between routing
-// decisions, so fanOut advances them concurrently to each saturation
-// window boundary and the driver closes the windows serially, in fixed
-// instance order. Policies that declare Lookahead pre-route the whole
-// arrival timeline and run every instance's batch behind one join;
-// state-dependent policies route each arrival on live queue state, so
-// their per-arrival advances stay serial. See DESIGN.md §15 for the
-// equivalence argument.
+// Config.Shards spreads one fleet phase across OS cores without touching
+// that property: policies that declare Lookahead pre-route the whole
+// arrival timeline and run every instance's batch behind one join.
+// State-dependent policies route each arrival on live queue state, and
+// window boundaries advance the engines in fixed instance order, both
+// serially. See DESIGN.md §15 for the equivalence argument.
 package cluster
 
 import (
@@ -53,9 +50,8 @@ type Config struct {
 	RatePerSec float64 // fleet-wide offered load (ignored by shape saturate)
 	Rho        float64 // informational: offered load / measured capacity
 
-	// Shards is the number of goroutines that advance instance engines
-	// together: every window boundary, and the whole arrival phase of
-	// a Lookahead policy. 0 or 1 runs everything serially; values above
+	// Shards is the number of goroutines that run a Lookahead policy's
+	// arrival phase. 0 or 1 runs everything serially; values above
 	// Instances clamp to it. Shards is an execution knob, never a
 	// parameter: the summary is byte-identical at every value
 	// (property-tested, CI-gated), so it is excluded from cell cache
@@ -157,8 +153,8 @@ type instance struct {
 // closeWindow flags a window where arrivals outpaced completions while
 // the backlog exceeded the worker pool — sustained oversubscription,
 // not a transient burst one pool of workers absorbs. It reads only
-// this instance's state, so shard workers may close windows for
-// different instances concurrently.
+// this instance's state, so runBatch may close windows for different
+// instances concurrently.
 func (in *instance) closeWindow() {
 	arr, comp := in.srv.Arrived(), in.srv.Completed()
 	s := &in.sat
@@ -260,11 +256,10 @@ func Run(cfg Config) (*stats.FleetSummary, error) {
 	return sum, nil
 }
 
-// driver runs the fleet's barrier schedule, fanning engine advances
-// out across shards goroutines where it can. The observable schedule —
+// driver runs the fleet's barrier schedule. The observable schedule —
 // which engine reaches which timestamp before which routing decision
 // and window close — is identical at every shard count; sharding only
-// changes which OS thread does the advancing.
+// changes which OS thread runs a prerouted arrival batch.
 type driver struct {
 	cfg    Config
 	insts  []*instance
@@ -320,13 +315,11 @@ func (d *driver) runPrerouted(rt *router, arrivals []arrival, perArrived []uint6
 	return (last/d.cfg.Window + 1) * d.cfg.Window
 }
 
-// advanceAll runs every engine to the window boundary, then closes the
-// window's saturation accounting in fixed instance order.
+// advanceAll runs each engine to the window boundary and closes its
+// saturation window, in fixed instance order.
 func (d *driver) advanceAll(boundary sim.Time) {
-	fanOut(d.insts, d.shards, func(_ int, in *instance) {
-		in.env.Engine().RunUntil(boundary)
-	})
 	for _, in := range d.insts {
+		in.env.Engine().RunUntil(boundary)
 		in.closeWindow()
 	}
 }

@@ -48,7 +48,7 @@ var goldenFleetDigests = map[string]string{
 // work. The offered rate and the shard count cross the mechanism
 // dimensions so that each mechanism meets both paths: skewed cases run
 // at 2 shards, where round-robin takes the prerouted arrival phase and
-// least-outstanding the lockstep one with fanned-out window advances;
+// least-outstanding the lockstep one with serial window advances;
 // work-free cases run past capacity, so a backlog is left to drain.
 func goldenFleetCfg(mech, policy string, skew bool, work int) Config {
 	cfg := quickCfg()

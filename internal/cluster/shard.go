@@ -7,11 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// fanOut calls fn for every instance, spread across up to shards
+// fanOut calls fn for every instance, spread across shards (at least 1)
 // goroutines: shards-1 helpers plus the caller claim instances from an
 // atomic cursor — work stealing, so one slow engine doesn't idle the
 // others behind a static partition — and a WaitGroup joins them before
-// fanOut returns. With shards <= 1 it runs inline in instance order.
+// fanOut returns. It runs only a prerouted arrival phase, the one fleet
+// phase with enough work per instance to pay for the join.
 //
 // fn must touch only its own instance. Every engine mutation happens
 // before the helper's wg.Done (Done → Wait), so after fanOut returns
@@ -19,12 +20,6 @@ import (
 // engines between OS threads, which Engine documents as safe when the
 // caller orders the calls.
 func fanOut(insts []*instance, shards int, fn func(i int, in *instance)) {
-	if shards <= 1 {
-		for i, in := range insts {
-			fn(i, in)
-		}
-		return
-	}
 	var cursor atomic.Int64
 	work := func() {
 		for {

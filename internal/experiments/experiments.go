@@ -45,13 +45,12 @@ type Suite struct {
 	// byte-identical at any worker count. It is not stamped into
 	// reports for the same reason.
 	Exec *Exec
-	// FleetShards is the engine-advance worker count inside each fleet
-	// cell (cluster.Config.Shards): cell-level parallelism, orthogonal
-	// to Exec's cell-at-a-time parallelism. Like Exec it never changes
-	// results — the sharded fleet driver is byte-deterministic — and is
-	// not stamped into reports. 0 or 1 keeps the serial fleet driver.
-	// Callers running sweeps should split cores between the two layers
-	// with ShardBudget so the pools compose instead of oversubscribing.
+	// FleetShards is the worker count for a fleet cell's prerouted
+	// arrival phase (cluster.Config.Shards): cell-level parallelism,
+	// orthogonal to Exec's cell-at-a-time parallelism. Like Exec it
+	// never changes results and is not stamped into reports. Callers
+	// set it from ShardBudget so the two pools compose instead of
+	// oversubscribing.
 	FleetShards int
 }
 
@@ -97,15 +96,12 @@ func (s Suite) Validate() error {
 			return fmt.Errorf("experiments: thread count %d must be positive", n)
 		}
 	}
-	if s.FleetShards < 0 {
-		return fmt.Errorf("experiments: fleet shards %d must be non-negative", s.FleetShards)
-	}
 	return nil
 }
 
 // ShardBudget splits the machine between the two parallelism layers: a
 // sweep running `parallel` cells at once gets GOMAXPROCS/parallel
-// engine-advance shards inside each fleet cell, so cells × shards
+// prerouted-arrival shards inside each fleet cell, so cells × shards
 // never oversubscribes the cores. A single-cell run (parallel ≤ 1)
 // gets the whole machine.
 func ShardBudget(parallel int) int {

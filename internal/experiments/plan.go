@@ -16,12 +16,6 @@ type planEntry struct {
 	make    func(Suite) []Experiment
 }
 
-// planShards marks the plan ids whose cells honor Suite.FleetShards
-// (the killerusec -shards flag): the fleet simulations, whose per-cell
-// engine advances shard across cores. Every other family parallelizes
-// across cells only (-parallel).
-var planShards = map[string]bool{"cluster": true}
-
 // oneTable adapts a single-table experiment method into a one-step plan.
 func oneTable(pid string, f func(Suite) *stats.Table) func(Suite) []Experiment {
 	return func(s Suite) []Experiment {
@@ -91,9 +85,6 @@ type PlanInfo struct {
 	ID      string
 	Aliases []string
 	Desc    string
-	// Shards reports whether this family's cells honor Suite.FleetShards
-	// (killerusec -shards); rendered as a marker in `-plans`.
-	Shards bool
 }
 
 // Plans returns every runnable experiment id with its aliases and
@@ -101,7 +92,7 @@ type PlanInfo struct {
 func Plans() []PlanInfo {
 	out := make([]PlanInfo, len(planRegistry))
 	for i, e := range planRegistry {
-		out[i] = PlanInfo{ID: e.id, Aliases: append([]string(nil), e.aliases...), Desc: e.desc, Shards: planShards[e.id]}
+		out[i] = PlanInfo{ID: e.id, Aliases: append([]string(nil), e.aliases...), Desc: e.desc}
 	}
 	return out
 }

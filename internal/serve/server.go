@@ -597,9 +597,9 @@ func (s *Server) executeJob(j *job) {
 	exec = experiments.NewExecCtx(ctx, s.parallel, s.store)
 	defer exec.Close()
 	suite.Exec = exec
-	// Fleet cells shard their engine advances with whatever the cell
-	// pool leaves of the machine; reports stay byte-identical (sharding
-	// is deterministic), so cached results remain valid either way.
+	// Fleet cells shard a lookahead policy's arrival phase over what
+	// the cell pool leaves of the machine; reports stay byte-identical
+	// (sharding is deterministic), so cached results remain valid.
 	suite.FleetShards = experiments.ShardBudget(s.parallel)
 	if j.hub != nil {
 		// Live telemetry: every computed cell's recorder publishes its
