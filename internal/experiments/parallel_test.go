@@ -24,7 +24,13 @@ func parSuite() Suite {
 // returns the canonical report bytes.
 func encodePlan(t *testing.T, s Suite) []byte {
 	t.Helper()
-	b, err := s.Report(RunPlan(s.PaperPlan(), nil)).Encode()
+	return encodeSteps(t, s, s.PaperPlan())
+}
+
+// encodeSteps runs plan and returns the canonical report bytes.
+func encodeSteps(t *testing.T, s Suite, plan []Experiment) []byte {
+	t.Helper()
+	b, err := s.Report(RunPlan(plan, nil)).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,20 +39,31 @@ func encodePlan(t *testing.T, s Suite) []byte {
 
 // TestParallelByteIdentical is the subsystem's core guarantee: the
 // same suite produces byte-identical reports with no executor and
-// with pools of 1, 4 and 8 workers.
+// with pools of 1, 4 and 8 workers, for the paper plan and for the
+// extension plan (which includes the fault family).
 func TestParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full paper plan at three worker counts")
+		t.Skip("paper and extension plans at three worker counts")
 	}
-	base := encodePlan(t, parSuite())
-	for _, workers := range []int{1, 4, 8} {
+	plans := []struct {
+		name string
+		plan func(Suite) []Experiment
+	}{
+		{"paper", Suite.PaperPlan},
+		{"extension", Suite.ExtensionPlan},
+	}
+	for _, p := range plans {
 		s := parSuite()
-		s.Exec = NewExec(workers)
-		got := encodePlan(t, s)
-		s.Exec.Close()
-		if !bytes.Equal(got, base) {
-			t.Errorf("parallel=%d report differs from serial report (%d vs %d bytes)",
-				workers, len(got), len(base))
+		base := encodeSteps(t, s, p.plan(s))
+		for _, workers := range []int{1, 4, 8} {
+			s := parSuite()
+			s.Exec = NewExec(workers)
+			got := encodeSteps(t, s, p.plan(s))
+			s.Exec.Close()
+			if !bytes.Equal(got, base) {
+				t.Errorf("%s plan: parallel=%d report differs from serial report (%d vs %d bytes)",
+					p.name, workers, len(got), len(base))
+			}
 		}
 	}
 }
