@@ -36,33 +36,34 @@ import (
 	"repro/internal/trace"
 )
 
+var (
+	fig      = flag.String("fig", "", "experiment to run (see -list): 2..9, 10, 10a..10d, ablations, extensions, cluster")
+	all      = flag.Bool("all", false, "run every paper experiment (figures + ablations)")
+	ext      = flag.Bool("ext", false, "run the beyond-the-paper extension experiments")
+	faults   = flag.Bool("faults", false, "run the fault-injection / recovery experiment family")
+	fleet    = flag.Bool("fleet", false, "run (or add, with -all/-ext) the cluster-scale fleet experiments")
+	csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
+	quick    = flag.Bool("quick", false, "reduced sweep (faster, coarser)")
+	iters    = flag.Int("iters", 0, "override microbenchmark iterations per core")
+	lookups  = flag.Int("lookups", 0, "override application lookups per core")
+	threads  = flag.String("threads", "", "override thread sweep, e.g. 1,2,4,8,16")
+	replay   = flag.Bool("replay", true, "use the record/replay methodology for applications")
+	table1   = flag.Bool("table1", false, "print the paper's Table I and exit")
+	list     = flag.Bool("list", false, "list experiment IDs and exit")
+	plans    = flag.Bool("plans", false, "list every runnable plan id with aliases and a one-line description, then exit")
+	outdir   = flag.String("outdir", "", "also write each table as <outdir>/<id>.csv")
+	traceOut = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every measured run to this file")
+	jsonOut  = flag.String("json", "", "write a machine-readable run report (schema-versioned JSON) to this file; check it with kurec check")
+	parallel = flag.Int("parallel", 1, "worker goroutines for independent simulation cells; output is byte-identical at any value")
+	cachedir = flag.String("cachedir", "", "persist cell results to this directory and reuse them across invocations of the same build")
+	cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+	memprof  = flag.String("memprofile", "", "write a pprof heap profile (taken after the sweep) to this file")
+	metrics  = flag.Bool("metrics", false, "record a windowed flight-recorder time series per measured run (requires -json; composes with -parallel)")
+	metricsW = flag.Float64("metrics-window", 10, "flight-recorder window span in simulated microseconds")
+	attribF  = flag.Bool("attrib", false, "record a per-phase latency attribution summary per measured run (requires -json; composes with -parallel and -metrics); inspect with kurec blame")
+)
+
 func main() {
-	var (
-		fig      = flag.String("fig", "", "experiment to run (see -list): 2..9, 10, 10a..10d, ablations, extensions, cluster")
-		all      = flag.Bool("all", false, "run every paper experiment (figures + ablations)")
-		ext      = flag.Bool("ext", false, "run the beyond-the-paper extension experiments")
-		faults   = flag.Bool("faults", false, "run the fault-injection / recovery experiment family")
-		fleet    = flag.Bool("fleet", false, "run (or add, with -all/-ext) the cluster-scale fleet experiments")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		quick    = flag.Bool("quick", false, "reduced sweep (faster, coarser)")
-		iters    = flag.Int("iters", 0, "override microbenchmark iterations per core")
-		lookups  = flag.Int("lookups", 0, "override application lookups per core")
-		threads  = flag.String("threads", "", "override thread sweep, e.g. 1,2,4,8,16")
-		replay   = flag.Bool("replay", true, "use the record/replay methodology for applications")
-		table1   = flag.Bool("table1", false, "print the paper's Table I and exit")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		plans    = flag.Bool("plans", false, "list every runnable plan id with aliases and a one-line description, then exit")
-		outdir   = flag.String("outdir", "", "also write each table as <outdir>/<id>.csv")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every measured run to this file")
-		jsonOut  = flag.String("json", "", "write a machine-readable run report (schema-versioned JSON) to this file; check it with `kurec check`")
-		parallel = flag.Int("parallel", 1, "worker goroutines for independent simulation cells; output is byte-identical at any value")
-		cachedir = flag.String("cachedir", "", "persist cell results to this directory and reuse them across invocations of the same build")
-		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memprof  = flag.String("memprofile", "", "write a pprof heap profile (taken after the sweep) to this file")
-		metrics  = flag.Bool("metrics", false, "record a windowed flight-recorder time series per measured run (requires -json; composes with -parallel)")
-		metricsW = flag.Float64("metrics-window", 10, "flight-recorder window span in simulated microseconds")
-		attribF  = flag.Bool("attrib", false, "record a per-phase latency attribution summary per measured run (requires -json; composes with -parallel and -metrics); inspect with `kurec blame`")
-	)
 	flag.Parse()
 
 	// Profiling hooks for the perf workflow documented in DESIGN.md:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,5 +108,20 @@ func TestRunOneAliases(t *testing.T) {
 	s := tinySuite()
 	if runOne(s, "fig3") == nil || runOne(s, "ablation-lfb") == nil || runOne(s, "ext-smt") == nil {
 		t.Error("aliases not accepted")
+	}
+}
+
+// TestFlagArgNames pins the argument names -h prints: flag.UnquoteUsage
+// takes a backquoted word in a usage string as the argument's name, so
+// a command name quoted that way would replace the type.
+func TestFlagArgNames(t *testing.T) {
+	for name, want := range map[string]string{"json": "string", "attrib": ""} {
+		f := flag.Lookup(name)
+		if f == nil {
+			t.Fatalf("-%s is not defined", name)
+		}
+		if got, _ := flag.UnquoteUsage(f); got != want {
+			t.Errorf("-%s argument name = %q, want %q", name, got, want)
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/workload"
@@ -75,22 +76,24 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: kurec record|info|verify|trace|check|cache|top|metrics|blame|fleet [flags]")
 }
 
-// pickWorkload builds the named workload with CLI-scale parameters.
-func pickWorkload(name string, lookups int) (core.Workload, error) {
+// pickWorkload describes the named workload with CLI-scale parameters.
+func pickWorkload(name string, lookups int) (experiments.WorkloadSpec, error) {
+	work := workload.DefaultWorkCount
 	switch name {
 	case "ubench":
-		return workload.NewMicrobench(lookups, workload.DefaultWorkCount, 1), nil
+		return experiments.WorkloadSpec{Kind: name, Iters: lookups, Work: work, Reads: 1}, nil
 	case "bfs":
-		g := workload.NewKronecker(10, 16, 20180610)
-		return workload.NewBFS(g, []int{1, 33, 77, 123}, lookups/4+8, workload.DefaultWorkCount), nil
+		return experiments.WorkloadSpec{Kind: name, BFSScale: 10, BFSEdgeFactor: 16, BFSSeed: experiments.KroneckerSeed,
+			BFSSources: []int{1, 33, 77, 123}, BFSMaxVisits: lookups/4 + 8, Work: work}, nil
 	case "bloom":
-		return workload.NewBloom(1<<20, 4, 4096, lookups, workload.DefaultWorkCount), nil
+		return experiments.WorkloadSpec{Kind: name, BloomBits: 1 << 20, BloomHashes: 4, BloomKeys: 4096,
+			Lookups: lookups, Work: work}, nil
 	case "memcached":
-		return workload.NewMemcached(4096, 4, lookups, workload.DefaultWorkCount), nil
+		return experiments.WorkloadSpec{Kind: name, MCItems: 4096, MCValueLines: 4, Lookups: lookups, Work: work}, nil
 	case "ptrchase":
-		return workload.NewPointerChase(4096, lookups, workload.DefaultWorkCount), nil
+		return experiments.WorkloadSpec{Kind: name, ChaseNodes: 4096, Iters: lookups, Work: work}, nil
 	}
-	return nil, fmt.Errorf("unknown workload %q", name)
+	return experiments.WorkloadSpec{}, fmt.Errorf("unknown workload %q", name)
 }
 
 func cmdRecord(args []string) error {
@@ -127,7 +130,7 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	cfg := platform.Default().WithCores(*cores)
-	recs, err := core.RecordAccessTrace(cfg, w, *threads, *mech)
+	recs, err := core.RecordAccessTrace(cfg, w.Build(), *threads, *mech)
 	if err != nil {
 		return err
 	}

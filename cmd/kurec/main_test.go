@@ -14,7 +14,7 @@ import (
 func TestPickWorkload(t *testing.T) {
 	for _, name := range []string{"ubench", "bfs", "bloom", "memcached", "ptrchase"} {
 		w, err := pickWorkload(name, 50)
-		if err != nil || w == nil {
+		if err != nil || w.Build() == nil {
 			t.Errorf("pickWorkload(%q): %v", name, err)
 		}
 	}
@@ -109,7 +109,8 @@ func TestRecordRejectsBadFlags(t *testing.T) {
 }
 
 func TestRecordAccessTraceMechanisms(t *testing.T) {
-	w, _ := pickWorkload("ubench", 40)
+	spec, _ := pickWorkload("ubench", 40)
+	w := spec.Build()
 	cfg := platform.Default()
 	for _, mech := range []string{"prefetch", "swqueue", "kernelq"} {
 		recs, err := core.RecordAccessTrace(cfg, w, 4, mech)

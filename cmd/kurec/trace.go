@@ -6,7 +6,7 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/platform"
 	"repro/internal/trace"
 )
@@ -52,6 +52,11 @@ func cmdTrace(args []string) error {
 	if *lookups < 1 {
 		return fmt.Errorf("-lookups %d must be at least 1", *lookups)
 	}
+	switch *mech {
+	case "ondemand", "prefetch", "swqueue", "kernelq":
+	default:
+		return fmt.Errorf("unknown -mech %q (want ondemand, prefetch, swqueue, or kernelq)", *mech)
+	}
 
 	w, err := pickWorkload(*wl, *lookups)
 	if err != nil {
@@ -60,20 +65,7 @@ func cmdTrace(args []string) error {
 	rec := trace.NewRecorder()
 	cfg := platform.Default().WithCores(*cores)
 	cfg.Trace = rec
-
-	var res core.Result
-	switch *mech {
-	case "ondemand":
-		res, err = core.RunOnDemandDevice(cfg, w)
-	case "prefetch":
-		res, err = core.RunPrefetch(cfg, w, *threads, false)
-	case "swqueue":
-		res, err = core.RunSWQueue(cfg, w, *threads, false)
-	case "kernelq":
-		res, err = core.RunKernelQueue(cfg, w, *threads, false)
-	default:
-		return fmt.Errorf("unknown -mech %q (want ondemand, prefetch, swqueue, or kernelq)", *mech)
-	}
+	res, err := experiments.CellSpec{Mech: *mech, Config: cfg, Workload: w, Threads: *threads}.Run()
 	if err != nil {
 		return err
 	}

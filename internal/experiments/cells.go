@@ -16,15 +16,15 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the sweep-execution layer: every figure cell — one
+// This file is the sweep-execution layer: every experiment cell — one
 // deterministic core.Run* invocation — is described by a value-typed
 // CellSpec, executed through an Exec (worker pool + content-addressed
-// result cache), and collected through a Future in the figure's own
-// program order. Because cells are pure functions of their spec, the
-// same seed and flags produce byte-identical tables, CSVs, and JSON
-// reports at any worker count, and duplicated cells (the DRAM
-// baselines every normalized figure shares) are computed once per
-// process.
+// result cache), and collected through a Future in the experiment's
+// own program order. Because cells are pure functions of their spec,
+// the same seed and flags produce byte-identical tables, CSVs, and
+// JSON reports at any worker count, and duplicated cells (the DRAM
+// baselines every normalized table shares) are computed once per
+// process. CellSpec.Run is the only place this package calls core.Run*.
 
 // WorkloadSpec is a value description of a benchmark workload. Specs
 // stand in for live workload objects inside cell parameterizations:
@@ -250,9 +250,9 @@ const defaultCacheEntries = 16384
 
 // Exec coordinates cell execution for one sweep invocation: a worker
 // pool sized by the -parallel flag plus a process-wide result cache.
-// A nil *Exec is valid and means direct serial execution with no
-// caching — the pre-subsystem behavior, still used by library callers
-// that invoke Fig* methods directly.
+// A nil *Exec is valid: each cell then runs inline when it is
+// submitted, uncached, which is what traced sweeps and library callers
+// that invoke Fig*/Exp* methods without an executor get.
 type Exec struct {
 	pool  *runpool.Pool
 	store *resultstore.Store[core.Result]
@@ -366,8 +366,8 @@ func (f *Future) Result() (core.Result, error) {
 // exec routes one cell through the suite's executor. Without an
 // executor — or when tracing is enabled, because a trace must contain
 // every run in invocation order and cached cells would vanish from it
-// — the cell runs inline, preserving the exact legacy serial
-// behavior.
+// — the cell runs inline at submission, so cells run one at a time in
+// the order the experiment submits them.
 func (s Suite) exec(c CellSpec) *Future {
 	if s.Exec == nil || s.Base.Trace != nil {
 		r, err := c.Run()

@@ -39,9 +39,9 @@ type Suite struct {
 	// quick artifact is never diffed against a publication baseline.
 	Quick bool
 	// Exec, when set, runs cells through a worker pool with a result
-	// cache (see cells.go). Nil means direct serial execution — the
-	// legacy behavior. Execution strategy never changes results: the
-	// figures collect cells in program order, so output is
+	// cache (see cells.go). Nil runs each cell inline at submission,
+	// uncached. Execution strategy never changes results: every
+	// experiment collects its cells in program order, so output is
 	// byte-identical at any worker count. It is not stamped into
 	// reports for the same reason.
 	Exec *Exec
@@ -158,11 +158,7 @@ func addRun(series *stats.Series, x float64, r core.Result, base core.Result) {
 
 func latLabel(l sim.Time) string { return fmt.Sprintf("%gus", l.Microseconds()) }
 
-func (s Suite) ubench(reads, work int) *workload.Microbench {
-	return workload.NewMicrobench(s.Iterations, work, reads)
-}
-
-// ubenchSpec is the cell-layer counterpart of ubench: a value spec the
+// ubenchSpec is the suite's microbenchmark as a value spec the
 // executor can hash and rebuild per run.
 func (s Suite) ubenchSpec(reads, work int) WorkloadSpec {
 	return WorkloadSpec{Kind: "ubench", Iters: s.Iterations, Work: work, Reads: reads}

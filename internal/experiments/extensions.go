@@ -21,17 +21,21 @@ func (s Suite) ExpKernelQueue() *stats.Table {
 		XLabel: "threads",
 		YLabel: "normalized work IPC (vs single-thread DRAM)",
 	}
-	wl := s.ubench(1, workload.DefaultWorkCount)
+	wl := s.ubenchSpec(1, workload.DefaultWorkCount)
 	cfg := s.Base
-	base := must(core.RunDRAMBaseline(cfg, wl))
+	base := s.exec(dramCell(cfg, wl))
 	pf := t.AddSeries("prefetch")
 	sq := t.AddSeries("swqueue")
 	kq := t.AddSeries("kernelq")
+	var cells []pendingCell
 	for _, n := range s.Threads {
-		pf.Add(float64(n), must(core.RunPrefetch(cfg, wl, n, false)).NormalizedTo(base.Measurement))
-		sq.Add(float64(n), must(core.RunSWQueue(cfg, wl, n, false)).NormalizedTo(base.Measurement))
-		kq.Add(float64(n), must(core.RunKernelQueue(cfg, wl, n, false)).NormalizedTo(base.Measurement))
+		x := float64(n)
+		cells = append(cells,
+			pendingCell{series: pf, x: x, run: s.exec(prefetchCell(cfg, wl, n, false)), base: base},
+			pendingCell{series: sq, x: x, run: s.exec(swqueueCell(cfg, wl, n, false)), base: base},
+			pendingCell{series: kq, x: x, run: s.exec(CellSpec{Mech: "kernelq", Config: cfg, Workload: wl, Threads: n}), base: base})
 	}
+	resolve(cells)
 	_, kqPeak := kq.Peak()
 	t.Note("kernel-managed queues peak at %.3f: syscalls, 2us kernel switches and interrupts dwarf the 1us access (§III-A)", kqPeak)
 	return t
@@ -47,17 +51,20 @@ func (s Suite) ExpSMT() *stats.Table {
 		XLabel: "hardware contexts",
 		YLabel: "normalized work IPC (vs single-thread DRAM)",
 	}
-	wl := s.ubench(1, workload.DefaultWorkCount)
+	wl := s.ubenchSpec(1, workload.DefaultWorkCount)
+	var cells []pendingCell
 	for _, lat := range []sim.Time{1 * sim.Microsecond, 4 * sim.Microsecond} {
 		cfg := s.Base.WithLatency(lat)
-		base := must(core.RunDRAMBaseline(cfg, wl))
+		base := s.exec(dramCell(cfg, wl))
 		series := t.AddSeries(latLabel(lat))
 		for _, contexts := range []int{1, 2, 4, 8} {
 			c := cfg
 			c.SMTContexts = contexts
-			series.Add(float64(contexts), must(core.RunSMT(c, wl)).NormalizedTo(base.Measurement))
+			run := s.exec(CellSpec{Mech: "smt", Config: c, Workload: wl})
+			cells = append(cells, pendingCell{series: series, x: float64(contexts), run: run, base: base})
 		}
 	}
+	resolve(cells)
 	t.Note("commodity SMT (2 contexts) roughly doubles on-demand throughput — far short of the 10+ in-flight accesses a microsecond needs (§III-B)")
 	return t
 }
@@ -73,16 +80,21 @@ func (s Suite) ExpWrites() *stats.Table {
 		YLabel: "normalized work IPC (vs single-thread DRAM)",
 	}
 	cfg := s.Base
+	var cells []pendingCell
 	for _, writes := range []int{0, 1, 4} {
-		wl := workload.NewMicrobenchRW(s.Iterations, workload.DefaultWorkCount, 1, writes)
-		base := must(core.RunDRAMBaseline(cfg, wl))
+		wl := s.ubenchSpec(1, workload.DefaultWorkCount)
+		wl.Writes = writes
+		base := s.exec(dramCell(cfg, wl))
 		pf := t.AddSeries(fmt.Sprintf("prefetch +%dw", writes))
 		sq := t.AddSeries(fmt.Sprintf("swqueue +%dw", writes))
 		for _, n := range s.Threads {
-			pf.Add(float64(n), must(core.RunPrefetch(cfg, wl, n, false)).NormalizedTo(base.Measurement))
-			sq.Add(float64(n), must(core.RunSWQueue(cfg, wl, n, false)).NormalizedTo(base.Measurement))
+			x := float64(n)
+			cells = append(cells,
+				pendingCell{series: pf, x: x, run: s.exec(prefetchCell(cfg, wl, n, false)), base: base},
+				pendingCell{series: sq, x: x, run: s.exec(swqueueCell(cfg, wl, n, false)), base: base})
 		}
 	}
+	resolve(cells)
 	t.Note("prefetch-path writes cost ~1ns each (store buffer absorbs them); SWQ writes pay the descriptor overhead, compounding its 50%% cap")
 	return t
 }
@@ -98,22 +110,26 @@ func (s Suite) ExpMemBus() *stats.Table {
 		XLabel: "cores",
 		YLabel: "normalized work IPC (vs single-core DRAM)",
 	}
-	wl := s.ubench(1, workload.DefaultWorkCount)
+	wl := s.ubenchSpec(1, workload.DefaultWorkCount)
+	var cells []pendingCell
 	for _, lat := range latencies {
 		series := t.AddSeries(latLabel(lat) + " membus+rule")
 		stock := t.AddSeries(latLabel(lat) + " stock pcie")
-		base := must(core.RunDRAMBaseline(s.Base.WithLatency(lat), wl))
+		base := s.exec(dramCell(s.Base.WithLatency(lat), wl))
 		threads := 20 * int(lat/sim.Microsecond) // enough to cover the rule-sized LFBs
 		for _, cores := range []int{1, 2, 4, 8} {
 			cfg := s.Base.WithLatency(lat).WithCores(cores)
-			stock.Add(float64(cores), must(core.RunPrefetch(cfg, wl, threads, false)).NormalizedTo(base.Measurement))
+			cells = append(cells, pendingCell{series: stock, x: float64(cores),
+				run: s.exec(prefetchCell(cfg, wl, threads, false)), base: base})
 
 			tuned := cfg.AsMemBus()
 			tuned.LFBPerCore = 20 * int(lat/sim.Microsecond) // the §V-B rule
 			tuned.ChipQueueMMIO = tuned.LFBPerCore * cores
-			series.Add(float64(cores), must(core.RunPrefetch(tuned, wl, threads, false)).NormalizedTo(base.Measurement))
+			cells = append(cells, pendingCell{series: series, x: float64(cores),
+				run: s.exec(prefetchCell(tuned, wl, threads, false)), base: base})
 		}
 	}
+	resolve(cells)
 	t.Note("with queues sized by 20 x latency(us) x cores and a memory-class link, every latency scales near-linearly with cores — \"successful usage of microsecond-level devices is not predicated on drastically new architectures\" (§VII)")
 	return t
 }
@@ -129,7 +145,7 @@ func (s Suite) ExpTailLatency() *stats.Table {
 		XLabel: "threads",
 		YLabel: "normalized work IPC (vs single-thread DRAM)",
 	}
-	wl := s.ubench(1, workload.DefaultWorkCount)
+	wl := s.ubenchSpec(1, workload.DefaultWorkCount)
 	variants := []struct {
 		label string
 		prob  float64
@@ -137,21 +153,28 @@ func (s Suite) ExpTailLatency() *stats.Table {
 		{"fixed", 0},
 		{"1%-tail", 0.01},
 	}
+	notePercentiles := func(r core.Result) {
+		t.Note("prefetch 10t with tail: access P50 %.0fns P99 %.0fns", r.Diag.AccessP50Ns, r.Diag.AccessP99Ns)
+	}
+	var cells []pendingCell
 	for _, v := range variants {
 		cfg := s.Base
 		cfg.DeviceLatencyTailProb = v.prob
-		base := must(core.RunDRAMBaseline(cfg, wl))
+		base := s.exec(dramCell(cfg, wl))
 		pf := t.AddSeries("prefetch " + v.label)
 		sq := t.AddSeries("swqueue " + v.label)
 		for _, n := range s.Threads {
-			rp := must(core.RunPrefetch(cfg, wl, n, false))
-			pf.Add(float64(n), rp.NormalizedTo(base.Measurement))
-			sq.Add(float64(n), must(core.RunSWQueue(cfg, wl, n, false)).NormalizedTo(base.Measurement))
+			var post func(core.Result)
 			if v.prob > 0 && n == 10 {
-				t.Note("prefetch 10t with tail: access P50 %.0fns P99 %.0fns", rp.Diag.AccessP50Ns, rp.Diag.AccessP99Ns)
+				post = notePercentiles
 			}
+			x := float64(n)
+			cells = append(cells,
+				pendingCell{series: pf, x: x, run: s.exec(prefetchCell(cfg, wl, n, false)), base: base, post: post},
+				pendingCell{series: sq, x: x, run: s.exec(swqueueCell(cfg, wl, n, false)), base: base})
 		}
 	}
+	resolve(cells)
 	return t
 }
 
@@ -172,25 +195,29 @@ func (s Suite) ExpPointerChase() *stats.Table {
 		YLabel: "normalized work IPC (vs own DRAM baseline)",
 	}
 	cfg := s.Base
-	chase := workload.NewPointerChase(4096, s.Iterations, chaseWork)
-	base := must(core.RunDRAMBaseline(cfg, chase))
-	indep := s.ubench(1, chaseWork)
-	indepBase := must(core.RunDRAMBaseline(cfg, indep))
-	od := must(core.RunOnDemandDevice(cfg, chase)).NormalizedTo(base.Measurement)
+	chase := WorkloadSpec{Kind: "ptrchase", ChaseNodes: 4096, Iters: s.Iterations, Work: chaseWork}
+	base := s.exec(dramCell(cfg, chase))
+	indep := s.ubenchSpec(1, chaseWork)
+	indepBase := s.exec(dramCell(cfg, indep))
+	od := s.exec(onDemandCell(cfg, chase))
 
 	pf := t.AddSeries("chase prefetch")
 	sq := t.AddSeries("chase swqueue")
 	ub := t.AddSeries("independent prefetch")
+	var cells []pendingCell
 	for _, n := range s.Threads {
-		chase.Reset()
-		pf.Add(float64(n), must(core.RunPrefetch(cfg, chase, n, true)).NormalizedTo(base.Measurement))
-		chase.Reset()
-		sq.Add(float64(n), must(core.RunSWQueue(cfg, chase, n, true)).NormalizedTo(base.Measurement))
-		ub.Add(float64(n), must(core.RunPrefetch(cfg, indep, n, false)).NormalizedTo(indepBase.Measurement))
+		x := float64(n)
+		cells = append(cells,
+			pendingCell{series: pf, x: x, run: s.exec(prefetchCell(cfg, chase, n, true)), base: base},
+			pendingCell{series: sq, x: x, run: s.exec(swqueueCell(cfg, chase, n, true)), base: base},
+			pendingCell{series: ub, x: x, run: s.exec(prefetchCell(cfg, indep, n, false)), base: indepBase})
 	}
+	resolve(cells)
+	b, ib := must(base.Result()), must(indepBase.Result())
 	t.Note("chase DRAM baseline %.0fns/hop vs independent %.0fns/iter: the chain denies the window its MLP",
-		base.IterationTime()*1e9, indepBase.IterationTime()*1e9)
-	t.Note("on-demand device chasing runs at %.3f of DRAM; threading restores it", od)
+		b.IterationTime()*1e9, ib.IterationTime()*1e9)
+	t.Note("on-demand device chasing runs at %.3f of DRAM; threading restores it",
+		must(od.Result()).NormalizedTo(b.Measurement))
 	return t
 }
 
@@ -208,15 +235,23 @@ func (s Suite) ExpDevices() *stats.Table {
 	}
 	devices := []struct {
 		label string
-		cfg   platformConfigFn
+		cfg   platform.Config
 	}{
-		{"xpoint-350ns", platform.XPointDevice},
-		{"rdma-3us", platform.RDMADevice},
-		{"flash-25us", platform.FlashDevice},
+		{"xpoint-350ns", platform.XPointDevice()},
+		{"rdma-3us", platform.RDMADevice()},
+		{"flash-25us", platform.FlashDevice()},
 	}
 	threads := append(append([]int{}, s.Threads...), 24, 48, 96, 192, 384, 512)
+	var cells []pendingCell
 	for _, dev := range devices {
-		cfg := dev.cfg()
+		cfg := dev.cfg
+		// The presets start from the default platform: carry the
+		// suite's flight recorder and attribution over so these cells
+		// report like every other extension cell. The trace recorder
+		// is deliberately not carried: -trace files cover the runs on
+		// the suite's own platform only.
+		cfg.MetricsWindow, cfg.MetricsMaxWindows, cfg.MetricsSink = s.Base.MetricsWindow, s.Base.MetricsMaxWindows, s.Base.MetricsSink
+		cfg.Attribution = s.Base.Attribution
 		// Provision the hardware by the paper's rule so the device
 		// class, not today's queue sizes, sets the requirement.
 		us := cfg.DeviceLatency.Microseconds()
@@ -230,22 +265,19 @@ func (s Suite) ExpDevices() *stats.Table {
 		for _, n := range threads {
 			// Keep warm-up (one device latency) negligible at high
 			// thread counts by scaling the run length.
-			iters := s.Iterations
-			if min := n * 30; iters < min {
-				iters = min
-			}
-			wl := workload.NewMicrobench(iters, workload.DefaultWorkCount, 1)
-			base := must(core.RunDRAMBaseline(cfg, wl))
-			series.Add(float64(n), must(core.RunPrefetch(cfg, wl, n, false)).NormalizedTo(base.Measurement))
+			wl := s.ubenchSpec(1, workload.DefaultWorkCount)
+			wl.Iters = max(wl.Iters, n*30)
+			base := s.exec(dramCell(cfg, wl))
+			run := s.exec(prefetchCell(cfg, wl, n, false))
+			cells = append(cells, pendingCell{series: series, x: float64(n), run: run, base: base})
 		}
-		knee := series.KneeX(0.9)
-		t.Note("%s reaches 90%% of its peak at ~%.0f threads", dev.label, knee)
+	}
+	resolve(cells)
+	for i, dev := range devices {
+		t.Note("%s reaches 90%% of its peak at ~%.0f threads", dev.label, t.Series[i].KneeX(0.9))
 	}
 	return t
 }
-
-// platformConfigFn builds a device preset.
-type platformConfigFn func() platform.Config
 
 // ExpLocality enables the cacheable-MMIO advantage the paper describes
 // but never measures (§III-B: cacheable regions "can take advantage of
@@ -266,16 +298,18 @@ func (s Suite) ExpLocality() *stats.Table {
 	pf := t.AddSeries("prefetch")
 	sq := t.AddSeries("swqueue")
 	hits := t.AddSeries("prefetch cache hit rate")
+	var cells []pendingCell
 	for _, bits := range []uint64{1 << 16, 1 << 19, 1 << 22} { // 8KB, 64KB, 512KB
 		kb := float64(bits / 8 / 1024)
-		bloom := workload.NewBloom(bits, 4, 512, s.AppLookups, workload.DefaultWorkCount)
-		base := must(core.RunDRAMBaseline(cfg, bloom))
-		r := must(core.RunPrefetch(cfg, bloom, 8, false))
-		pf.Add(kb, r.NormalizedTo(base.Measurement))
-		hits.Add(kb, r.Diag.CacheHitRate)
-		bloom.Reset()
-		sq.Add(kb, must(core.RunSWQueue(cfg, bloom, 8, false)).NormalizedTo(base.Measurement))
+		bloom := WorkloadSpec{Kind: "bloom", BloomBits: bits, BloomHashes: 4, BloomKeys: 512,
+			Lookups: s.AppLookups, Work: workload.DefaultWorkCount}
+		base := s.exec(dramCell(cfg, bloom))
+		cells = append(cells,
+			pendingCell{series: pf, x: kb, run: s.exec(prefetchCell(cfg, bloom, 8, false)), base: base,
+				post: func(r core.Result) { hits.Add(kb, r.Diag.CacheHitRate) }},
+			pendingCell{series: sq, x: kb, run: s.exec(swqueueCell(cfg, bloom, 8, false)), base: base})
 	}
+	resolve(cells)
 	t.Note("hardware caching is exclusive to the memory-mapped interface; SWQ response buffers see none (§V-C)")
 	return t
 }

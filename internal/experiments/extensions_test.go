@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -233,5 +234,45 @@ func TestSMTDeterministicAndCounted(t *testing.T) {
 	}
 	if !strings.Contains(a.Label, "smt") {
 		t.Errorf("label = %q", a.Label)
+	}
+}
+
+// TestExtensionPlanRunsAsCells: with an executor attached, every
+// extension and fault simulation is a submitted cell, so identical
+// cells are shared (ext-tail's fixed-latency cells are ext-kernelq's)
+// and every series resolve fills carries its run's flight-recorder
+// series and attribution summary, as the paper figures' series do.
+func TestExtensionPlanRunsAsCells(t *testing.T) {
+	s := parSuite()
+	s.Base.MetricsWindow = 10 * sim.Microsecond
+	s.Base.Attribution = true
+	s.Exec = NewExec(2)
+	defer s.Exec.Close()
+	tables := RunPlan(s.ExtensionPlan(), nil)
+	if es := s.Exec.Stats(); es.Cells == 0 || es.Dedup == 0 {
+		t.Errorf("executor stats %+v: want submitted and deduplicated cells", es)
+	}
+	checked := 0
+	for _, tb := range tables {
+		if !strings.HasPrefix(tb.ID, "ext-") {
+			continue
+		}
+		checked++
+		for _, series := range tb.Series {
+			if series.Label == "prefetch cache hit rate" {
+				continue // derived from the prefetch cells, not resolved itself
+			}
+			for i := range series.X {
+				if i >= len(series.Metrics) || series.Metrics[i] == nil {
+					t.Errorf("%s/%s point %d carries no metrics", tb.ID, series.Label, i)
+				}
+				if i >= len(series.Attrib) || series.Attrib[i] == nil {
+					t.Errorf("%s/%s point %d carries no attribution", tb.ID, series.Label, i)
+				}
+			}
+		}
+	}
+	if checked != 8 {
+		t.Errorf("checked %d ext tables, want 8", checked)
 	}
 }

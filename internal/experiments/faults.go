@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -18,27 +16,28 @@ var faultRates = []float64{0, 0.002, 0.01, 0.05}
 // faultSeed fixes the draw stream so the family is reproducible.
 const faultSeed = 42
 
-// faultMech is one access mechanism under test.
-type faultMech struct {
-	name string
-	run  func(cfg platform.Config, wl core.Workload) core.Result
+// faultMechs are the access mechanisms under test, as cell templates
+// that each run completes with its config and workload. Series are
+// labeled by Mech.
+var faultMechs = []CellSpec{
+	{Mech: "ondemand"},
+	{Mech: "prefetch", Threads: 10},
+	{Mech: "swqueue", Threads: 10},
+	{Mech: "kernelq", Threads: 4},
 }
 
-func faultMechs() []faultMech {
-	return []faultMech{
-		{"ondemand", func(cfg platform.Config, wl core.Workload) core.Result {
-			return must(core.RunOnDemandDevice(cfg, wl))
-		}},
-		{"prefetch", func(cfg platform.Config, wl core.Workload) core.Result {
-			return must(core.RunPrefetch(cfg, wl, 10, false))
-		}},
-		{"swqueue", func(cfg platform.Config, wl core.Workload) core.Result {
-			return must(core.RunSWQueue(cfg, wl, 10, false))
-		}},
-		{"kernelq", func(cfg platform.Config, wl core.Workload) core.Result {
-			return must(core.RunKernelQueue(cfg, wl, 4, false))
-		}},
+// faultRuns submits one cell per mechanism and fault plan,
+// mechanism-major, and returns the futures indexed [mechanism][plan].
+func (s Suite) faultRuns(wl WorkloadSpec, plans []fault.Plan) [][]*Future {
+	runs := make([][]*Future, len(faultMechs))
+	for i, m := range faultMechs {
+		m.Config, m.Workload = s.Base, wl
+		for _, p := range plans {
+			m.Config.Faults = p
+			runs[i] = append(runs[i], s.exec(m))
+		}
 	}
+	return runs
 }
 
 // ExpFaults measures graceful degradation of every access mechanism
@@ -50,7 +49,24 @@ func faultMechs() []faultMech {
 // plus a per-layer breakdown at a fixed 1% rate. All tables come from
 // one run matrix, so they describe the same runs.
 func (s Suite) ExpFaults() []*stats.Table {
-	wl := s.ubench(1, workload.DefaultWorkCount)
+	wl := s.ubenchSpec(1, workload.DefaultWorkCount)
+	ratePlans := make([]fault.Plan, len(faultRates))
+	for i, rate := range faultRates {
+		ratePlans[i] = fault.Plan{
+			Seed:               faultSeed,
+			DropCompletionProb: rate,
+			StragglerProb:      rate,
+			TLPCorruptProb:     rate,
+		}
+	}
+	// The layer breakdown's first plan is the base platform's own, the
+	// clean run each layer is normalized to.
+	layerPlans := []fault.Plan{s.Base.Faults}
+	for _, l := range faultLayers {
+		layerPlans = append(layerPlans, l.plan)
+	}
+	rated := s.faultRuns(wl, ratePlans)
+	layered := s.faultRuns(wl, layerPlans)
 
 	throughput := &stats.Table{
 		ID:     "exp-faults-throughput",
@@ -70,39 +86,29 @@ func (s Suite) ExpFaults() []*stats.Table {
 		XLabel: "fault rate (drop/straggler/TLP-corrupt)",
 		YLabel: "retries per access",
 	}
-
-	for _, m := range faultMechs() {
-		tp := throughput.AddSeries(m.name)
-		p99 := tail.AddSeries(m.name + " p99")
-		p999 := tail.AddSeries(m.name + " p999")
-		amp := retries.AddSeries(m.name)
-		var cleanIPS float64
-		for _, rate := range faultRates {
-			cfg := s.Base
-			cfg.Faults = fault.Plan{
-				Seed:               faultSeed,
-				DropCompletionProb: rate,
-				StragglerProb:      rate,
-				TLPCorruptProb:     rate,
-			}
-			r := m.run(cfg, wl)
-			if rate == 0 {
-				cleanIPS = r.WorkIPS()
-			}
+	for i, m := range faultMechs {
+		tp := throughput.AddSeries(m.Mech)
+		p99 := tail.AddSeries(m.Mech + " p99")
+		p999 := tail.AddSeries(m.Mech + " p999")
+		amp := retries.AddSeries(m.Mech)
+		// faultRates[0] is the rate-0 control.
+		cleanIPS := must(rated[i][0].Result()).WorkIPS()
+		for j, rate := range faultRates {
+			r := must(rated[i][j].Result())
 			tp.Add(rate, r.WorkIPS()/cleanIPS)
 			p99.Add(rate, r.Diag.AccessP99Ns)
 			p999.Add(rate, r.Diag.AccessP999Ns)
 			amp.Add(rate, float64(r.Diag.Retries)/float64(r.Accesses))
 			if rate == 0.01 {
 				throughput.Note("%s at 1%%: retries=%d timeouts=%d abandoned=%d (faults: %d dropped, %d stragglers, %d corrupt TLPs)",
-					m.name, r.Diag.Retries, r.Diag.Timeouts, r.Diag.Abandoned,
+					m.Mech, r.Diag.Retries, r.Diag.Timeouts, r.Diag.Abandoned,
 					r.Diag.Faults.DroppedCompletions, r.Diag.Faults.Stragglers, r.Diag.Faults.CorruptTLPs)
 			}
 		}
 	}
 	throughput.Note("rate-0 points are bit-identical to fault-free runs (disabled plans take the exact clean code path)")
 
-	return []*stats.Table{throughput, tail, retries, s.expFaultLayers(wl)}
+	return []*stats.Table{throughput, tail, retries, faultLayerTable(layered)}
 }
 
 // faultLayers enumerates the per-layer plans of the 1% breakdown. Each
@@ -122,10 +128,12 @@ var faultLayers = []struct {
 	{"cq-overflow", fault.Plan{Seed: faultSeed, CQCapacity: 4}},
 }
 
-// expFaultLayers is the per-layer breakdown: one fault mechanism at a
+// faultLayerTable is the per-layer breakdown: one fault mechanism at a
 // time, 1% rate (or a 4-entry CQ bound), throughput retained per
-// access mechanism. X is the layer's index into the noted legend.
-func (s Suite) expFaultLayers(wl core.Workload) *stats.Table {
+// access mechanism. runs[i][0] is mechanism i's clean run and
+// runs[i][1+j] its run under faultLayers[j]. X is the layer's index
+// into the noted legend.
+func faultLayerTable(runs [][]*Future) *stats.Table {
 	t := &stats.Table{
 		ID:     "exp-faults-layers",
 		Title:  "Per-layer fault impact at 1% rate",
@@ -140,13 +148,11 @@ func (s Suite) expFaultLayers(wl core.Workload) *stats.Table {
 		legend += fmt.Sprintf("%d=%s", i, l.name)
 	}
 	t.Note("layers: %s", legend)
-	for _, m := range faultMechs() {
-		series := t.AddSeries(m.name)
-		clean := m.run(s.Base, wl).WorkIPS()
-		for i, l := range faultLayers {
-			cfg := s.Base
-			cfg.Faults = l.plan
-			series.Add(float64(i), m.run(cfg, wl).WorkIPS()/clean)
+	for i, m := range faultMechs {
+		series := t.AddSeries(m.Mech)
+		clean := must(runs[i][0].Result()).WorkIPS()
+		for j := range faultLayers {
+			series.Add(float64(j), must(runs[i][1+j].Result()).WorkIPS()/clean)
 		}
 	}
 	return t
