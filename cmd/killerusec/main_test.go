@@ -104,6 +104,23 @@ func TestTracedSweep(t *testing.T) {
 	}
 }
 
+// TestTracedDevices: the device-class presets build their own
+// platforms, and -trace still records their runs without changing the
+// table.
+func TestTracedDevices(t *testing.T) {
+	s := tinySuite()
+	plain := runOne(s, "devices")
+	rec := trace.NewRecorder()
+	s.Base.Trace = rec
+	traced := runOne(s, "devices")
+	if rec.Runs() == 0 || rec.Events() == 0 {
+		t.Fatalf("traced device sweep recorded %d runs / %d events", rec.Runs(), rec.Events())
+	}
+	if len(plain) != 1 || len(traced) != 1 || traced[0].Text() != plain[0].Text() {
+		t.Errorf("tracing changed the device table:\n%s\nwant\n%s", traced[0].Text(), plain[0].Text())
+	}
+}
+
 func TestRunOneAliases(t *testing.T) {
 	s := tinySuite()
 	if runOne(s, "fig3") == nil || runOne(s, "ablation-lfb") == nil || runOne(s, "ext-smt") == nil {

@@ -7,9 +7,17 @@
 // long it was.
 //
 // The design mirrors the trace and telemetry layers: attribution is
-// observational by contract. A nil Probe hands out nil Accesses whose
+// observational by contract. A nil Probe hands out zero Accesses whose
 // methods are no-ops, so disabled attribution costs the mechanisms one
 // nil check per mark and never schedules events or perturbs timing.
+//
+// Ledgers are recycled: an Access is a handle naming a probe-owned
+// ledger and the generation it was opened at. Close folds the ledger
+// into its probe, bumps the generation and returns the ledger to the
+// probe's free list, so steady-state Open and Close allocate nothing,
+// and a stale handle — a straggling response's, or a duplicate's —
+// marks and closes nothing, even after its ledger serves another
+// access.
 //
 // Exactness is structural, not assembled: an Access is a telescoping
 // interval ledger. Open fixes the start, every To(phase, at) assigns
@@ -111,6 +119,8 @@ type Probe struct {
 	totalPs    int64  // sum of per-access end-to-end windows
 	mismatches uint64 // Close calls whose end preceded the last mark
 
+	free []*ledger // closed ledgers, ready for the next Open
+
 	// onClose, when set, observes every closed access: the close time
 	// and the per-phase picosecond breakdown. The telemetry recorder
 	// hooks it to build per-window phase columns.
@@ -130,13 +140,22 @@ func (pr *Probe) SetOnClose(fn func(end sim.Time, ph *[NumPhases]int64)) {
 	pr.onClose = fn
 }
 
-// Open begins the ledger for one access at sim-time at. A nil probe
-// returns a nil Access, whose methods are all no-ops.
-func (pr *Probe) Open(at sim.Time) *Access {
+// Open begins the ledger for one access at sim-time at, reusing a
+// closed one when the probe has any. A nil probe returns the zero
+// Access, whose methods are all no-ops.
+func (pr *Probe) Open(at sim.Time) Access {
 	if pr == nil {
-		return nil
+		return Access{}
 	}
-	return &Access{pr: pr, start: at, last: at}
+	var l *ledger
+	if n := len(pr.free); n > 0 {
+		l = pr.free[n-1]
+		pr.free = pr.free[:n-1]
+	} else {
+		l = &ledger{pr: pr}
+	}
+	l.start, l.last = at, at
+	return Access{l: l, gen: l.gen}
 }
 
 // Accesses returns the number of closed accesses.
@@ -203,15 +222,33 @@ func (pr *Probe) Summary() *stats.AttribSummary {
 	return s
 }
 
-// Access is the per-access phase ledger: a telescoping sequence of
-// marks between Open and Close. All methods are nil-safe no-ops so the
-// mechanisms can mark unconditionally.
+// ledger is one access's telescoping sequence of marks between Open and
+// Close. Close zeroes it and bumps gen, retiring every handle to it.
+type ledger struct {
+	pr    *Probe
+	gen   uint64 // 64 bits: a run cannot open enough accesses to wrap it
+	start sim.Time
+	last  sim.Time
+	ph    [NumPhases]int64
+}
+
+// Access is the per-access phase ledger handle. It is a value: the
+// ledger it names and the generation that ledger had at Open. Once the
+// access is closed the handle is stale, and all its methods are no-ops
+// — as they are on the zero Access — so the mechanisms can mark
+// unconditionally.
 type Access struct {
-	pr     *Probe
-	start  sim.Time
-	last   sim.Time
-	ph     [NumPhases]int64
-	closed bool
+	l   *ledger
+	gen uint64
+}
+
+// open returns the handle's ledger, or nil when the handle is zero or
+// stale.
+func (a Access) open() *ledger {
+	if a.l == nil || a.l.gen != a.gen {
+		return nil
+	}
+	return a.l
 }
 
 // To assigns the interval since the previous mark to ph, advancing the
@@ -219,40 +256,38 @@ type Access struct {
 // nothing (zero-length interval) and leaves the mark where it was, so
 // out-of-order or conditional marks are safe: the earlier phase keeps
 // the time and the total still telescopes.
-func (a *Access) To(ph Phase, at sim.Time) {
-	if a == nil || a.closed {
+func (a Access) To(ph Phase, at sim.Time) {
+	l := a.open()
+	if l == nil || at <= l.last {
 		return
 	}
-	if at <= a.last {
-		return
-	}
-	a.ph[ph] += int64(at - a.last)
-	a.last = at
+	l.ph[ph] += int64(at - l.last)
+	l.last = at
 }
 
-// Close assigns the residual interval since the last mark to final and
-// folds the access into its probe. An end earlier than the last mark
-// is clamped to the last mark and counted as a mismatch (the phase
-// sums still total the ledger's window exactly). Subsequent To or
-// Close calls are no-ops, so straggling device responses arriving
-// after delivery cannot double-account.
-func (a *Access) Close(final Phase, end sim.Time) {
-	if a == nil || a.closed {
+// Close assigns the residual interval since the last mark to final,
+// folds the access into its probe and returns the ledger for reuse. An
+// end earlier than the last mark is clamped to the last mark and
+// counted as a mismatch (the phase sums still total the ledger's window
+// exactly). Close retires the handle: later To or Close calls through
+// it, or through any copy of it, are no-ops, so straggling device
+// responses arriving after delivery cannot double-account.
+func (a Access) Close(final Phase, end sim.Time) {
+	l := a.open()
+	if l == nil {
 		return
 	}
-	a.closed = true
-	pr := a.pr
-	if end < a.last {
+	pr := l.pr
+	if end < l.last {
 		pr.mismatches++
-		end = a.last
+		end = l.last
 	}
-	a.ph[final] += int64(end - a.last)
-	a.last = end
+	l.ph[final] += int64(end - l.last)
 
 	pr.accesses++
-	pr.totalPs += int64(end - a.start)
+	pr.totalPs += int64(end - l.start)
 	for ph := Phase(0); ph < NumPhases; ph++ {
-		v := a.ph[ph]
+		v := l.ph[ph]
 		if v == 0 {
 			continue
 		}
@@ -264,26 +299,31 @@ func (a *Access) Close(final Phase, end sim.Time) {
 		pr.hists[ph].Record(v)
 	}
 	if pr.onClose != nil {
-		pr.onClose(end, &a.ph)
+		pr.onClose(end, &l.ph)
 	}
+	l.ph = [NumPhases]int64{}
+	l.gen++
+	pr.free = append(pr.free, l)
 }
 
-// Closed reports whether the access has been closed (false for nil).
-func (a *Access) Closed() bool { return a != nil && a.closed }
+// Closed reports whether the access has been closed (false for the
+// zero Access).
+func (a Access) Closed() bool { return a.l != nil && a.l.gen != a.gen }
 
-// PhasePs returns the picoseconds this access has assigned to ph so
-// far (0 for nil).
-func (a *Access) PhasePs(ph Phase) int64 {
-	if a == nil {
-		return 0
+// PhasePs returns the picoseconds this open access has assigned to ph
+// so far (0 once closed, and for the zero Access).
+func (a Access) PhasePs(ph Phase) int64 {
+	if l := a.open(); l != nil {
+		return l.ph[ph]
 	}
-	return a.ph[ph]
+	return 0
 }
 
-// ElapsedPs returns the access's window so far: last mark minus start.
-func (a *Access) ElapsedPs() int64 {
-	if a == nil {
-		return 0
+// ElapsedPs returns the open access's window so far: last mark minus
+// start (0 once closed, and for the zero Access).
+func (a Access) ElapsedPs() int64 {
+	if l := a.open(); l != nil {
+		return int64(l.last - l.start)
 	}
-	return int64(a.last - a.start)
+	return 0
 }

@@ -15,18 +15,19 @@ func TestTelescopingExactness(t *testing.T) {
 	a.To(PhaseDevice, 1900)
 	a.Close(PhaseComplWait, 2500)
 
-	if got := a.PhasePs(PhaseIssue); got != 50 {
+	// One access: the probe's sums are its ledger.
+	if got := pr.PhasePs(PhaseIssue); got != 50 {
 		t.Errorf("issue = %d, want 50", got)
 	}
-	if got := a.PhasePs(PhaseQueueWait); got != 250 {
+	if got := pr.PhasePs(PhaseQueueWait); got != 250 {
 		t.Errorf("queue_wait = %d, want 250", got)
 	}
-	if got := a.PhasePs(PhaseComplWait); got != 600 {
+	if got := pr.PhasePs(PhaseComplWait); got != 600 {
 		t.Errorf("completion_wait = %d, want 600", got)
 	}
 	var sum int64
 	for ph := Phase(0); ph < NumPhases; ph++ {
-		sum += a.PhasePs(ph)
+		sum += pr.PhasePs(ph)
 	}
 	if sum != 2400 {
 		t.Errorf("phase sum %d != end-to-end 2400", sum)
@@ -51,13 +52,13 @@ func TestOutOfOrderMarksClamp(t *testing.T) {
 	a.To(PhaseSwitch, 0)
 	a.Close(PhaseComplWait, 6400)
 
-	if got := a.PhasePs(PhaseDevice); got != 4000 {
+	if got := pr.PhasePs(PhaseDevice); got != 4000 {
 		t.Errorf("device = %d, want 4000", got)
 	}
-	if got := a.PhasePs(PhaseTransit); got != 1000 {
+	if got := pr.PhasePs(PhaseTransit); got != 1000 {
 		t.Errorf("transit = %d, want 1000", got)
 	}
-	if got := a.PhasePs(PhaseSwitch); got != 0 {
+	if got := pr.PhasePs(PhaseSwitch); got != 0 {
 		t.Errorf("switch = %d, want 0", got)
 	}
 	if pr.TotalPs() != 5400 {
@@ -102,13 +103,73 @@ func TestCloseClampsEarlyEndAsMismatch(t *testing.T) {
 	}
 }
 
+// TestStaleHandleAfterReuse: Close returns the ledger for reuse, and a
+// handle kept past Close — a straggling response's — changes nothing,
+// neither the probe nor the access now using its ledger.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	pr := NewProbe("test")
+	stale := pr.Open(0)
+	stale.To(PhaseIssue, 10)
+	stale.Close(PhaseDevice, 100)
+	fresh := pr.Open(1000)
+	if fresh.l != stale.l {
+		t.Fatal("Open did not reuse the closed ledger")
+	}
+	fresh.To(PhaseIssue, 1020)
+	stale.To(PhaseTransit, 1500) // straggler marks the reused ledger
+	stale.Close(PhaseRetry, 1600)
+	if !stale.Closed() || fresh.Closed() {
+		t.Fatalf("closed: stale=%v fresh=%v, want true/false", stale.Closed(), fresh.Closed())
+	}
+	if stale.PhasePs(PhaseIssue) != 0 || stale.ElapsedPs() != 0 {
+		t.Error("a stale handle reads the ledger's new access")
+	}
+	if fresh.PhasePs(PhaseIssue) != 20 || fresh.PhasePs(PhaseTransit) != 0 || fresh.ElapsedPs() != 20 {
+		t.Errorf("fresh ledger: issue=%d transit=%d elapsed=%d, want 20/0/20",
+			fresh.PhasePs(PhaseIssue), fresh.PhasePs(PhaseTransit), fresh.ElapsedPs())
+	}
+	if pr.Accesses() != 1 || pr.TotalPs() != 100 || pr.PhasePs(PhaseRetry) != 0 {
+		t.Errorf("probe = (%d accesses, %d ps, %d retry), want (1, 100, 0)",
+			pr.Accesses(), pr.TotalPs(), pr.PhasePs(PhaseRetry))
+	}
+	fresh.Close(PhaseComplWait, 1200)
+	if pr.Accesses() != 2 || pr.TotalPs() != 300 || pr.PhasePs(PhaseIssue) != 30 ||
+		pr.PhasePs(PhaseComplWait) != 180 || pr.PhasePs(PhaseTransit) != 0 {
+		t.Errorf("probe after fresh close = (%d accesses, %d ps, issue %d, completion %d, transit %d), want (2, 300, 30, 180, 0)",
+			pr.Accesses(), pr.TotalPs(), pr.PhasePs(PhaseIssue), pr.PhasePs(PhaseComplWait), pr.PhasePs(PhaseTransit))
+	}
+}
+
+// TestOpenCloseAllocs: once the probe's histograms exist and a ledger
+// is on its free list, opening and closing accesses allocates nothing.
+func TestOpenCloseAllocs(t *testing.T) {
+	pr := NewProbe("test")
+	pr.SetOnClose(func(sim.Time, *[NumPhases]int64) {})
+	at := sim.Time(0)
+	access := func() {
+		a := pr.Open(at)
+		a.To(PhaseIssue, at+10)
+		a.To(PhaseQueueWait, at+200)
+		a.To(PhaseTransit, at+700)
+		a.To(PhaseDevice, at+1700)
+		a.Close(PhaseComplWait, at+1750+at%64)
+		at += 2000
+	}
+	if n := testing.AllocsPerRun(1000, access); n != 0 {
+		t.Errorf("steady-state Open/Close allocates %v objects", n)
+	}
+	if pr.Mismatches() != 0 || pr.Accesses() != 1001 {
+		t.Errorf("probe = (%d accesses, %d mismatches), want (1001, 0)", pr.Accesses(), pr.Mismatches())
+	}
+}
+
 // TestNilProbeAndAccessAreNoOps pins the disabled-attribution contract:
 // everything is callable on nils and records nothing.
 func TestNilProbeAndAccessAreNoOps(t *testing.T) {
 	var pr *Probe
 	a := pr.Open(100)
-	if a != nil {
-		t.Fatal("nil probe handed out a non-nil access")
+	if a != (Access{}) {
+		t.Fatal("nil probe handed out a non-zero access")
 	}
 	a.To(PhaseIssue, 200)
 	a.Close(PhaseDevice, 300)

@@ -178,7 +178,7 @@ func Run(cfg Config) (*stats.FleetSummary, error) {
 	// read-only views of its dataset that no reader writes), so sharing
 	// one across instances is safe — for the fanOut goroutines too —
 	// and keeps N-instantiation cheap.
-	backing := workload.NewMemcached(cfg.Items, cfg.ValueLines, 1, 1).Backing()
+	backing := workload.NewMemcachedDataset(cfg.Items, cfg.ValueLines).Backing()
 	insts := make([]*instance, cfg.Instances)
 	for i := range insts {
 		env := core.NewEnv(cfg.Base, backing)

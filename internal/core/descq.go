@@ -20,8 +20,9 @@ type swqThreadState struct {
 	remaining int      // descriptors of the current batch still pending
 
 	// atr holds the batch's attribution ledgers awaiting delivery, by
-	// slot; nil when attribution is off or the batch had none complete.
-	atr []*attrib.Access
+	// slot; nil when attribution is off. It is cleared, not dropped,
+	// after each batch, so zero handles past the batch are no-ops.
+	atr []attrib.Access
 }
 
 // descWait maps an outstanding descriptor to the thread slot its data
@@ -269,10 +270,10 @@ func (q *descQueue) deliver(compls []hostmem.Completion, waitEnd sim.Time) {
 		w.obs.Ledger.To(attrib.PhaseComplWait, waitEnd)
 		w.obs.Ledger.To(attrib.PhaseSwitch, now)
 		st := q.states[w.th]
-		if w.obs.Ledger != nil && st.atr == nil {
-			st.atr = make([]*attrib.Access, len(st.data))
-		}
-		if st.atr != nil {
+		if w.obs.Ledger != (attrib.Access{}) {
+			if n := len(st.data) - len(st.atr); n > 0 {
+				st.atr = append(st.atr, make([]attrib.Access, n)...)
+			}
 			st.atr[w.slot] = w.obs.Ledger
 		}
 		q.fill(w.th, w.slot, q.ep.Data(compl.ID))

@@ -147,7 +147,7 @@ func (c *kernelQCore) resume() {
 				aw.To(attrib.PhaseComplWait, c.mark)
 				aw.Close(attrib.PhaseSwitch, e.eng.Now())
 			}
-			st.atr = nil
+			clear(st.atr)
 			c.req = c.th.Resume(st.payload)
 			st.payload = nil
 			c.state = kqRun

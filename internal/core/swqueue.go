@@ -136,7 +136,7 @@ func (c *swqCore) resume() {
 					aw.To(attrib.PhaseSwitch, c.switchEnd)
 					aw.Close(attrib.PhaseComplWait, e.eng.Now())
 				}
-				st.atr = nil
+				clear(st.atr)
 				c.req = c.th.Resume(st.payload)
 				st.payload = nil
 			} else {

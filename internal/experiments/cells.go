@@ -88,31 +88,50 @@ func (w WorkloadSpec) Name() string {
 	return "unknown-" + w.Kind
 }
 
-// graphCache memoizes Kronecker graphs by their generator parameters:
-// graphs are immutable after construction and expensive to generate,
-// so concurrent BFS cells share one instance per parameterization.
-var graphCache struct {
-	sync.Mutex
-	m map[[3]int64]*workload.Graph
+// memo memoizes a workload input by its generator parameters. The
+// inputs — Kronecker graphs, Bloom bit arrays, memcached value arenas —
+// are read-only after construction and costly to build, so concurrent
+// cells share one instance per parameterization.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
 }
 
-func graphFor(scale, edgefactor int, seed int64) *workload.Graph {
-	key := [3]int64{int64(scale), int64(edgefactor), seed}
-	graphCache.Lock()
-	defer graphCache.Unlock()
-	if g, ok := graphCache.m[key]; ok {
-		return g
+// get returns the input built for key, building it on first use.
+func (c *memo[K, V]) get(key K, build func(K) V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[key]; ok {
+		return v
 	}
-	if graphCache.m == nil {
-		graphCache.m = make(map[[3]int64]*workload.Graph)
+	if c.m == nil {
+		c.m = make(map[K]V)
 	}
-	g := workload.NewKronecker(scale, edgefactor, seed)
-	graphCache.m[key] = g
-	return g
+	v := build(key)
+	c.m[key] = v
+	return v
 }
 
-// Build constructs a fresh workload instance. Construction is
-// deterministic, so two builds of one spec are interchangeable.
+type (
+	graphKey struct {
+		scale, edgefactor int
+		seed              int64
+	}
+	bloomKey struct {
+		bits         uint64
+		hashes, keys int
+	}
+)
+
+var (
+	graphs     memo[graphKey, *workload.Graph]
+	blooms     memo[bloomKey, *workload.BloomDataset]
+	memcacheds memo[[2]int, *workload.MemcachedDataset] // items, value lines
+)
+
+// Build constructs a fresh workload instance over its spec's memoized
+// dataset. Construction is deterministic, so two builds of one spec are
+// interchangeable.
 func (w WorkloadSpec) Build() core.Workload {
 	switch w.Kind {
 	case "ubench":
@@ -121,11 +140,19 @@ func (w WorkloadSpec) Build() core.Workload {
 		}
 		return workload.NewMicrobench(w.Iters, w.Work, w.Reads)
 	case "bloom":
-		return workload.NewBloom(w.BloomBits, w.BloomHashes, w.BloomKeys, w.Lookups, w.Work)
+		d := blooms.get(bloomKey{w.BloomBits, w.BloomHashes, w.BloomKeys}, func(k bloomKey) *workload.BloomDataset {
+			return workload.NewBloomDataset(k.bits, k.hashes, k.keys)
+		})
+		return d.Workload(w.Lookups, w.Work)
 	case "memcached":
-		return workload.NewMemcached(w.MCItems, w.MCValueLines, w.Lookups, w.Work)
+		d := memcacheds.get([2]int{w.MCItems, w.MCValueLines}, func(k [2]int) *workload.MemcachedDataset {
+			return workload.NewMemcachedDataset(k[0], k[1])
+		})
+		return d.Workload(w.Lookups, w.Work)
 	case "bfs":
-		g := graphFor(w.BFSScale, w.BFSEdgeFactor, w.BFSSeed)
+		g := graphs.get(graphKey{w.BFSScale, w.BFSEdgeFactor, w.BFSSeed}, func(k graphKey) *workload.Graph {
+			return workload.NewKronecker(k.scale, k.edgefactor, k.seed)
+		})
 		return workload.NewBFS(g, append([]int(nil), w.BFSSources...), w.BFSMaxVisits, w.Work)
 	case "ptrchase":
 		return workload.NewPointerChase(w.ChaseNodes, w.Iters, w.Work)

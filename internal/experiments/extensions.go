@@ -246,10 +246,10 @@ func (s Suite) ExpDevices() *stats.Table {
 	for _, dev := range devices {
 		cfg := dev.cfg
 		// The presets start from the default platform: carry the
-		// suite's flight recorder and attribution over so these cells
-		// report like every other extension cell. The trace recorder
-		// is deliberately not carried: -trace files cover the runs on
-		// the suite's own platform only.
+		// suite's observers over — the trace recorder, the flight
+		// recorder and attribution — so these cells are traced and
+		// report like every other extension cell.
+		cfg.Trace = s.Base.Trace
 		cfg.MetricsWindow, cfg.MetricsMaxWindows, cfg.MetricsSink = s.Base.MetricsWindow, s.Base.MetricsMaxWindows, s.Base.MetricsSink
 		cfg.Attribution = s.Base.Attribution
 		// Provision the hardware by the paper's rule so the device

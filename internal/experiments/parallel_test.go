@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -104,6 +106,50 @@ func TestWorkloadSpecNames(t *testing.T) {
 	for _, spec := range specs {
 		if got, want := spec.Name(), spec.Build().Name(); got != want {
 			t.Errorf("spec %q Name() = %q, built Name() = %q", spec.Kind, got, want)
+		}
+	}
+}
+
+// TestBuildSharesDatasets: two builds of a Bloom or memcached spec
+// share one read-only dataset, and a run over the shared dataset —
+// including a second run after the first has read it — matches a run
+// over a freshly built one.
+func TestBuildSharesDatasets(t *testing.T) {
+	s := Quick()
+	s.AppLookups = 40
+	for _, spec := range s.appSpecs() {
+		var fresh core.Workload
+		switch spec.Kind {
+		case "bloom":
+			a, b := spec.Build().(*workload.Bloom), spec.Build().(*workload.Bloom)
+			if a.BloomDataset != b.BloomDataset || a == b {
+				t.Errorf("bloom builds: shared dataset %v, shared instance %v; want a shared dataset only",
+					a.BloomDataset == b.BloomDataset, a == b)
+			}
+			fresh = workload.NewBloom(spec.BloomBits, spec.BloomHashes, spec.BloomKeys, spec.Lookups, spec.Work)
+		case "memcached":
+			a, b := spec.Build().(*workload.Memcached), spec.Build().(*workload.Memcached)
+			if a.MemcachedDataset != b.MemcachedDataset || a == b {
+				t.Errorf("memcached builds: shared dataset %v, shared instance %v; want a shared dataset only",
+					a.MemcachedDataset == b.MemcachedDataset, a == b)
+			}
+			fresh = workload.NewMemcached(spec.MCItems, spec.MCValueLines, spec.Lookups, spec.Work)
+		default:
+			continue
+		}
+		want, err := core.RunPrefetch(s.Base, fresh, 4, false)
+		if err != nil || want.Accesses == 0 {
+			t.Fatalf("%s fresh run: %d accesses, err %v", spec.Kind, want.Accesses, err)
+		}
+		for i := 0; i < 2; i++ {
+			got, err := prefetchCell(s.Base, spec, 4, false).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s run %d over the shared dataset differs from a fresh build:\n got %+v\nwant %+v",
+					spec.Kind, i, got.Measurement, want.Measurement)
+			}
 		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 )
 
 // Access observes one access. The zero Access observes nothing: its
-// span is the disabled zero Span and its ledger is nil, so every stamp
-// is a no-op.
+// span is the disabled zero Span and its ledger handle is the zero
+// handle, so every stamp is a no-op.
 type Access struct {
-	Span   trace.Span     // lifecycle span; zero when tracing is off
-	Ledger *attrib.Access // phase ledger; nil when attribution is off
+	Span   trace.Span    // lifecycle span; zero when tracing is off
+	Ledger attrib.Access // phase ledger handle; zero when attribution is off
 }
 
 // Mark stamps an edge both layers see at the same instant: the span

@@ -15,10 +15,16 @@ import (
 // below 256 are exact, and above that each bucket spans value>>7 so the
 // bucket midpoint is within 1/256 (~0.4%) of every value it absorbs —
 // comfortably inside the 1% accuracy budget of the percentile
-// diagnostics. The scheme is closed-form (no rescaling, no allocation
-// beyond the count slice), so recording is O(1) and deterministic.
+// diagnostics. The scheme is closed-form (no rescaling), so recording
+// is O(1) and deterministic.
+//
+// Counts are held only for the occupied bucket range, from the bucket
+// of Min to the bucket of Max: a histogram of 1 µs latencies holds a
+// few dozen buckets, not the thousands below them. Reset keeps the
+// storage, so a recycled histogram records without allocating.
 type Histogram struct {
-	counts []uint64
+	counts []uint64 // counts[i] is bucket lo+i; zero past len up to cap
+	lo     int
 	total  uint64
 	min    int64
 	max    int64
@@ -29,6 +35,10 @@ const histSubBits = 7
 
 // histExact is the threshold below which every value has its own bucket.
 const histExact = 1 << (histSubBits + 1)
+
+// histMinBuckets is the capacity a histogram starts with: enough for
+// the few dozen buckets a microsecond latency cluster occupies.
+const histMinBuckets = 32
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
@@ -63,13 +73,11 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	idx := bucketIndex(v)
-	if idx >= len(h.counts) {
-		// Grow with spare capacity, so a rising sweep reallocates a
-		// logarithmic number of times; len stays idx+1. Counts past
-		// len were never written, so they are zero.
-		h.counts = slices.Grow(h.counts, idx+1-len(h.counts))[:idx+1]
+	i := idx - h.lo
+	if uint(i) >= uint(len(h.counts)) {
+		i = h.widen(idx)
 	}
-	h.counts[idx]++
+	h.counts[i]++
 	if h.total == 0 || v < h.min {
 		h.min = v
 	}
@@ -77,6 +85,39 @@ func (h *Histogram) Record(v int64) {
 		h.max = v
 	}
 	h.total++
+}
+
+// widen extends the held range to bucket idx and returns idx's offset
+// in counts. Capacity grows geometrically at either end, so a rising or
+// a falling sweep reallocates a logarithmic number of times; growing
+// downwards within the capacity shifts the held counts up in place.
+func (h *Histogram) widen(idx int) int {
+	n := len(h.counts)
+	switch {
+	case n == 0:
+		h.lo = idx
+		h.counts = slices.Grow(h.counts, histMinBuckets)[:1]
+	case idx >= h.lo+n:
+		h.counts = slices.Grow(h.counts, idx+1-h.lo-n)[:idx+1-h.lo]
+	default: // idx < h.lo
+		d := h.lo - idx
+		var grown []uint64
+		if n+d <= cap(h.counts) {
+			grown = h.counts[:n+d]
+		} else {
+			grown = make([]uint64, n+d, max(n+d, 2*cap(h.counts)))
+		}
+		copy(grown[d:], h.counts)
+		clear(grown[:min(d, n)])
+		h.counts, h.lo = grown, idx
+	}
+	return idx - h.lo
+}
+
+// Reset empties h but keeps its storage for the next samples.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	*h = Histogram{counts: h.counts[:0]}
 }
 
 // Count returns the number of recorded samples.
@@ -103,8 +144,9 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Buckets returns the number of allocated buckets — bounded by the
-// sample magnitude, not the sample count.
+// Buckets returns the number of held buckets: the occupied range from
+// the bucket of Min to the bucket of Max, bounded by the spread of the
+// samples, not by their count or magnitude.
 func (h *Histogram) Buckets() int {
 	if h == nil {
 		return 0
@@ -114,11 +156,11 @@ func (h *Histogram) Buckets() int {
 
 // Merge adds every sample of o into h, bucket-wise. Both histograms
 // use the package's single closed-form bucketing scheme, so the only
-// structural difference two instances can have is the allocated bucket
-// range; the guard below grows h as needed and a nil or empty o is a
-// no-op. Merge is the window→run rollup primitive of the telemetry
-// recorder: per-window histograms merge into coalesced windows and
-// into the whole-run percentile summary without re-recording samples.
+// structural difference two instances can have is the held bucket
+// range; h widens to cover o's, and a nil or empty o is a no-op. Merge
+// is the window→run rollup primitive of the telemetry recorder:
+// per-window histograms merge into coalesced windows and into the
+// whole-run percentile summary without re-recording samples.
 func (h *Histogram) Merge(o *Histogram) {
 	if h == nil {
 		panic("stats: Merge into nil histogram")
@@ -126,13 +168,15 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.total == 0 {
 		return
 	}
-	if len(o.counts) > len(h.counts) {
-		grown := make([]uint64, len(o.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+	if len(h.counts) == 0 || o.lo < h.lo {
+		h.widen(o.lo)
 	}
+	if hi := o.lo + len(o.counts) - 1; hi >= h.lo+len(h.counts) {
+		h.widen(hi)
+	}
+	dst := h.counts[o.lo-h.lo:]
 	for i, c := range o.counts {
-		h.counts[i] += c
+		dst[i] += c
 	}
 	if h.total == 0 || o.min < h.min {
 		h.min = o.min
@@ -161,10 +205,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 		rank = h.total
 	}
 	var cum uint64
-	for idx, c := range h.counts {
+	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			v := bucketValue(idx)
+			v := bucketValue(h.lo + i)
 			if v < h.min {
 				v = h.min
 			}

@@ -302,21 +302,60 @@ func TestHistogramMergeIntoNilPanics(t *testing.T) {
 }
 
 // TestHistogramRecordAllocs: recording into buckets that already exist
-// allocates nothing, and a rising sweep that adds about two thousand
-// buckets one at a time grows the count slice a logarithmic number of
-// times, not once per bucket.
+// allocates nothing, and a rising or a falling sweep that adds about two
+// thousand buckets one at a time grows the count slice a logarithmic
+// number of times, not once per bucket.
 func TestHistogramRecordAllocs(t *testing.T) {
 	h := NewHistogram()
-	growths := testing.AllocsPerRun(1, func() {
-		*h = Histogram{}
-		for v := int64(0); v < 1<<20; v += 37 {
-			h.Record(v)
+	for _, sweep := range []struct {
+		name string
+		run  func()
+	}{
+		{"rising", func() {
+			for v := int64(0); v < 1<<20; v += 37 {
+				h.Record(v)
+			}
+		}},
+		{"falling", func() {
+			for v := int64(1 << 20); v >= 0; v -= 37 {
+				h.Record(v)
+			}
+		}},
+	} {
+		growths := testing.AllocsPerRun(1, func() {
+			*h = Histogram{}
+			sweep.run()
+		})
+		if limit := float64(3 * bits.Len(uint(h.Buckets()))); growths > limit {
+			t.Errorf("a %s sweep over %d buckets grew the slice %v times, want at most %v", sweep.name, h.Buckets(), growths, limit)
 		}
-	})
-	if limit := float64(3 * bits.Len(uint(h.Buckets()))); growths > limit {
-		t.Errorf("a sweep over %d buckets grew the slice %v times, want at most %v", h.Buckets(), growths, limit)
 	}
 	if n := testing.AllocsPerRun(100, func() { h.Record(12345) }); n != 0 {
 		t.Errorf("recording into an existing bucket allocates %v objects", n)
+	}
+}
+
+// TestHistogramResetReuses: a reset histogram answers like a new one
+// and records into its old storage without allocating.
+func TestHistogramResetReuses(t *testing.T) {
+	h := NewHistogram()
+	for v := int64(1000); v < 1_000_000; v += 997 {
+		h.Record(v)
+	}
+	h.Reset()
+	if h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.Buckets() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatalf("reset histogram: count=%d min=%d max=%d buckets=%d", h.Count(), h.Min(), h.Max(), h.Buckets())
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		h.Reset()
+		for v := int64(500_000); v > 2000; v -= 1013 {
+			h.Record(v)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("recording into a reset histogram allocates %v objects", allocs)
+	}
+	if h.Min() != 500_000-491*1013 || h.Max() != 500_000 {
+		t.Errorf("min/max after reuse = %d/%d", h.Min(), h.Max())
 	}
 }

@@ -16,9 +16,12 @@
 //     integrals add) and the window span doubles, so any run length
 //     fits in fixed storage while still covering t=0 to the end.
 //   - Recording is allocation-free on the hot path: counter bumps are
-//     an advance check plus an increment; only sealing a window (once
-//     per W of sim-time) may allocate, and sealed storage is bounded
-//     by maxWindows.
+//     an advance check plus an increment, and a latency sample lands in
+//     a histogram that holds only its window's occupied bucket range.
+//     Coalescing resets the histograms and phase rows it merges away
+//     and keeps them for later windows, so once the ring first fills a
+//     run's recorder allocates almost nothing more; sealed storage is
+//     bounded by maxWindows.
 //
 // The output is a pure-value stats.TimeSeries, so identical simulated
 // runs yield byte-identical series regardless of worker count.
@@ -130,6 +133,10 @@ type Recorder struct {
 	coalesced int
 	done      bool
 
+	// Storage coalesce merged away, reset for later windows.
+	freeHists  []*stats.Histogram
+	freePhases [][]int64
+
 	// Attribution phase columns, present only when SetPhaseNames was
 	// called (the run had attribution enabled alongside the recorder).
 	phaseNames []string
@@ -172,7 +179,6 @@ func NewRecorder(label string, window sim.Time, maxWindows int, sink Sink) *Reco
 		window:     window,
 		maxWindows: maxWindows,
 		sink:       sink,
-		sealed:     make([]sealedWindow, 0, maxWindows),
 	}
 }
 
@@ -204,7 +210,7 @@ func (r *Recorder) sealWindow(end sim.Time) {
 		// Every window carries a row (zero-filled when no access closed
 		// in it) so the exported columns stay index-aligned.
 		if r.phases == nil {
-			r.phases = make([]int64, len(r.phaseNames))
+			r.phases = r.newPhases()
 		}
 		sw.phases = r.phases
 		r.phases = nil
@@ -255,7 +261,8 @@ func (r *Recorder) event(sw sealedWindow) WindowEvent {
 // coalesce merges adjacent window pairs in place and doubles the
 // window span. The sealed prefix always covers [0, curStart) with
 // curStart a multiple of the old window times an even count, so the
-// doubled grid stays aligned.
+// doubled grid stays aligned. The second window of a pair gives up its
+// histogram and phase row: they are reset and kept for later windows.
 func (r *Recorder) coalesce() {
 	half := len(r.sealed) / 2
 	for i := 0; i < half; i++ {
@@ -263,8 +270,10 @@ func (r *Recorder) coalesce() {
 		m := sealedWindow{startPs: a.startPs, spanPs: a.spanPs + b.spanPs, hist: a.hist}
 		if m.hist == nil {
 			m.hist = b.hist
-		} else {
+		} else if b.hist != nil {
 			m.hist.Merge(b.hist)
+			b.hist.Reset()
+			r.freeHists = append(r.freeHists, b.hist)
 		}
 		for c := 0; c < numCounters; c++ {
 			m.counts[c] = a.counts[c] + b.counts[c]
@@ -281,12 +290,17 @@ func (r *Recorder) coalesce() {
 			for pi, v := range b.phases {
 				m.phases[pi] += v
 			}
+			if b.phases != nil {
+				clear(b.phases)
+				r.freePhases = append(r.freePhases, b.phases)
+			}
 		} else {
 			m.phases = b.phases
 		}
 		r.sealed[i] = m
 	}
-	// Zero the tail so the dropped halves release their histograms.
+	// Zero the tail: its histograms and rows now belong to the merged
+	// windows or the free lists, which must be their only holders.
 	for i := half; i < len(r.sealed); i++ {
 		r.sealed[i] = sealedWindow{}
 	}
@@ -320,9 +334,31 @@ func (r *Recorder) Sample(at sim.Time, lat sim.Time) {
 	}
 	r.advance(at)
 	if r.hist == nil {
-		r.hist = stats.NewHistogram()
+		r.hist = r.newHist()
 	}
 	r.hist.Record(int64(lat))
+}
+
+// newHist returns an empty histogram for the current window, reusing
+// one that coalesce merged away when it can.
+func (r *Recorder) newHist() *stats.Histogram {
+	if n := len(r.freeHists); n > 0 {
+		h := r.freeHists[n-1]
+		r.freeHists = r.freeHists[:n-1]
+		return h
+	}
+	return stats.NewHistogram()
+}
+
+// newPhases returns a zeroed phase row for the current window, reusing
+// one that coalesce merged away when it can.
+func (r *Recorder) newPhases() []int64 {
+	if n := len(r.freePhases); n > 0 {
+		ps := r.freePhases[n-1]
+		r.freePhases = r.freePhases[:n-1]
+		return ps
+	}
+	return make([]int64, len(r.phaseNames))
 }
 
 // Retries counts n retry events at sim-time at.
@@ -353,7 +389,7 @@ func (r *Recorder) PhaseSample(at sim.Time, ps []int64) {
 	}
 	r.advance(at)
 	if r.phases == nil {
-		r.phases = make([]int64, len(r.phaseNames))
+		r.phases = r.newPhases()
 	}
 	for i := range r.phases {
 		r.phases[i] += ps[i]

@@ -219,3 +219,45 @@ func TestEffectiveMaxWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderSteadyStateAllocs: once the ring has filled and coalesced,
+// a recorder with about 70 latency samples and a phase row per window
+// reuses the histograms and rows coalescing frees, so sealing a window
+// allocates next to nothing.
+func TestRecorderSteadyStateAllocs(t *testing.T) {
+	r := NewRecorder("run", us(10), 16, nil)
+	r.SetPhaseNames([]string{"a", "b", "c"})
+	ps := []int64{1, 2, 3}
+	at, i := sim.Time(0), int64(0)
+	// record covers n windows of the current span, ~70 samples each:
+	// microsecond latencies with a jitter and a rare 30us straggler.
+	record := func(n int) {
+		end := at + sim.Time(n)*r.window
+		for at < end {
+			lat := us(1) + sim.Time(i*7919%200_000)
+			if i%97 == 0 {
+				lat = us(30)
+			}
+			r.Started(at)
+			r.Sample(at, lat)
+			r.PhaseSample(at, ps)
+			at += r.window / 70
+			i++
+		}
+	}
+	record(64) // fill the ring and coalesce a few times
+	before := r.seq
+	allocs := testing.AllocsPerRun(4, func() { record(32) })
+	sealed := float64(r.seq-before) / 5 // AllocsPerRun adds one warm-up run
+	if perWindow := allocs / sealed; perWindow > 0.1 {
+		t.Errorf("steady state allocates %.2f objects per sealed window (%v per run of %.0f windows), want ~0",
+			perWindow, allocs, sealed)
+	}
+	if r.coalesced < 4 {
+		t.Fatalf("only %d coalescings; the test must reach steady state", r.coalesced)
+	}
+	ts := r.Finish(at)
+	if ts.TotalStarts != uint64(i) || ts.TotalP999Ns < 29_000 {
+		t.Errorf("series totals: starts=%d (want %d), p999=%v", ts.TotalStarts, i, ts.TotalP999Ns)
+	}
+}

@@ -15,20 +15,14 @@ import (
 // applications permits batches of four reads" (§V-D) — the probes issue
 // as one batch before a single context switch.
 type Bloom struct {
-	// Bits is the filter size in bits (a multiple of 512, one line = 512
-	// bits).
-	Bits uint64
-	// KHash is the number of hash probes per lookup (4 in the paper's
-	// batching).
-	KHash int
+	// The filter the lookups probe, shared read-only with any other
+	// Bloom built over it.
+	*BloomDataset
 	// LookupsPerCore is the per-core lookup count, split across threads.
 	LookupsPerCore int
 	// WorkInstr is the benign work per lookup that replaces the
 	// application's post-access computation (§IV-C).
 	WorkInstr int
-
-	keys     int // populated keys
-	bitArray []byte
 
 	// observed results, accumulated by thread bodies (the simulation is
 	// single-threaded, so plain fields are race-free)
@@ -36,27 +30,47 @@ type Bloom struct {
 	Lookups   int
 }
 
+// BloomDataset is a populated filter: its geometry and the bit array
+// stored on the device. Nothing writes the bit array once it is built,
+// so one dataset may back any number of Bloom workloads.
+type BloomDataset struct {
+	// Bits is the filter size in bits (a multiple of 512, one line = 512
+	// bits).
+	Bits uint64
+	// KHash is the number of hash probes per lookup (4 in the paper's
+	// batching).
+	KHash int
+
+	keys     int // populated keys
+	bitArray []byte
+}
+
 // NewBloom builds a filter with nKeys inserted and the given geometry.
 // All hashing is deterministic, so runs are reproducible.
 func NewBloom(bits uint64, kHash, nKeys, lookupsPerCore, workInstr int) *Bloom {
+	return NewBloomDataset(bits, kHash, nKeys).Workload(lookupsPerCore, workInstr)
+}
+
+// NewBloomDataset builds the bit array of a filter with nKeys inserted
+// and the given geometry.
+func NewBloomDataset(bits uint64, kHash, nKeys int) *BloomDataset {
 	if bits%512 != 0 || bits == 0 {
 		panic(fmt.Sprintf("workload: bloom bits %d must be a positive multiple of 512", bits))
 	}
-	b := &Bloom{
-		Bits:           bits,
-		KHash:          kHash,
-		LookupsPerCore: lookupsPerCore,
-		WorkInstr:      workInstr,
-		keys:           nKeys,
-		bitArray:       make([]byte, bits/8),
-	}
+	d := &BloomDataset{Bits: bits, KHash: kHash, keys: nKeys, bitArray: make([]byte, bits/8)}
 	pos := make([]uint64, kHash)
 	for k := 0; k < nKeys; k++ {
-		for _, p := range b.probePositions(presentKey(k), pos) {
-			b.bitArray[p/8] |= 1 << (p % 8)
+		for _, p := range d.probePositions(presentKey(k), pos) {
+			d.bitArray[p/8] |= 1 << (p % 8)
 		}
 	}
-	return b
+	return d
+}
+
+// Workload returns a Bloom lookup benchmark over the dataset, with its
+// own observed counters.
+func (d *BloomDataset) Workload(lookupsPerCore, workInstr int) *Bloom {
+	return &Bloom{BloomDataset: d, LookupsPerCore: lookupsPerCore, WorkInstr: workInstr}
 }
 
 // presentKey and absentKey generate disjoint key universes: lookups of
@@ -68,11 +82,11 @@ func absentKey(i int) uint64  { return uint64(i)*2 + 2 }
 // probePositions writes the KHash bit positions of a key into pos (of
 // length KHash) via double hashing (the standard Kirsch-Mitzenmacher
 // construction) and returns it.
-func (b *Bloom) probePositions(key uint64, pos []uint64) []uint64 {
+func (d *BloomDataset) probePositions(key uint64, pos []uint64) []uint64 {
 	h1 := splitmix64(key)
 	h2 := splitmix64(h1) | 1
 	for i := range pos {
-		pos[i] = (h1 + uint64(i)*h2) % b.Bits
+		pos[i] = (h1 + uint64(i)*h2) % d.Bits
 	}
 	return pos
 }
@@ -89,7 +103,7 @@ func splitmix64(x uint64) uint64 {
 func (b *Bloom) Name() string { return fmt.Sprintf("bloom-k%d", b.KHash) }
 
 // Backing exposes the bit array in every core region.
-func (b *Bloom) Backing() replay.Backing { return mirrorBacking{data: b.bitArray} }
+func (d *BloomDataset) Backing() replay.Backing { return mirrorBacking{data: d.bitArray} }
 
 // lookupKey returns the key probed by a core's i-th lookup: alternating
 // present and absent keys, spread deterministically.

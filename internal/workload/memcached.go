@@ -18,17 +18,13 @@ import (
 // retrieval can span multiple cache lines, resulting in independent
 // memory accesses that can overlap" (§V-B) — the batch-of-four of Fig 10.
 type Memcached struct {
-	// Items is the number of stored key-value pairs.
-	Items int
-	// ValueLines is the cache lines per value (4 in the paper's
-	// batching).
-	ValueLines int
+	// The store the lookups read, shared read-only with any other
+	// Memcached built over it.
+	*MemcachedDataset
 	// LookupsPerCore is the per-core lookup count, split across threads.
 	LookupsPerCore int
 	// WorkInstr is the benign work per lookup.
 	WorkInstr int
-
-	values []byte // the device-resident value arena
 
 	// observed results
 	Hits      int
@@ -36,32 +32,50 @@ type Memcached struct {
 	Lookups   int
 }
 
+// MemcachedDataset is a store's contents: its shape and the value arena
+// stored on the device. Nothing writes the arena once it is built, so
+// one dataset may back any number of Memcached workloads.
+type MemcachedDataset struct {
+	// Items is the number of stored key-value pairs.
+	Items int
+	// ValueLines is the cache lines per value (4 in the paper's
+	// batching).
+	ValueLines int
+
+	values []byte // the device-resident value arena
+}
+
 // NewMemcached builds a store with deterministic contents: item k's
 // value is ValueLines lines, each line tagged with (k, lineIndex) so
 // reads are verifiable.
 func NewMemcached(items, valueLines, lookupsPerCore, workInstr int) *Memcached {
-	m := &Memcached{
-		Items:          items,
-		ValueLines:     valueLines,
-		LookupsPerCore: lookupsPerCore,
-		WorkInstr:      workInstr,
-		values:         make([]byte, items*valueLines*LineSize),
-	}
+	return NewMemcachedDataset(items, valueLines).Workload(lookupsPerCore, workInstr)
+}
+
+// NewMemcachedDataset builds the value arena NewMemcached describes.
+func NewMemcachedDataset(items, valueLines int) *MemcachedDataset {
+	d := &MemcachedDataset{Items: items, ValueLines: valueLines, values: make([]byte, items*valueLines*LineSize)}
 	for k := 0; k < items; k++ {
 		for l := 0; l < valueLines; l++ {
 			off := (k*valueLines + l) * LineSize
-			binary.LittleEndian.PutUint64(m.values[off:], uint64(k))
-			binary.LittleEndian.PutUint64(m.values[off+8:], uint64(l))
+			binary.LittleEndian.PutUint64(d.values[off:], uint64(k))
+			binary.LittleEndian.PutUint64(d.values[off+8:], uint64(l))
 		}
 	}
-	return m
+	return d
+}
+
+// Workload returns a Memcached lookup benchmark over the dataset, with
+// its own observed counters.
+func (d *MemcachedDataset) Workload(lookupsPerCore, workInstr int) *Memcached {
+	return &Memcached{MemcachedDataset: d, LookupsPerCore: lookupsPerCore, WorkInstr: workInstr}
 }
 
 // Name implements core.Workload.
 func (m *Memcached) Name() string { return fmt.Sprintf("memcached-v%d", m.ValueLines) }
 
 // Backing exposes the value arena in every core region.
-func (m *Memcached) Backing() replay.Backing { return mirrorBacking{data: m.values} }
+func (d *MemcachedDataset) Backing() replay.Backing { return mirrorBacking{data: d.values} }
 
 // valueAddr returns the device address of item k's first value line in
 // a core's region — the hash-index lookup, performed in DRAM and
