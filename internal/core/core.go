@@ -32,9 +32,8 @@ import (
 // A workload owns its address-space layout. Different cores must use
 // disjoint device address regions (the emulator steers per-core requests
 // to per-core replay modules, §IV-A), and the total work performed by
-// the thread bodies of one core must equal the work of that core's
-// baseline trace, so that normalized performance equals the baseline
-// time ratio.
+// the threads of one core must equal the work of that core's baseline
+// trace, so that normalized performance equals the baseline time ratio.
 type Workload interface {
 	// Name identifies the workload in labels.
 	Name() string
@@ -44,9 +43,11 @@ type Workload interface {
 	// on-demand module).
 	Backing() replay.Backing
 
-	// Body returns the code of one user-level thread. The workload's
-	// per-core iterations are partitioned across threadsPerCore threads.
-	Body(coreID, threadID, threadsPerCore int) func(*uthread.API)
+	// Body returns the code of one user-level thread as a step
+	// function: the request sequence the paper's synchronous thread
+	// makes, one request per step. The workload's per-core iterations
+	// are partitioned across threadsPerCore threads.
+	Body(coreID, threadID, threadsPerCore int) uthread.Step
 
 	// BaselineTrace returns the single-threaded demand-access iteration
 	// trace of one core, consumed by the interval model for the DRAM

@@ -26,7 +26,7 @@ func newRecoveryHarness(cfg platform.Config) *recoveryHarness {
 	e := NewEnv(cfg, replay.ZeroBacking{})
 	h := &recoveryHarness{e: e, c: &e.c}
 	h.q = newDescQueue(e, 0, nil, nil)
-	h.th = uthread.New(0, func(*uthread.API) {})
+	h.th = uthread.NewStep(0, func([][]byte) (uthread.Request, bool) { return uthread.Request{}, false })
 	h.q.states[h.th] = &swqThreadState{data: make([][]byte, 1), remaining: 1}
 	return h
 }

@@ -165,8 +165,8 @@ type coreRunner func(e *Env, coreID int, threads []*uthread.Thread) *sched
 // is an engine continuation — a state machine whose bound resumeFn
 // runs until the core must wait on simulated time, a gate or a token,
 // registers resumeFn as the waiter and returns — so a core costs no
-// coroutine of its own: a thread step switches only between the engine
-// and the thread.
+// coroutine of its own, and a thread step is a plain call from the
+// scheduler into the thread's step function.
 type sched struct {
 	resumeFn func()
 	done     bool // the scheduler ran every thread to completion
@@ -361,9 +361,10 @@ func record(cfg platform.Config, w Workload, threadsPerCore int, run coreRunner)
 // completion that a fault swallowed and recovery failed to replace)
 // into an error naming the stuck core instead of a silently truncated
 // measurement. Whether the run ends cleanly, stuck, or in a panic from
-// a workload body, launch leaves no thread parked: the deferred
-// teardown stops every unfinished thread, and a stuck scheduler holds
-// no coroutine — only its waiter entries, which the engine drops.
+// a workload's step, launch leaves nothing parked: a thread is a step
+// function holding no goroutine, the deferred teardown stops every
+// unfinished one, and a stuck scheduler holds no coroutine — only its
+// waiter entries, which the engine drops.
 func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) error {
 	all := make([]*uthread.Thread, e.cfg.Cores*threadsPerCore)
 	scheds := make([]*sched, e.cfg.Cores)
@@ -371,7 +372,7 @@ func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) error {
 		end := (coreID + 1) * threadsPerCore
 		threads := all[end-threadsPerCore : end : end]
 		for t := range threads {
-			threads[t] = uthread.New(t, w.Body(coreID, t, threadsPerCore))
+			threads[t] = uthread.NewStep(t, w.Body(coreID, t, threadsPerCore))
 		}
 		scheds[coreID] = run(e, coreID, threads)
 		e.eng.At(e.eng.Now(), scheds[coreID].resumeFn)

@@ -80,8 +80,9 @@ type keptLine struct {
 // stampBacking: each thread reads batches of distinct non-zero
 // addresses and checks every line it receives. A line must carry its
 // own address, or be a zero line (an abandoned access). The check runs
-// after the thread's next API call (the work block), so a batch slice
-// the executor recycled too early shows up as well. Every line is also
+// in the step after the batch's work request, so lines that did not
+// stay valid until the thread's next access request (a batch slice the
+// executor recycled too early) show up as well. Every line is also
 // kept, and verify checks after the run that none of them, nor the
 // slab, changed.
 type stampedWorkload struct {
@@ -110,25 +111,34 @@ func (w *stampedWorkload) BaselineTrace(int) []cpu.IterSpec {
 	return cpu.UniformTrace(w.iters, w.reads, w.work)
 }
 
-func (w *stampedWorkload) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
+func (w *stampedWorkload) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 	n := w.iters / threadsPerCore
 	if threadID < w.iters%threadsPerCore {
 		n++
 	}
-	return func(a *uthread.API) {
-		addrs := make([]uint64, w.reads)
-		next := uint64(1)
-		for i := 0; i < n; i++ {
-			for j := range addrs {
-				addrs[j] = stampAddr(uint64(coreID), uint64(threadID), next)
-				next++
-			}
-			lines := a.AccessBatch(addrs)
-			a.Work(w.work)
-			for j, line := range lines {
-				w.check(addrs[j], line)
+	addrs := make([]uint64, w.reads)
+	next := uint64(1)
+	var held [][]byte // the batch's lines, checked after its work
+	return func(lines [][]byte) (uthread.Request, bool) {
+		if lines != nil {
+			held = lines
+			if w.work > 0 {
+				return uthread.Request{Kind: uthread.KindWork, Instr: w.work}, true
 			}
 		}
+		for j, line := range held {
+			w.check(addrs[j], line)
+		}
+		held = nil
+		if n == 0 {
+			return uthread.Request{}, false
+		}
+		n--
+		for j := range addrs {
+			addrs[j] = stampAddr(uint64(coreID), uint64(threadID), next)
+			next++
+		}
+		return uthread.Request{Kind: uthread.KindAccess, Addrs: addrs}, true
 	}
 }
 

@@ -10,27 +10,30 @@ import (
 	"repro/internal/uthread"
 )
 
-// panickyWorkload is the microbenchmark with one thread whose body
+// panickyWorkload is the microbenchmark with one thread whose step
 // panics after a few accesses, while its siblings and the other cores
-// are parked mid-run.
+// are waiting mid-run.
 type panickyWorkload struct{ Workload }
 
-func (w panickyWorkload) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
-	body := w.Workload.Body(coreID, threadID, threadsPerCore)
+func (w panickyWorkload) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 	if coreID != 1 || threadID != 2 {
-		return body
+		return w.Workload.Body(coreID, threadID, threadsPerCore)
 	}
-	return func(a *uthread.API) {
-		for i := 0; i < 3; i++ {
-			a.Access(uint64(i) * 64)
+	var addr [1]uint64
+	i := 0
+	return func([][]byte) (uthread.Request, bool) {
+		if i == 3 {
+			panic("workload body bug")
 		}
-		panic("workload body bug")
+		addr[0] = uint64(i) * 64
+		i++
+		return uthread.Request{Kind: uthread.KindAccess, Addrs: addr[:]}, true
 	}
 }
 
-// TestPanickingRunLeavesNoGoroutines: a workload body that panics
+// TestPanickingRunLeavesNoGoroutines: a workload step that panics
 // reaches the caller of the run through its core's scheduler, and
-// launch leaves no user-level thread parked behind it.
+// launch's teardown leaves no goroutine behind it.
 func TestPanickingRunLeavesNoGoroutines(t *testing.T) {
 	cfg := platform.Default()
 	cfg.Cores = 2
@@ -47,7 +50,7 @@ func TestPanickingRunLeavesNoGoroutines(t *testing.T) {
 			return nil
 		}()
 		if got != "workload body bug" {
-			t.Fatalf("%s: recovered %v, want the body's panic", name, got)
+			t.Fatalf("%s: recovered %v, want the step's panic", name, got)
 		}
 		n := runtime.NumGoroutine()
 		for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
@@ -63,12 +66,18 @@ func TestPanickingRunLeavesNoGoroutines(t *testing.T) {
 // 1 a thread that reads one device line.
 type lostWakeupWorkload struct{ Workload }
 
-func (w lostWakeupWorkload) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
-	return func(a *uthread.API) {
-		if coreID == 1 {
-			a.Access(0x1000)
+func (w lostWakeupWorkload) Body(coreID, threadID, threadsPerCore int) uthread.Step {
+	reqs := []uthread.Request{{Kind: uthread.KindWork, Instr: 100}}
+	if coreID == 1 {
+		reqs = append([]uthread.Request{{Kind: uthread.KindAccess, Addrs: []uint64{0x1000}}}, reqs...)
+	}
+	return func([][]byte) (uthread.Request, bool) {
+		if len(reqs) == 0 {
+			return uthread.Request{}, false
 		}
-		a.Work(100)
+		r := reqs[0]
+		reqs = reqs[1:]
+		return r, true
 	}
 }
 

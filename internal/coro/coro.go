@@ -1,7 +1,7 @@
 //go:build go1.23
 
 // Package coro is the simulator's one coroutine type, shared by
-// sim.Proc and uthread.Thread: a body running on an iter.Pull runtime
+// sim.Proc and uthread's coroutine-form threads (uthread.New): a body running on an iter.Pull runtime
 // coroutine that hands a value to its driver at every Yield and that
 // the driver can unwind while it is parked. Control passes directly
 // between the two goroutines without the scheduler's run queues, and

@@ -55,19 +55,23 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestSimulationPanicIsolation: a cell whose simulated process panics
-// inside a user-level thread fails its own task instead of crashing
-// the process. The panic starts on the thread's and the process's
-// coroutines, so this holds only because both unwind to the goroutine
-// that called Engine.Run.
+// inside a user-level thread's step fails its own task instead of
+// crashing the process. The panic starts on the process's coroutine,
+// so this holds only because it unwinds to the goroutine that called
+// Engine.Run.
 func TestSimulationPanicIsolation(t *testing.T) {
 	p := New(context.Background(), 1, 0)
 	defer p.Close()
 
 	bad := Submit(p, func() (int, error) {
 		e := sim.NewEngine()
-		th := uthread.New(0, func(a *uthread.API) {
-			a.Access(0x40)
-			panic("cell exploded in a thread")
+		accessed := false
+		th := uthread.NewStep(0, func([][]byte) (uthread.Request, bool) {
+			if accessed {
+				panic("cell exploded in a thread")
+			}
+			accessed = true
+			return uthread.Request{Kind: uthread.KindAccess, Addrs: []uint64{0x40}}, true
 		})
 		e.Go("core0", func(p *sim.Proc) {
 			for r := th.Start(); r.Kind != uthread.KindDone; r = th.Resume(make([][]byte, len(r.Addrs))) {

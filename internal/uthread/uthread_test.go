@@ -4,6 +4,83 @@ import (
 	"testing"
 )
 
+// script returns a step that makes reqs in order, then is done; it
+// records the lines each step receives into got when got is not nil.
+func script(got *[][][]byte, reqs ...Request) Step {
+	return func(data [][]byte) (Request, bool) {
+		if got != nil {
+			*got = append(*got, data)
+		}
+		if len(reqs) == 0 {
+			return Request{}, false
+		}
+		r := reqs[0]
+		reqs = reqs[1:]
+		return r, true
+	}
+}
+
+// TestStepLifecycle: Start runs a step thread to its first request, and
+// each Resume hands the step the answer to its previous request — the
+// lines of an access, nil after work or a posted write — and returns
+// its next, until the step is done.
+func TestStepLifecycle(t *testing.T) {
+	var got [][][]byte
+	th := NewStep(3, script(&got,
+		Request{Kind: KindWork, Instr: 100},
+		Request{Kind: KindAccess, Addrs: []uint64{0x40, 0x80}},
+		Request{Kind: KindWrite, Addrs: []uint64{0xC0}}))
+	if th.ID() != 3 || th.Finished() {
+		t.Fatalf("new thread: ID %d finished %v", th.ID(), th.Finished())
+	}
+	if r := th.Start(); r.Kind != KindWork || r.Instr != 100 {
+		t.Fatalf("first request = %+v", r)
+	}
+	if r := th.Resume(nil); r.Kind != KindAccess || len(r.Addrs) != 2 {
+		t.Fatalf("second request = %+v", r)
+	}
+	lines := [][]byte{make([]byte, 64), make([]byte, 64)}
+	if r := th.Resume(lines); r.Kind != KindWrite {
+		t.Fatalf("third request = %+v", r)
+	}
+	if r := th.Resume(nil); r.Kind != KindDone || !th.Finished() {
+		t.Fatalf("final request = %+v finished=%v", r, th.Finished())
+	}
+	if len(got) != 4 || got[0] != nil || got[1] != nil || &got[2][1][0] != &lines[1][0] || got[3] != nil {
+		t.Errorf("steps received %v", got)
+	}
+}
+
+// TestResumeWithWrongLinesPanics: an access answered with the wrong
+// number of lines, or any other request answered with lines, panics
+// before the step runs.
+func TestResumeWithWrongLinesPanics(t *testing.T) {
+	for _, c := range []struct {
+		first Request
+		data  [][]byte
+	}{
+		{Request{Kind: KindAccess, Addrs: []uint64{0x40, 0x80}}, make([][]byte, 1)},
+		{Request{Kind: KindAccess, Addrs: []uint64{0x40}}, nil},
+		{Request{Kind: KindWork, Instr: 5}, make([][]byte, 1)},
+		{Request{Kind: KindWrite, Addrs: []uint64{0x40}}, make([][]byte, 1)},
+	} {
+		var got [][][]byte
+		th := NewStep(0, script(&got, c.first, Request{Kind: KindWork, Instr: 1}))
+		th.Start()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v request resumed with %d lines did not panic", c.first.Kind, len(c.data))
+				}
+			}()
+			th.Resume(c.data)
+		}()
+		if len(got) != 1 {
+			t.Errorf("%v request: the step ran %d times, want only its start", c.first.Kind, len(got))
+		}
+	}
+}
+
 func TestThreadLifecycle(t *testing.T) {
 	th := New(7, func(a *API) {
 		a.Work(100)
@@ -99,7 +176,7 @@ func TestZeroWorkAndEmptyBatchAreNoOps(t *testing.T) {
 }
 
 func TestDoubleStartPanics(t *testing.T) {
-	th := New(0, func(a *API) {})
+	th := NewStep(0, script(nil, Request{Kind: KindWork, Instr: 1}))
 	th.Start()
 	defer func() {
 		if recover() == nil {
@@ -110,7 +187,7 @@ func TestDoubleStartPanics(t *testing.T) {
 }
 
 func TestResumeBeforeStartPanics(t *testing.T) {
-	th := New(0, func(a *API) {})
+	th := NewStep(0, script(nil))
 	defer func() {
 		if recover() == nil {
 			t.Error("resume before start did not panic")
@@ -120,7 +197,7 @@ func TestResumeBeforeStartPanics(t *testing.T) {
 }
 
 func TestResumeAfterDonePanics(t *testing.T) {
-	th := New(0, func(a *API) {})
+	th := NewStep(0, script(nil))
 	if r := th.Start(); r.Kind != KindDone {
 		t.Fatalf("request = %+v", r)
 	}
@@ -144,11 +221,11 @@ func TestKindString(t *testing.T) {
 func mkThreads(n int, iters int) []*Thread {
 	threads := make([]*Thread, n)
 	for i := range threads {
-		threads[i] = New(i, func(a *API) {
-			for j := 0; j < iters; j++ {
-				a.Work(10)
-			}
-		})
+		reqs := make([]Request, iters)
+		for j := range reqs {
+			reqs[j] = Request{Kind: KindWork, Instr: 10}
+		}
+		threads[i] = NewStep(i, script(nil, reqs...))
 	}
 	return threads
 }
@@ -188,9 +265,9 @@ func TestRoundRobinOrder(t *testing.T) {
 func TestRoundRobinSkipsFinished(t *testing.T) {
 	// Thread 1 finishes first; the ring must keep cycling 0 and 2.
 	threads := []*Thread{
-		New(0, func(a *API) { a.Work(1); a.Work(1) }),
-		New(1, func(a *API) { a.Work(1) }),
-		New(2, func(a *API) { a.Work(1); a.Work(1) }),
+		NewStep(0, script(nil, Request{Kind: KindWork, Instr: 1}, Request{Kind: KindWork, Instr: 1})),
+		NewStep(1, script(nil, Request{Kind: KindWork, Instr: 1})),
+		NewStep(2, script(nil, Request{Kind: KindWork, Instr: 1}, Request{Kind: KindWork, Instr: 1})),
 	}
 	for _, th := range threads {
 		th.Start()
@@ -215,7 +292,7 @@ func TestFIFO(t *testing.T) {
 	if f.Pop() != nil || f.Len() != 0 {
 		t.Fatal("empty FIFO misbehaved")
 	}
-	a, b := New(0, nil), New(1, nil)
+	a, b := NewStep(0, nil), NewStep(1, nil)
 	f.Push(a)
 	f.Push(b)
 	if f.Len() != 2 {

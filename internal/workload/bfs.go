@@ -95,36 +95,38 @@ type BFS struct {
 func NewBFS(g *Graph, sources []int, maxVisits, workInstr int) *BFS {
 	b := &BFS{G: g, Sources: sources, MaxVisits: maxVisits, WorkInstr: workInstr, adj: g.adjBytes()}
 	// Functional pass: direct reads, recording the batch shapes.
-	var s bfsScratch
-	read := b.directRead()
+	w := &bfsWalk{b: b}
 	onBatch := func(batchLines int) {
 		b.trace = append(b.trace, cpu.IterSpec{Reads: batchLines, WorkInstr: workInstr})
 	}
 	for _, src := range sources {
-		b.expectedVisits += b.traverse(&s, src, 0, read, onBatch, nil)
+		b.expectedVisits += b.traverse(w, src, onBatch, nil)
 	}
 	return b
 }
 
-// directRead returns a read function for functional traversals: it
-// reads the adjacency lines straight from the dataset into one reused
-// batch slice.
-func (b *BFS) directRead() func([]uint64) [][]byte {
+// traverse runs one truncated BFS from src to completion, reading its
+// adjacency lines straight from the dataset and invoking onBatch for
+// every batch issued. It returns the number of vertices expanded.
+func (b *BFS) traverse(w *bfsWalk, src int, onBatch func(batchLines int), tree *Tree) int {
 	backing := mirrorBacking{data: b.adj}
 	var lines [2][]byte
-	return func(addrs []uint64) [][]byte {
+	w.start(src, tree)
+	for addrs := w.next(); addrs != nil; addrs = w.next() {
 		for i, a := range addrs {
 			lines[i] = backing.ReadLine(a)
 		}
-		return lines[:len(addrs)]
+		w.deliver(lines[:len(addrs)])
+		onBatch(len(addrs))
 	}
+	return w.expanded
 }
 
 // TreeFor runs a functional traversal from src and returns its parent
 // tree — the reference for validating device-run trees.
 func (b *BFS) TreeFor(src int) *Tree {
 	tree := newTree(src)
-	b.traverse(&bfsScratch{}, src, 0, b.directRead(), func(int) {}, tree)
+	b.traverse(&bfsWalk{b: b}, src, func(int) {}, tree)
 	return tree
 }
 
@@ -134,107 +136,142 @@ func (b *BFS) Name() string { return fmt.Sprintf("bfs-s%d", len(b.Sources)) }
 // Backing exposes the adjacency array in every core region.
 func (b *BFS) Backing() replay.Backing { return mirrorBacking{data: b.adj} }
 
-// bfsScratch is a traversal's working memory, reused across the
-// traversals of one thread (or of one functional pass): the visited
-// marks, the frontier queue, and the addresses of the batch in flight.
-type bfsScratch struct {
+// bfsWalk is one truncated BFS at a time as a resumable cursor: start
+// begins a traversal, next returns the addresses of its next batch of
+// at most two adjacency lines, and deliver decodes that batch's lines,
+// queueing the unvisited neighbors. The functional pass and a thread's
+// step both drive it, so the traversal exists once. Its visited marks,
+// frontier queue and batch addresses are reused across the traversals
+// of one thread (or of one functional pass).
+type bfsWalk struct {
+	b        *BFS
+	coreBase uint64 // offsets device addresses into the walking core's region
+	tree     *Tree  // the traversal's parent tree, if recorded
+
 	visited []bool
 	queue   []int
 	addrs   [2]uint64
+
+	head     int // queue index of the next vertex to expand
+	expanded int // vertices expanded so far
+
+	u              int // the vertex being expanded
+	startB, endB   int // u's adjacency byte range
+	line, lastLine int // u's next adjacency line to read, and its last
 }
 
-// traverse runs one truncated BFS from src, reading adjacency lines
-// through read (device or direct) in batches of at most two lines, and
-// invoking onBatch for every batch issued. It returns the number of
-// vertices expanded. coreBase offsets device addresses into the calling
-// core's region. s is the caller's scratch; traverse leaves its visited
+// start begins a traversal from src, recording its parent tree into
+// tree when that is not nil.
+func (w *bfsWalk) start(src int, tree *Tree) {
+	if w.visited == nil {
+		w.visited = make([]bool, w.b.G.V)
+	}
+	w.visited[src] = true
+	w.queue = append(w.queue[:0], src)
+	w.tree = tree
+	w.head, w.expanded = 0, 0
+	w.line, w.lastLine = 0, -1
+}
+
+// next returns the addresses of the traversal's next batch, valid until
+// the following call, or nil once the traversal has expanded its visit
+// budget or run out of frontier. The traversal then leaves its visited
 // marks all clear again.
-func (b *BFS) traverse(s *bfsScratch, src int, coreBase uint64, read func([]uint64) [][]byte, onBatch func(batchLines int), tree *Tree) int {
-	g := b.G
-	if s.visited == nil {
-		s.visited = make([]bool, g.V)
-	}
-	visited := s.visited
-	visited[src] = true
-	queue := append(s.queue[:0], src)
-	expanded := 0
-
-	for head := 0; head < len(queue) && expanded < b.MaxVisits; head++ {
-		u := queue[head]
-		expanded++
-
-		startB := 4 * int(g.RowStart[u]) // adjacency byte range of u
-		endB := 4 * int(g.RowStart[u+1])
-		if startB == endB {
-			continue
+func (w *bfsWalk) next() []uint64 {
+	g := w.b.G
+	for w.line > w.lastLine {
+		if w.head >= len(w.queue) || w.expanded >= w.b.MaxVisits {
+			// Every vertex marked visited was queued, so clearing the
+			// queued vertices' marks readies the walk for the next
+			// traversal.
+			for _, v := range w.queue {
+				w.visited[v] = false
+			}
+			return nil
 		}
-		firstLine := startB / LineSize
-		lastLine := (endB - 1) / LineSize
+		w.u = w.queue[w.head]
+		w.head++
+		w.expanded++
+		w.startB = 4 * int(g.RowStart[w.u])
+		w.endB = 4 * int(g.RowStart[w.u+1])
+		if w.startB != w.endB {
+			w.line, w.lastLine = w.startB/LineSize, (w.endB-1)/LineSize
+		}
+	}
+	batch := 2
+	if w.line+1 > w.lastLine {
+		batch = 1
+	}
+	addrs := w.addrs[:batch]
+	for i := range addrs {
+		addrs[i] = w.coreBase + uint64(w.line+i)*LineSize
+	}
+	return addrs
+}
 
-		for line := firstLine; line <= lastLine; line += 2 {
-			batch := 2
-			if line+1 > lastLine {
-				batch = 1
-			}
-			addrs := s.addrs[:batch]
-			for i := range addrs {
-				addrs[i] = coreBase + uint64(line+i)*LineSize
-			}
-			lines := read(addrs)
-			onBatch(batch)
-
-			// Decode the neighbors covered by these lines and enqueue
-			// the unvisited ones.
-			for i, data := range lines {
-				lineBase := (line + i) * LineSize
-				lo, hi := startB, endB
-				if lineBase > lo {
-					lo = lineBase
-				}
-				if lineBase+LineSize < hi {
-					hi = lineBase + LineSize
-				}
-				for off := lo; off < hi; off += 4 {
-					rel := off - lineBase
-					v := uint32(data[rel]) | uint32(data[rel+1])<<8 |
-						uint32(data[rel+2])<<16 | uint32(data[rel+3])<<24
-					if !visited[v] {
-						visited[v] = true
-						queue = append(queue, int(v))
-						if tree != nil {
-							tree.Parent[int(v)] = u
-							tree.Depth[int(v)] = tree.Depth[u] + 1
-						}
-					}
+// deliver decodes the neighbors covered by the lines of the batch next
+// returned and queues the unvisited ones.
+func (w *bfsWalk) deliver(lines [][]byte) {
+	for i, data := range lines {
+		lineBase := (w.line + i) * LineSize
+		lo, hi := w.startB, w.endB
+		if lineBase > lo {
+			lo = lineBase
+		}
+		if lineBase+LineSize < hi {
+			hi = lineBase + LineSize
+		}
+		for off := lo; off < hi; off += 4 {
+			rel := off - lineBase
+			v := uint32(data[rel]) | uint32(data[rel+1])<<8 |
+				uint32(data[rel+2])<<16 | uint32(data[rel+3])<<24
+			if !w.visited[v] {
+				w.visited[v] = true
+				w.queue = append(w.queue, int(v))
+				if w.tree != nil {
+					w.tree.Parent[int(v)] = w.u
+					w.tree.Depth[int(v)] = w.tree.Depth[w.u] + 1
 				}
 			}
 		}
 	}
-	// Every vertex marked visited was queued, so clearing the queued
-	// vertices' marks readies the scratch for the next traversal.
-	for _, v := range queue {
-		visited[v] = false
-	}
-	s.queue = queue
-	return expanded
+	w.line += 2
 }
 
 // Body implements core.Workload: thread threadID runs the traversals
-// j ≡ threadID (mod threadsPerCore).
-func (b *BFS) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
-	base := coreRegion(coreID)
-	return func(a *uthread.API) {
-		var s bfsScratch
-		work := func(int) { a.Work(b.WorkInstr) }
-		for j := threadID; j < len(b.Sources); j += threadsPerCore {
+// j ≡ threadID (mod threadsPerCore). The step that receives a batch's
+// lines decodes them and asks for the batch's work; the step after
+// issues the next batch, moving on to the thread's next traversal when
+// one ends.
+func (b *BFS) Body(coreID, threadID, threadsPerCore int) uthread.Step {
+	w := &bfsWalk{b: b, coreBase: coreRegion(coreID)}
+	j, walking := threadID-threadsPerCore, false // the traversal under way
+	return func(lines [][]byte) (uthread.Request, bool) {
+		if lines != nil {
+			w.deliver(lines)
+			if b.WorkInstr > 0 {
+				return uthread.Request{Kind: uthread.KindWork, Instr: b.WorkInstr}, true
+			}
+		}
+		for {
+			if walking {
+				if addrs := w.next(); addrs != nil {
+					return uthread.Request{Kind: uthread.KindAccess, Addrs: addrs}, true
+				}
+				b.Visited += w.expanded
+				if w.tree != nil {
+					b.Trees = append(b.Trees, w.tree)
+				}
+			}
+			if j += threadsPerCore; j >= len(b.Sources) {
+				return uthread.Request{}, false
+			}
 			var tree *Tree
 			if b.RecordTrees {
 				tree = newTree(b.Sources[j])
 			}
-			b.Visited += b.traverse(&s, b.Sources[j], base, a.AccessBatch, work, tree)
-			if tree != nil {
-				b.Trees = append(b.Trees, tree)
-			}
+			w.start(b.Sources[j], tree)
+			walking = true
 		}
 	}
 }

@@ -121,29 +121,44 @@ func testBit(line []byte, pos uint64) bool {
 }
 
 // Body implements core.Workload: thread threadID performs the lookups
-// i ≡ threadID (mod threadsPerCore) of its core.
-func (b *Bloom) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
+// i ≡ threadID (mod threadsPerCore) of its core, one access batch of
+// KHash probes each. The step that receives a lookup's lines tests its
+// bits, counts the result and asks for the lookup's work.
+func (b *Bloom) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 	base := coreRegion(coreID)
-	return func(a *uthread.API) {
-		addrs := make([]uint64, b.KHash)
-		pos := make([]uint64, b.KHash)
-		for i := threadID; i < b.LookupsPerCore; i += threadsPerCore {
+	addrs := make([]uint64, b.KHash)
+	pos := make([]uint64, b.KHash)
+	i, probing := threadID, false // the next lookup; whether pos awaits its lines
+	return func(lines [][]byte) (uthread.Request, bool) {
+		for {
+			if probing {
+				probing = false
+				maybe := true
+				for j, p := range pos {
+					if !testBit(lines[j], p) {
+						maybe = false
+					}
+				}
+				if maybe {
+					b.Positives++
+				}
+				b.Lookups++
+				if b.WorkInstr > 0 {
+					return uthread.Request{Kind: uthread.KindWork, Instr: b.WorkInstr}, true
+				}
+			}
+			if i >= b.LookupsPerCore {
+				return uthread.Request{}, false
+			}
 			b.probePositions(b.lookupKey(i), pos)
+			i += threadsPerCore
 			for j, p := range pos {
 				addrs[j] = base + (p/512)*LineSize
 			}
-			lines := a.AccessBatch(addrs)
-			maybe := true
-			for j, p := range pos {
-				if !testBit(lines[j], p) {
-					maybe = false
-				}
+			probing = true
+			if len(addrs) > 0 {
+				return uthread.Request{Kind: uthread.KindAccess, Addrs: addrs}, true
 			}
-			if maybe {
-				b.Positives++
-			}
-			b.Lookups++
-			a.Work(b.WorkInstr)
 		}
 	}
 }

@@ -95,31 +95,47 @@ func (m *Memcached) lookupItem(i int) int {
 	return int(splitmix64(uint64(i)+memcachedSeed) % uint64(m.Items))
 }
 
-// Body implements core.Workload.
-func (m *Memcached) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
-	return func(a *uthread.API) {
-		addrs := make([]uint64, m.ValueLines)
-		for i := threadID; i < m.LookupsPerCore; i += threadsPerCore {
-			k := m.lookupItem(i)
+// Body implements core.Workload: thread threadID performs the lookups
+// i ≡ threadID (mod threadsPerCore) of its core, one access batch of
+// ValueLines lines each. The step that receives a value's lines
+// verifies them, counts the result and asks for the lookup's work.
+func (m *Memcached) Body(coreID, threadID, threadsPerCore int) uthread.Step {
+	addrs := make([]uint64, m.ValueLines)
+	i, k, reading := threadID, 0, false // the next lookup; the item whose value awaits its lines
+	return func(lines [][]byte) (uthread.Request, bool) {
+		for {
+			if reading {
+				reading = false
+				ok := true
+				for l, line := range lines {
+					if binary.LittleEndian.Uint64(line) != uint64(k) ||
+						binary.LittleEndian.Uint64(line[8:]) != uint64(l) {
+						ok = false
+					}
+				}
+				if ok {
+					m.Hits++
+				} else {
+					m.BadValues++
+				}
+				m.Lookups++
+				if m.WorkInstr > 0 {
+					return uthread.Request{Kind: uthread.KindWork, Instr: m.WorkInstr}, true
+				}
+			}
+			if i >= m.LookupsPerCore {
+				return uthread.Request{}, false
+			}
+			k = m.lookupItem(i)
+			i += threadsPerCore
 			base := m.valueAddr(coreID, k)
 			for l := range addrs {
 				addrs[l] = base + uint64(l)*LineSize
 			}
-			lines := a.AccessBatch(addrs)
-			ok := true
-			for l, line := range lines {
-				if binary.LittleEndian.Uint64(line) != uint64(k) ||
-					binary.LittleEndian.Uint64(line[8:]) != uint64(l) {
-					ok = false
-				}
+			reading = true
+			if len(addrs) > 0 {
+				return uthread.Request{Kind: uthread.KindAccess, Addrs: addrs}, true
 			}
-			if ok {
-				m.Hits++
-			} else {
-				m.BadValues++
-			}
-			m.Lookups++
-			a.Work(m.WorkInstr)
 		}
 	}
 }

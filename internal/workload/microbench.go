@@ -86,32 +86,45 @@ func (m *Microbench) split(threadID, n int) int {
 	return per
 }
 
-// Body returns one thread's loop. Every access touches a different
-// cache line ("ensuring ... there is no temporal or spatial locality
-// across accesses", §IV-C): each thread strides through a private
-// region of its core's address range.
-func (m *Microbench) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
+// Body returns one thread's loop as a step function: each iteration is
+// a batch of reads, a batch of posted writes and the work block, an
+// empty batch or a work block of no instructions issuing no request.
+// Every access touches a different cache line ("ensuring ... there is
+// no temporal or spatial locality across accesses", §IV-C): each thread
+// strides through a private region of its core's address range.
+func (m *Microbench) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 	iters := m.split(threadID, threadsPerCore)
 	base := coreRegion(coreID) | uint64(threadID)<<28
 	wbase := base | 1<<27 // write lines disjoint from read lines
-	reads, writes, work := m.Reads, m.Writes, m.WorkInstr
-	return func(a *uthread.API) {
-		addrs := make([]uint64, reads)
-		waddrs := make([]uint64, writes)
-		line, wline := uint64(0), uint64(0)
-		for i := 0; i < iters; i++ {
-			for j := range addrs {
-				addrs[j] = base + line*LineSize
-				line++
+	work := m.WorkInstr
+	addrs := make([]uint64, m.Reads)
+	waddrs := make([]uint64, m.Writes)
+	line, wline := uint64(0), uint64(0)
+	i, phase := 0, 0 // the iteration, and its next request: reads, writes, work
+	return func([][]byte) (uthread.Request, bool) {
+		for i < iters {
+			p := phase
+			if phase++; phase == 3 {
+				phase, i = 0, i+1
 			}
-			a.AccessBatch(addrs)
-			for j := range waddrs {
-				waddrs[j] = wbase + wline*LineSize
-				wline++
+			switch {
+			case p == 0 && len(addrs) > 0:
+				for j := range addrs {
+					addrs[j] = base + line*LineSize
+					line++
+				}
+				return uthread.Request{Kind: uthread.KindAccess, Addrs: addrs}, true
+			case p == 1 && len(waddrs) > 0:
+				for j := range waddrs {
+					waddrs[j] = wbase + wline*LineSize
+					wline++
+				}
+				return uthread.Request{Kind: uthread.KindWrite, Addrs: waddrs}, true
+			case p == 2 && work > 0:
+				return uthread.Request{Kind: uthread.KindWork, Instr: work}, true
 			}
-			a.WriteBatch(waddrs)
-			a.Work(work)
 		}
+		return uthread.Request{}, false
 	}
 }
 

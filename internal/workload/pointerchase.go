@@ -75,21 +75,31 @@ func (p *PointerChase) startNode(coreID, threadID int) uint64 {
 
 // Body implements core.Workload: follow the chain, the next address
 // coming out of each fetched line — control flow genuinely depends on
-// device data, so replay fidelity is load-bearing here.
-func (p *PointerChase) Body(coreID, threadID, threadsPerCore int) func(*uthread.API) {
+// device data, so replay fidelity is load-bearing here. The step that
+// receives a line takes the next address from it and asks for the hop's
+// work; the step after issues the next dereference.
+func (p *PointerChase) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 	base := coreRegion(coreID)
 	hops := p.HopsPerCore / threadsPerCore
 	if threadID < p.HopsPerCore%threadsPerCore {
 		hops++
 	}
-	return func(a *uthread.API) {
-		addr := p.startNode(coreID, threadID)
-		for i := 0; i < hops; i++ {
-			line := a.Access(base + addr)
-			addr = binary.LittleEndian.Uint64(line[:8])
+	next := p.startNode(coreID, threadID)
+	var addr [1]uint64
+	return func(lines [][]byte) (uthread.Request, bool) {
+		if lines != nil {
+			next = binary.LittleEndian.Uint64(lines[0][:8])
 			p.Hops++
-			a.Work(p.WorkInstr)
+			if p.WorkInstr > 0 {
+				return uthread.Request{Kind: uthread.KindWork, Instr: p.WorkInstr}, true
+			}
 		}
+		if hops == 0 {
+			return uthread.Request{}, false
+		}
+		hops--
+		addr[0] = base + next
+		return uthread.Request{Kind: uthread.KindAccess, Addrs: addr[:]}, true
 	}
 }
 
