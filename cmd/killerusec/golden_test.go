@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -15,9 +17,9 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // must be reviewed via `go test ./cmd/killerusec -run Golden -update`.
 func TestFig2CSVGolden(t *testing.T) {
 	s := tinySuite()
-	tables := runOne(s, "2")
+	tables := experiments.RunPlan(experiments.PlanFor(s, "2"), nil)
 	if len(tables) != 1 {
-		t.Fatalf("runOne(2) returned %d tables", len(tables))
+		t.Fatalf("PlanFor(2) returned %d tables", len(tables))
 	}
 	got := []byte(tables[0].CSV())
 

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	killerusec -fig 3            # one figure (2..9, 10, ablations)
+//	killerusec -fig 3            # one experiment, by any id -list prints
 //	killerusec -all              # everything, in paper order
 //	killerusec -fig 7 -csv       # CSV instead of aligned text
 //	killerusec -fig 5 -iters 8000
@@ -37,7 +37,7 @@ import (
 )
 
 var (
-	fig      = flag.String("fig", "", "experiment to run (see -list): 2..9, 10, 10a..10d, ablations, extensions, cluster")
+	fig      = flag.String("fig", "", "experiment id or alias to run; -list prints the ids, -plans describes them")
 	all      = flag.Bool("all", false, "run every paper experiment (figures + ablations)")
 	ext      = flag.Bool("ext", false, "run the beyond-the-paper extension experiments")
 	faults   = flag.Bool("faults", false, "run the fault-injection / recovery experiment family")
@@ -99,10 +99,7 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("paper:      2 3 4 5 6 7 8 9 10 10a 10b 10c 10d")
-		fmt.Println("ablations:  lfb chipq rule switch swqopts")
-		fmt.Println("extensions: kernelq smt writes membus tail ptrchase devices locality faults")
-		fmt.Println("cluster:    cluster (alias: fleet)")
+		fmt.Print(idListing())
 		fmt.Println("families:   -all (paper) -ext (extensions) -faults (fault injection/recovery) -fleet (cluster)")
 		fmt.Println("modes:      -quick -csv -outdir <dir> -trace <file> (Perfetto trace) -json <file> (run report)")
 		fmt.Println("details:    -plans (per-id descriptions)")
@@ -225,9 +222,9 @@ func main() {
 	case *ext:
 		plan = suite.ExtensionPlan()
 	case *faults:
-		plan = []experiments.Experiment{{ID: "ext-faults", Run: suite.ExpFaults}}
+		plan = experiments.PlanFor(suite, "ext-faults")
 	case *fig != "":
-		plan = planOne(suite, strings.ToLower(*fig))
+		plan = experiments.PlanFor(suite, strings.ToLower(*fig))
 		if plan == nil {
 			fmt.Fprintf(os.Stderr, "killerusec: unknown experiment %q (try -list)\n", *fig)
 			os.Exit(2)
@@ -298,22 +295,30 @@ func writeCSVs(dir string, tables []*stats.Table) error {
 	return nil
 }
 
-// runOne runs a single experiment family by user-facing id, returning
-// nil for an unknown id.
-func runOne(s experiments.Suite, id string) []*stats.Table {
-	plan := planOne(s, id)
-	if plan == nil {
-		return nil
+// idListing renders -list's id lines from the catalogue, in registry
+// order: each id under the family its canonical id is prefixed with
+// (fig, ablation-, ext-; unprefixed ids are cluster-scale), by its
+// short alias.
+func idListing() string {
+	var paper, ablations, exts, cluster []string
+	for _, p := range experiments.Plans() {
+		short := p.ID
+		if len(p.Aliases) > 0 {
+			short = p.Aliases[0]
+		}
+		switch {
+		case strings.HasPrefix(p.ID, "fig"):
+			paper = append(paper, short)
+		case strings.HasPrefix(p.ID, "ablation-"):
+			ablations = append(ablations, short)
+		case strings.HasPrefix(p.ID, "ext-"):
+			exts = append(exts, short)
+		default:
+			cluster = append(cluster, p.ID+" (alias: "+strings.Join(p.Aliases, ", ")+")")
+		}
 	}
-	return experiments.RunPlan(plan, nil)
-}
-
-// planOne maps a user-facing experiment id (with its short aliases)
-// onto a one-element execution plan, or nil if the id is unknown. The
-// mapping itself lives in the experiments package (PlanFor) so the
-// kurecd server resolves ids identically.
-func planOne(s experiments.Suite, id string) []experiments.Experiment {
-	return experiments.PlanFor(s, id)
+	return fmt.Sprintf("paper:      %s\nablations:  %s\nextensions: %s\ncluster:    %s\n",
+		strings.Join(paper, " "), strings.Join(ablations, " "), strings.Join(exts, " "), strings.Join(cluster, " "))
 }
 
 // planListing renders the -plans output: every runnable id with its

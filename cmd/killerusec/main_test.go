@@ -23,14 +23,14 @@ func TestRunOneKnownIDs(t *testing.T) {
 	s := tinySuite()
 	ids := []string{"2", "3", "4", "6", "7", "lfb", "switch", "swqopts", "kernelq", "smt", "writes", "tail"}
 	for _, id := range ids {
-		tables := runOne(s, id)
+		tables := experiments.RunPlan(experiments.PlanFor(s, id), nil)
 		if len(tables) == 0 {
-			t.Errorf("runOne(%q) returned nothing", id)
+			t.Errorf("PlanFor(%q) returned nothing", id)
 			continue
 		}
 		for _, tb := range tables {
 			if len(tb.Series) == 0 {
-				t.Errorf("runOne(%q): table %s has no series", id, tb.ID)
+				t.Errorf("PlanFor(%q): table %s has no series", id, tb.ID)
 			}
 		}
 	}
@@ -39,14 +39,14 @@ func TestRunOneKnownIDs(t *testing.T) {
 func TestRunOneFig10Subfigure(t *testing.T) {
 	s := tinySuite()
 	s.UseReplay = false // keep the smoke test fast
-	tables := runOne(s, "10b")
+	tables := experiments.RunPlan(experiments.PlanFor(s, "10b"), nil)
 	if len(tables) != 1 || tables[0].ID != "fig10b" {
-		t.Fatalf("runOne(10b) = %v", tables)
+		t.Fatalf("PlanFor(10b) = %v", tables)
 	}
 }
 
 func TestRunOneUnknownID(t *testing.T) {
-	if got := runOne(tinySuite(), "nonsense"); got != nil {
+	if got := experiments.RunPlan(experiments.PlanFor(tinySuite(), "nonsense"), nil); got != nil {
 		t.Errorf("unknown id returned %v", got)
 	}
 }
@@ -54,7 +54,7 @@ func TestRunOneUnknownID(t *testing.T) {
 func TestWriteCSVs(t *testing.T) {
 	dir := t.TempDir()
 	s := tinySuite()
-	tables := runOne(s, "2")
+	tables := experiments.RunPlan(experiments.PlanFor(s, "2"), nil)
 	if err := writeCSVs(dir, tables); err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,9 @@ func TestTracedSweep(t *testing.T) {
 	s := tinySuite()
 	rec := trace.NewRecorder()
 	s.Base.Trace = rec
-	tables := runOne(s, "4")
+	tables := experiments.RunPlan(experiments.PlanFor(s, "4"), nil)
 	if len(tables) == 0 {
-		t.Fatal("runOne(4) returned nothing")
+		t.Fatal("PlanFor(4) returned nothing")
 	}
 	if rec.Runs() == 0 || rec.Events() == 0 {
 		t.Fatalf("traced sweep recorded %d runs / %d events", rec.Runs(), rec.Events())
@@ -109,10 +109,10 @@ func TestTracedSweep(t *testing.T) {
 // table.
 func TestTracedDevices(t *testing.T) {
 	s := tinySuite()
-	plain := runOne(s, "devices")
+	plain := experiments.RunPlan(experiments.PlanFor(s, "devices"), nil)
 	rec := trace.NewRecorder()
 	s.Base.Trace = rec
-	traced := runOne(s, "devices")
+	traced := experiments.RunPlan(experiments.PlanFor(s, "devices"), nil)
 	if rec.Runs() == 0 || rec.Events() == 0 {
 		t.Fatalf("traced device sweep recorded %d runs / %d events", rec.Runs(), rec.Events())
 	}
@@ -123,8 +123,10 @@ func TestTracedDevices(t *testing.T) {
 
 func TestRunOneAliases(t *testing.T) {
 	s := tinySuite()
-	if runOne(s, "fig3") == nil || runOne(s, "ablation-lfb") == nil || runOne(s, "ext-smt") == nil {
-		t.Error("aliases not accepted")
+	for _, id := range []string{"fig3", "ablation-lfb", "ext-smt"} {
+		if experiments.RunPlan(experiments.PlanFor(s, id), nil) == nil {
+			t.Errorf("canonical id %q not accepted", id)
+		}
 	}
 }
 

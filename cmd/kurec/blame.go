@@ -28,23 +28,7 @@ func cmdBlame(args []string) error {
 	table := fs.String("table", "", "restrict to this table id")
 	series := fs.String("series", "", "restrict to series whose label contains this substring")
 	diff := fs.String("diff", "", "compare two series phase-by-phase: exact labels as \"a,b\"")
-	// The report path may precede the flags (`kurec blame run.json
-	// -csv`) or follow them; peel a leading non-flag argument first.
-	var path string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		path, args = args[0], args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if path == "" && fs.NArg() > 0 {
-		path = fs.Arg(0)
-	}
-	if path == "" {
-		return fmt.Errorf("blame needs a report file (from `killerusec -attrib -json <file>`)")
-	}
-
-	r, err := report.ReadFile(path)
+	r, path, err := readReportArg(fs, args, "-attrib")
 	if err != nil {
 		return err
 	}
@@ -56,7 +40,7 @@ func cmdBlame(args []string) error {
 		return blameDiff(os.Stdout, r, *table, *diff)
 	}
 
-	cells := selectBlameCells(r, *table, *series)
+	cells := selectCells(r, *table, *series, attribOf)
 	if len(cells) == 0 {
 		return fmt.Errorf("%s: no attributed cells match the selection", path)
 	}
@@ -76,40 +60,10 @@ func cmdBlame(args []string) error {
 	return nil
 }
 
-// blameCell is one datapoint that carries an attribution summary.
-type blameCell struct {
-	table, series string
-	x             float64
-	a             *report.AttribSummary
-}
-
-// selectBlameCells gathers the attributed cells matching the table and
-// series filters, in report order.
-func selectBlameCells(r *report.Report, table, series string) []blameCell {
-	var cells []blameCell
-	for _, t := range r.Tables {
-		if table != "" && t.ID != table {
-			continue
-		}
-		for _, s := range t.Series {
-			if series != "" && !strings.Contains(s.Label, series) {
-				continue
-			}
-			for i, a := range s.Attrib {
-				if a == nil {
-					continue
-				}
-				cells = append(cells, blameCell{t.ID, s.Label, float64(s.X[i]), a})
-			}
-		}
-	}
-	return cells
-}
-
 // writeWaterfall prints one cell as a fraction-scaled bar per phase,
 // largest first, omitting phases that never accrued time.
-func writeWaterfall(w io.Writer, c blameCell) {
-	a := c.a
+func writeWaterfall(w io.Writer, c cell[report.AttribSummary]) {
+	a := c.v
 	fmt.Fprintf(w, "\n%s %s x=%g — %d accesses, mean %s, %d mismatches\n",
 		c.table, c.series, c.x, a.Accesses, fmtNs(a.MeanNs()), a.Mismatches)
 	phases := append([]report.PhaseSum(nil), a.Phases...)
@@ -134,16 +88,16 @@ func writeWaterfall(w io.Writer, c blameCell) {
 
 // writeBlameTop prints one line per cell naming the phase that owns
 // the largest share of its latency.
-func writeBlameTop(w io.Writer, cells []blameCell) error {
+func writeBlameTop(w io.Writer, cells []cell[report.AttribSummary]) error {
 	fmt.Fprintf(w, "%-8s %-28s %8s %-16s %7s %12s %10s\n",
 		"table", "series", "x", "dominant", "share", "mean", "accesses")
 	for _, c := range cells {
-		ph, frac := c.a.DominantPhase()
+		ph, frac := c.v.DominantPhase()
 		if ph == "" {
 			ph = "(idle)"
 		}
 		if _, err := fmt.Fprintf(w, "%-8s %-28s %8g %-16s %6.1f%% %12s %10d\n",
-			c.table, c.series, c.x, ph, frac*100, fmtNs(c.a.MeanNs()), c.a.Accesses); err != nil {
+			c.table, c.series, c.x, ph, frac*100, fmtNs(c.v.MeanNs()), c.v.Accesses); err != nil {
 			return err
 		}
 	}
@@ -153,18 +107,18 @@ func writeBlameTop(w io.Writer, cells []blameCell) error {
 // writeBlameCSV flattens the selection into one row per (cell, phase),
 // cells in report order, phases in taxonomy order. All phases appear,
 // including all-zero ones, so the column set is pivot-stable.
-func writeBlameCSV(w io.Writer, cells []blameCell) error {
+func writeBlameCSV(w io.Writer, cells []cell[report.AttribSummary]) error {
 	if _, err := fmt.Fprintln(w, "table,series,x,accesses,total_ps,mismatches,phase,sum_ps,frac,count,p50_ns,p99_ns,max_ns"); err != nil {
 		return err
 	}
 	for _, c := range cells {
-		for _, p := range c.a.Phases {
+		for _, p := range c.v.Phases {
 			frac := 0.0
-			if c.a.TotalPs > 0 {
-				frac = float64(p.SumPs) / float64(c.a.TotalPs)
+			if c.v.TotalPs > 0 {
+				frac = float64(p.SumPs) / float64(c.v.TotalPs)
 			}
 			_, err := fmt.Fprintf(w, "%s,%s,%g,%d,%d,%d,%s,%d,%g,%d,%g,%g,%g\n",
-				csvField(c.table), csvField(c.series), c.x, c.a.Accesses, c.a.TotalPs, c.a.Mismatches,
+				csvField(c.table), csvField(c.series), c.x, c.v.Accesses, c.v.TotalPs, c.v.Mismatches,
 				p.Phase, p.SumPs, frac, p.Count, float64(p.P50Ns), float64(p.P99Ns), float64(p.MaxNs))
 			if err != nil {
 				return err

@@ -57,21 +57,21 @@ func writeBlameReport(t *testing.T) string {
 
 func TestBlameSelectsAttributedCells(t *testing.T) {
 	r := blameReport()
-	cells := selectBlameCells(r, "", "")
+	cells := selectCells(r, "", "", attribOf)
 	if len(cells) != 3 {
 		t.Fatalf("selected %d cells, want 3 (nil attrib must be skipped)", len(cells))
 	}
-	if cells := selectBlameCells(r, "fig7", "swq"); len(cells) != 2 {
+	if cells := selectCells(r, "fig7", "swq", attribOf); len(cells) != 2 {
 		t.Fatalf("series filter selected %d cells, want 2", len(cells))
 	}
-	if cells := selectBlameCells(r, "nope", ""); len(cells) != 0 {
+	if cells := selectCells(r, "nope", "", attribOf); len(cells) != 0 {
 		t.Fatalf("table filter selected %d cells, want 0", len(cells))
 	}
 }
 
 func TestBlameTopNamesDominantPhase(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeBlameTop(&buf, selectBlameCells(blameReport(), "", "swq")); err != nil {
+	if err := writeBlameTop(&buf, selectCells(blameReport(), "", "swq", attribOf)); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -88,7 +88,7 @@ func TestBlameTopNamesDominantPhase(t *testing.T) {
 
 func TestBlameCSVIsPivotStable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeBlameCSV(&buf, selectBlameCells(blameReport(), "", "")); err != nil {
+	if err := writeBlameCSV(&buf, selectCells(blameReport(), "", "", attribOf)); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -25,23 +25,7 @@ func cmdFleet(args []string) error {
 	instances := fs.Bool("instances", false, "print per-instance rows under each fleet cell")
 	table := fs.String("table", "", "restrict to this table id")
 	series := fs.String("series", "", "restrict to series whose label contains this substring")
-	// The report path may precede the flags (`kurec fleet run.json
-	// -csv`) or follow them; peel a leading non-flag argument first.
-	var path string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		path, args = args[0], args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if path == "" && fs.NArg() > 0 {
-		path = fs.Arg(0)
-	}
-	if path == "" {
-		return fmt.Errorf("fleet needs a report file (from `killerusec -fleet -json <file>`)")
-	}
-
-	r, err := report.ReadFile(path)
+	r, path, err := readReportArg(fs, args, "-fleet")
 	if err != nil {
 		return err
 	}
@@ -49,7 +33,7 @@ func cmdFleet(args []string) error {
 		return fmt.Errorf("%s has no cluster section (run killerusec with -fleet)", path)
 	}
 
-	cells := selectFleetCells(r, *table, *series)
+	cells := selectCells(r, *table, *series, fleetOf)
 	if len(cells) == 0 {
 		return fmt.Errorf("%s: no fleet cells match the selection", path)
 	}
@@ -64,43 +48,13 @@ func cmdFleet(args []string) error {
 	return writeFleetCells(os.Stdout, cells, *instances)
 }
 
-// fleetCell is one datapoint that carries a fleet summary.
-type fleetCell struct {
-	table, series string
-	x             float64
-	f             *report.FleetSummary
-}
-
-// selectFleetCells gathers the fleet cells matching the table and
-// series filters, in report order.
-func selectFleetCells(r *report.Report, table, series string) []fleetCell {
-	var cells []fleetCell
-	for _, t := range r.Tables {
-		if table != "" && t.ID != table {
-			continue
-		}
-		for _, s := range t.Series {
-			if series != "" && !strings.Contains(s.Label, series) {
-				continue
-			}
-			for i, f := range s.Fleet {
-				if f == nil {
-					continue
-				}
-				cells = append(cells, fleetCell{t.ID, s.Label, float64(s.X[i]), f})
-			}
-		}
-	}
-	return cells
-}
-
 // writeFleetCells prints one line per fleet cell — and, when asked,
 // one indented row per instance beneath it.
-func writeFleetCells(w io.Writer, cells []fleetCell, perInstance bool) error {
+func writeFleetCells(w io.Writer, cells []cell[report.FleetSummary], perInstance bool) error {
 	fmt.Fprintf(w, "%-16s %-20s %6s %-10s %5s %12s %9s %9s %9s %9s\n",
 		"table", "series", "x", "mech", "inst", "completed", "absorb", "p50", "p99", "sat")
 	for _, c := range cells {
-		f := c.f
+		f := c.v
 		absorb := "n/a"
 		if v := float64(f.OfferedPerSec); v > 0 {
 			absorb = fmt.Sprintf("%.3f", float64(f.CompletedPerSec)/v)
@@ -132,12 +86,12 @@ func writeFleetCells(w io.Writer, cells []fleetCell, perInstance bool) error {
 // writeFleetCSV flattens the selection into one row per (cell,
 // instance), cells in report order, so per-instance load imbalance and
 // saturation pivot cleanly.
-func writeFleetCSV(w io.Writer, cells []fleetCell) error {
+func writeFleetCSV(w io.Writer, cells []cell[report.FleetSummary]) error {
 	if _, err := fmt.Fprintln(w, "table,series,x,policy,shape,mech,rho,offered_per_sec,completed_per_sec,fleet_p99_ns,instance,arrived,completed,windows,saturated_windows,peak_outstanding,p50_ns,p99_ns,p999_ns"); err != nil {
 		return err
 	}
 	for _, c := range cells {
-		f := c.f
+		f := c.v
 		for i, in := range f.Instances {
 			_, err := fmt.Fprintf(w, "%s,%s,%g,%s,%s,%s,%g,%g,%g,%g,%d,%d,%d,%d,%d,%d,%g,%g,%g\n",
 				csvField(c.table), csvField(c.series), c.x, csvField(f.Policy), csvField(f.Shape), csvField(f.Mech),

@@ -63,20 +63,20 @@ func TestFleetReportRoundTrips(t *testing.T) {
 
 func TestFleetSelectsCells(t *testing.T) {
 	r := fleetReport()
-	if cells := selectFleetCells(r, "", ""); len(cells) != 3 {
+	if cells := selectCells(r, "", "", fleetOf); len(cells) != 3 {
 		t.Fatalf("selected %d cells, want 3 (nil fleet must be skipped)", len(cells))
 	}
-	if cells := selectFleetCells(r, "cluster-policies", "least"); len(cells) != 1 {
+	if cells := selectCells(r, "cluster-policies", "least", fleetOf); len(cells) != 1 {
 		t.Fatalf("series filter selected %d cells, want 1", len(cells))
 	}
-	if cells := selectFleetCells(r, "nope", ""); len(cells) != 0 {
+	if cells := selectCells(r, "nope", "", fleetOf); len(cells) != 0 {
 		t.Fatalf("table filter selected %d cells, want 0", len(cells))
 	}
 }
 
 func TestFleetTextShowsSaturation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFleetCells(&buf, selectFleetCells(fleetReport(), "", ""), true); err != nil {
+	if err := writeFleetCells(&buf, selectCells(fleetReport(), "", "", fleetOf), true); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -90,7 +90,7 @@ func TestFleetTextShowsSaturation(t *testing.T) {
 
 func TestFleetCSVOneRowPerInstance(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFleetCSV(&buf, selectFleetCells(fleetReport(), "", "")); err != nil {
+	if err := writeFleetCSV(&buf, selectCells(fleetReport(), "", "", fleetOf)); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

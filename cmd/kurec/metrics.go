@@ -24,23 +24,7 @@ func cmdMetrics(args []string) error {
 	csv := fs.Bool("csv", false, "emit one CSV row per window across all selected cells")
 	table := fs.String("table", "", "restrict to this table id")
 	series := fs.String("series", "", "restrict to series whose label contains this substring")
-	// The report path may precede the flags (`kurec metrics run.json
-	// -csv`) or follow them; peel a leading non-flag argument first.
-	var path string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		path, args = args[0], args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if path == "" && fs.NArg() > 0 {
-		path = fs.Arg(0)
-	}
-	if path == "" {
-		return fmt.Errorf("metrics needs a report file (from `killerusec -metrics -json <file>`)")
-	}
-
-	r, err := report.ReadFile(path)
+	r, path, err := readReportArg(fs, args, "-metrics")
 	if err != nil {
 		return err
 	}
@@ -52,23 +36,7 @@ func cmdMetrics(args []string) error {
 		return fmt.Errorf("%s has no timeseries section (run killerusec with -metrics)", path)
 	}
 
-	var cells []metricsCell
-	for _, t := range r.Tables {
-		if *table != "" && t.ID != *table {
-			continue
-		}
-		for _, s := range t.Series {
-			if *series != "" && !strings.Contains(s.Label, *series) {
-				continue
-			}
-			for i, ts := range s.Metrics {
-				if ts == nil {
-					continue
-				}
-				cells = append(cells, metricsCell{t.ID, s.Label, float64(s.X[i]), ts})
-			}
-		}
-	}
+	cells := selectCells(r, *table, *series, metricsOf)
 	if *csv {
 		return writeMetricsCSV(os.Stdout, cells)
 	}
@@ -82,17 +50,10 @@ func cmdMetrics(args []string) error {
 		"table", "series", "x", "windows", "starts", "completes", "p99_ns", "coalesced")
 	for _, c := range cells {
 		fmt.Printf("%-8s %-28s %8g %8d %10d %10d %10g %10d\n",
-			c.table, c.series, c.x, c.ts.Windows(),
-			c.ts.TotalStarts, c.ts.TotalCompletes, float64(c.ts.TotalP99Ns), c.ts.Coalesced)
+			c.table, c.series, c.x, c.v.Windows(),
+			c.v.TotalStarts, c.v.TotalCompletes, float64(c.v.TotalP99Ns), c.v.Coalesced)
 	}
 	return nil
-}
-
-// metricsCell is one datapoint that carries a flight-recorder series.
-type metricsCell struct {
-	table, series string
-	x             float64
-	ts            *report.TimeSeries
 }
 
 // writeMetricsCSV flattens every window of every cell into one CSV
@@ -100,7 +61,7 @@ type metricsCell struct {
 // column set is fixed — it always ends with one `<phase>_ps` column
 // per attribution phase (zeros when the run had no -attrib), so the
 // header is identical no matter which sections the report carries.
-func writeMetricsCSV(w io.Writer, cells []metricsCell) error {
+func writeMetricsCSV(w io.Writer, cells []cell[report.TimeSeries]) error {
 	header := "table,series,x,window,start_us,window_us,starts,completes,retries,timeouts,abandoned,switches,p50_ns,p99_ns,p999_ns,lfb_mean,lfb_max,chipq_mean,chipq_max,sq_mean,sq_max,cq_mean,cq_max,runnable_mean,runnable_max"
 	phases := attrib.Names()
 	for _, ph := range phases {
@@ -110,7 +71,7 @@ func writeMetricsCSV(w io.Writer, cells []metricsCell) error {
 		return err
 	}
 	for _, c := range cells {
-		ts := c.ts
+		ts := c.v
 		windowUs := float64(ts.WindowUs)
 		// Map this cell's phase columns onto the canonical taxonomy; a
 		// cell without phase columns emits zeros.

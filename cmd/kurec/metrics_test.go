@@ -58,14 +58,7 @@ func TestMetricsCSVPhaseColumns(t *testing.T) {
 	grab := func(withPhases bool) []string {
 		r := metricsReport(withPhases)
 		var buf bytes.Buffer
-		var cells []metricsCell
-		for _, tb := range r.Tables {
-			for _, s := range tb.Series {
-				for i, ts := range s.Metrics {
-					cells = append(cells, metricsCell{tb.ID, s.Label, float64(s.X[i]), ts})
-				}
-			}
-		}
+		cells := selectCells(r, "", "", metricsOf)
 		if err := writeMetricsCSV(&buf, cells); err != nil {
 			t.Fatal(err)
 		}

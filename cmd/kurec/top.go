@@ -29,17 +29,9 @@ func cmdTop(args []string) error {
 	plain := fs.Bool("plain", false, "one line per window instead of the live screen (default when stdout is not a terminal)")
 	n := fs.Int("n", 0, "exit after this many window records (0 = stream until the job finishes)")
 	width := fs.Int("width", 60, "sparkline width in windows (screen mode)")
-	// The target may precede the flags (`kurec top job-3 -plain`) or
-	// follow them; peel a leading non-flag argument before parsing.
-	var target string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		target, args = args[0], args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
+	target, err := parseOperand(fs, args)
+	if err != nil {
 		return err
-	}
-	if target == "" && fs.NArg() > 0 {
-		target = fs.Arg(0)
 	}
 	if target == "" {
 		return fmt.Errorf("top needs a job id or metrics URL")

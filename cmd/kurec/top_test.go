@@ -142,7 +142,7 @@ func metricsFixture() *report.TimeSeries {
 }
 
 func TestWriteMetricsCSV(t *testing.T) {
-	cells := []metricsCell{{table: "fig3", series: "prefetch, t=2", x: 4, ts: metricsFixture()}}
+	cells := []cell[report.TimeSeries]{{table: "fig3", series: "prefetch, t=2", x: 4, v: metricsFixture()}}
 	var out strings.Builder
 	if err := writeMetricsCSV(&out, cells); err != nil {
 		t.Fatal(err)

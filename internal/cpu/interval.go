@@ -249,22 +249,11 @@ func DRAMBaseline(cfg platform.Config, trace []IterSpec) OnDemandResult {
 	return RunOnDemand(cfg, trace, cfg.DRAMLatency, cfg.DRAMMaxOutstanding, cfg.DRAMIssueGap)
 }
 
-// DeviceOnDemand runs the single-threaded on-demand microsecond-device
-// case of Fig 2: the same core model, but loads take the device latency
-// and in-flight accesses are additionally bounded by the chip-level
-// MMIO queue.
-func DeviceOnDemand(cfg platform.Config, trace []IterSpec) OnDemandResult {
-	limit := cfg.ChipQueueMMIO
-	if cfg.LFBPerCore < limit {
-		limit = cfg.LFBPerCore
-	}
-	// The over-provisioned emulator pays no issue gap (§IV-A).
-	return RunOnDemand(cfg, trace, cfg.DeviceLatency, limit, 0)
-}
-
-// DeviceOnDemandObserved is DeviceOnDemand under fault injection, with
-// a per-load observer. With a non-nil inj, each load's latency comes
-// from the injector's analytic timeout/retry recovery model (device
+// DeviceOnDemandObserved runs the single-threaded on-demand
+// microsecond-device case of Fig 2: the same core model, but loads take
+// the device latency and in-flight accesses are additionally bounded by
+// the chip-level MMIO queue. With a non-nil inj, each load's latency
+// comes from the injector's analytic timeout/retry recovery model (device
 // stragglers and drops, PCIe corruption and stalls), with the
 // platform's backed-off per-attempt timeouts. observe (when non-nil)
 // receives every load's issue and completion times, letting the trace
@@ -282,5 +271,6 @@ func DeviceOnDemandObserved(cfg platform.Config, trace []IterSpec, inj *fault.In
 			return inj.HostAccessLatency(cfg.DeviceLatency, cfg.PCIeReplayPenalty, cfg.RetryTimeout, cfg.MaxRetries)
 		}
 	}
+	// The over-provisioned emulator pays no issue gap (§IV-A).
 	return runOnDemand(cfg, trace, cfg.DeviceLatency, limit, 0, draw, observe)
 }

@@ -104,7 +104,7 @@ func TestDRAMBaselineFasterThanDevice(t *testing.T) {
 	c := cfg()
 	trace := UniformTrace(1000, 1, 200)
 	dram := DRAMBaseline(c, trace)
-	dev := DeviceOnDemand(c, trace)
+	dev := DeviceOnDemandObserved(c, trace, nil, nil)
 	if dram.Elapsed >= dev.Elapsed {
 		t.Errorf("DRAM %v not faster than device %v", dram.Elapsed, dev.Elapsed)
 	}
@@ -123,7 +123,7 @@ func TestLargeWorkAbatesDevicePenalty(t *testing.T) {
 	c := cfg()
 	trace := UniformTrace(200, 1, 5000)
 	dram := DRAMBaseline(c, trace)
-	dev := DeviceOnDemand(c, trace)
+	dev := DeviceOnDemandObserved(c, trace, nil, nil)
 	ratio := float64(dram.Elapsed) / float64(dev.Elapsed)
 	if ratio < 0.5 || ratio > 0.9 {
 		t.Errorf("5000-instr ratio %.2f, want partial abatement (0.5..0.9)", ratio)
@@ -136,7 +136,7 @@ func TestNormalizedDecreasesWithLatency(t *testing.T) {
 	base := DRAMBaseline(c, trace).Elapsed
 	var prev float64 = 2
 	for _, lat := range []sim.Time{1, 2, 4} {
-		dev := DeviceOnDemand(c.WithLatency(lat*sim.Microsecond), trace)
+		dev := DeviceOnDemandObserved(c.WithLatency(lat*sim.Microsecond), trace, nil, nil)
 		norm := float64(base) / float64(dev.Elapsed)
 		if norm >= prev {
 			t.Errorf("normalized perf not decreasing at %vus: %.3f >= %.3f", lat, norm, prev)

@@ -43,9 +43,6 @@ const OnDemandDRAMLatency = 150 * sim.Nanosecond
 // OnBoardDRAMBytes is the capacity available for recorded sequences.
 const OnBoardDRAMBytes = 4 << 30
 
-// preloadChunk is the DMA transfer granularity for recording preloads.
-const preloadChunk = 256
-
 // Device is the emulator instance shared by all cores.
 type Device struct {
 	eng      *sim.Engine
@@ -117,14 +114,6 @@ func (d *Device) reserve(coreID int, bytes int64) error {
 	}
 	d.loadedBytes += bytes
 	return nil
-}
-
-// PreloadCost returns the simulated time the DMA engine needs to
-// transfer a recording into on-board DRAM over PCIe, in preloadChunk
-// payloads. The harness charges this before starting a measured run.
-func (d *Device) PreloadCost(rec *replay.Recording) sim.Time {
-	chunks := (rec.Bytes() + preloadChunk - 1) / preloadChunk
-	return sim.Time(chunks) * d.cfg.TLPTime(preloadChunk)
 }
 
 // Module returns coreID's replay module (nil if none is loaded).

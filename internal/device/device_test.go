@@ -179,17 +179,6 @@ func TestEnableCountingKeepsOnlyTheSize(t *testing.T) {
 	}
 }
 
-func TestPreloadCost(t *testing.T) {
-	r := newRig(platform.Default())
-	rec := replay.Synthetic(0, 1000) // 72000 bytes
-	cost := r.dev.PreloadCost(rec)
-	// 282 chunks of 256B: 282 * 70ns = 19.74us.
-	want := sim.Time(282) * r.cfg.TLPTime(256)
-	if cost != want {
-		t.Errorf("preload cost %v, want %v", cost, want)
-	}
-}
-
 func TestMMIOMulticoreOffsets(t *testing.T) {
 	r := newRig(platform.Default())
 	rec := replay.Synthetic(0, 8)

@@ -232,8 +232,3 @@ func (s Suite) ExpCluster() []*stats.Table {
 	mechs.Note("past the prefetch fleet's LFB-capped knee (x>1) the SWQ fleet keeps absorbing: per-descriptor core overhead, not the 10-entry LFB, is its only cap")
 	return []*stats.Table{policies, shapes, mechs}
 }
-
-// FleetPlan returns the cluster-scale experiments as named plan steps.
-func (s Suite) FleetPlan() []Experiment {
-	return []Experiment{{ID: "cluster", Run: s.ExpCluster}}
-}

@@ -487,38 +487,11 @@ func (s Suite) Fig10() []*stats.Table {
 }
 
 // Experiment is one named step of a sweep plan: the experiment ID plus
-// a closure producing its table(s). Surfacing the plan (instead of one
-// monolithic All) lets the CLI report per-table progress and lets the
-// report layer know what ran.
+// a closure producing its table(s). Surfacing the plan lets the CLI
+// report per-table progress and lets the report layer know what ran.
 type Experiment struct {
 	ID  string
 	Run func() []*stats.Table
-}
-
-// one adapts a single-table experiment method into a plan step.
-func one(id string, f func() *stats.Table) Experiment {
-	return Experiment{ID: id, Run: func() []*stats.Table { return []*stats.Table{f()} }}
-}
-
-// PaperPlan returns every paper experiment (figures + ablations) in
-// paper order as named plan steps.
-func (s Suite) PaperPlan() []Experiment {
-	return []Experiment{
-		one("fig2", s.Fig2),
-		one("fig3", s.Fig3),
-		one("fig4", s.Fig4),
-		one("fig5", s.Fig5),
-		one("fig6", s.Fig6),
-		one("fig7", s.Fig7),
-		one("fig8", s.Fig8),
-		one("fig9", s.Fig9),
-		{ID: "fig10", Run: s.Fig10},
-		one("ablation-lfb", s.AblationLFB),
-		one("ablation-chipq", s.AblationChipQueue),
-		one("ablation-rule", s.AblationRule),
-		one("ablation-switch", s.AblationSwitchCost),
-		one("ablation-swqopts", s.AblationSWQOpts),
-	}
 }
 
 // RunPlan executes the plan steps in order, invoking step (when
@@ -533,9 +506,4 @@ func RunPlan(plan []Experiment, step func(i int, id string)) []*stats.Table {
 		tables = append(tables, e.Run()...)
 	}
 	return tables
-}
-
-// All runs every figure and returns the tables in paper order.
-func (s Suite) All() []*stats.Table {
-	return RunPlan(s.PaperPlan(), nil)
 }

@@ -313,19 +313,3 @@ func (s Suite) ExpLocality() *stats.Table {
 	t.Note("hardware caching is exclusive to the memory-mapped interface; SWQ response buffers see none (§V-C)")
 	return t
 }
-
-// ExtensionPlan returns the beyond-the-paper experiments as named plan
-// steps.
-func (s Suite) ExtensionPlan() []Experiment {
-	return []Experiment{
-		one("ext-kernelq", s.ExpKernelQueue),
-		one("ext-smt", s.ExpSMT),
-		one("ext-writes", s.ExpWrites),
-		one("ext-membus", s.ExpMemBus),
-		one("ext-tail", s.ExpTailLatency),
-		one("ext-ptrchase", s.ExpPointerChase),
-		one("ext-devices", s.ExpDevices),
-		one("ext-locality", s.ExpLocality),
-		{ID: "ext-faults", Run: s.ExpFaults},
-	}
-}

@@ -108,11 +108,6 @@ func (l *Link) SendUpAt(earliest sim.Time, payload, useful int, done func()) {
 	l.send(l.up, l.trUp, &l.upTotal, &l.upUseful, earliest, payload, useful, done)
 }
 
-// SendDownAt is SendDown with a future transmission-ready time.
-func (l *Link) SendDownAt(earliest sim.Time, payload, useful int, done func()) {
-	l.send(l.down, l.trDown, &l.downTotal, &l.downUseful, earliest, payload, useful, done)
-}
-
 func (l *Link) send(dir *sim.Server, tr trace.Track, total, usefulAcc *int64, earliest sim.Time, payload, useful int, done func()) {
 	if useful > payload {
 		panic("pcie: useful bytes exceed payload")

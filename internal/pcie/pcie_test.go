@@ -80,17 +80,6 @@ func TestSendUpAtDelays(t *testing.T) {
 	}
 }
 
-func TestSendDownAtDelays(t *testing.T) {
-	eng, l, cfg := testLink(t)
-	var arrived sim.Time
-	l.SendDownAt(500*sim.Nanosecond, 16, 0, func() { arrived = eng.Now() })
-	eng.Run()
-	want := 500*sim.Nanosecond + cfg.TLPTime(16) + cfg.PCIePropagation
-	if arrived != want {
-		t.Errorf("arrived at %v, want %v", arrived, want)
-	}
-}
-
 func TestUsefulExceedsPayloadPanics(t *testing.T) {
 	_, l, _ := testLink(t)
 	defer func() {

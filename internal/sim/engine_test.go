@@ -143,20 +143,6 @@ func TestProcSleep(t *testing.T) {
 	}
 }
 
-func TestProcSleepUntil(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	e.Go("p", func(p *Proc) {
-		p.SleepUntil(7 * Nanosecond)
-		p.SleepUntil(3 * Nanosecond) // in the past: no-op
-		at = p.Now()
-	})
-	e.Run()
-	if at != 7*Nanosecond {
-		t.Errorf("woke at %v, want 7ns", at)
-	}
-}
-
 func TestProcDeterministicInterleaving(t *testing.T) {
 	// Two identical runs must produce identical traces.
 	run := func() []string {
@@ -337,20 +323,6 @@ func TestServerFIFO(t *testing.T) {
 	}
 	if s.Jobs() != 2 || s.BusyTime() != 15*Nanosecond {
 		t.Errorf("jobs=%d busy=%v", s.Jobs(), s.BusyTime())
-	}
-}
-
-func TestServerSubmitAt(t *testing.T) {
-	e := NewEngine()
-	s := e.NewServer("link")
-	start, end := s.SubmitAt(20*Nanosecond, 5*Nanosecond)
-	if start != 20*Nanosecond || end != 25*Nanosecond {
-		t.Errorf("job [%v,%v], want [20ns,25ns]", start, end)
-	}
-	// A second job ready earlier still queues behind the first (FIFO).
-	start2, _ := s.SubmitAt(0, 5*Nanosecond)
-	if start2 != 25*Nanosecond {
-		t.Errorf("job2 start %v, want 25ns", start2)
 	}
 }
 

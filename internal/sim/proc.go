@@ -95,15 +95,6 @@ func (p *Proc) Sleep(d Time) {
 	}
 }
 
-// SleepUntil blocks the process until absolute time t (a no-op if t is
-// not in the future).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.eng.now {
-		return
-	}
-	p.Sleep(t - p.eng.now)
-}
-
 // Wait blocks the process until g fires. If g has already fired, Wait
 // returns immediately without yielding.
 func (p *Proc) Wait(g *Gate) {

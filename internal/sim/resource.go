@@ -177,21 +177,6 @@ func (s *Server) Submit(service Time) (start, end Time) {
 	return start, end
 }
 
-// SubmitAt is like Submit but the job cannot start before earliest,
-// modeling a packet that is ready for transmission only at a future time
-// (e.g. a delayed device response).
-func (s *Server) SubmitAt(earliest Time, service Time) (start, end Time) {
-	if earliest < s.eng.now {
-		earliest = s.eng.now
-	}
-	start = maxTime(earliest, s.freeAt)
-	end = start + service
-	s.freeAt = end
-	s.busy += service
-	s.jobs++
-	return start, end
-}
-
 // BusyTime returns the cumulative time the server has spent serving.
 func (s *Server) BusyTime() Time { return s.busy }
 
