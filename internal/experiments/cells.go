@@ -350,9 +350,6 @@ func NewExecDisk(parallel int, dir string) (*Exec, error) {
 // stays usable.
 func (e *Exec) Close() { e.pool.Close() }
 
-// CacheStats exposes the result-cache counters for metrics endpoints.
-func (e *Exec) CacheStats() resultstore.Stats { return e.store.Stats() }
-
 // cell submits a spec for execution, deduplicating against every cell
 // this Exec has already seen: resubmitting an identical spec returns
 // the original Future without enqueueing new work.

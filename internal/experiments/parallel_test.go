@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -78,10 +79,11 @@ func TestExecDeduplicates(t *testing.T) {
 		t.Skip("runs the full paper plan")
 	}
 	s := parSuite()
-	s.Exec = NewExec(4)
+	store := resultstore.New[core.Result](defaultCacheEntries)
+	s.Exec = NewExecWith(4, store)
 	defer s.Exec.Close()
 	encodePlan(t, s)
-	cs := s.Exec.CacheStats()
+	cs := store.Stats()
 	es := s.Exec.Stats()
 	if cs.Misses == 0 {
 		t.Fatal("no cells computed")

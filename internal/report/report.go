@@ -350,18 +350,6 @@ func (r *Report) CellCount() (tables, series, cells int) {
 	return
 }
 
-// Encode marshals the report as indented JSON with a trailing newline.
-// Encoding is deterministic: struct fields marshal in declaration
-// order and the document carries no timestamps, so identical runs
-// produce identical bytes.
-func (r *Report) Encode() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
 // WriteFile encodes the report to path.
 func (r *Report) WriteFile(path string) error {
 	b, err := r.Encode()

@@ -528,6 +528,9 @@ func TestJobDeadline(t *testing.T) {
 	defer ts.Close()
 
 	req := cancelReq()
+	// cancelReq's job can finish inside 50 ms on an idle host; this one
+	// runs for about a second, so the deadline always falls mid-run.
+	req.Iterations = 60000
 	req.TimeoutSeconds = 0.05
 	resp := post(t, ts, req)
 	if resp.StatusCode != http.StatusAccepted {

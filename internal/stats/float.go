@@ -14,12 +14,15 @@ import (
 type Float float64
 
 // MarshalJSON renders non-finite values as null.
-func (f Float) MarshalJSON() ([]byte, error) {
+func (f Float) MarshalJSON() ([]byte, error) { return f.AppendJSON(nil), nil }
+
+// AppendJSON appends f's JSON form, as MarshalJSON returns it, to b.
+func (f Float) AppendJSON(b []byte) []byte {
 	v := float64(f)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
+		return append(b, "null"...)
 	}
-	return []byte(strconv.FormatFloat(v, 'g', -1, 64)), nil
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // UnmarshalJSON accepts numbers and null (null becomes NaN).
