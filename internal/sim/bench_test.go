@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Engine microbenchmarks. Every figure cell of the reproduction is
 // millions of engine events, so events/sec here is the throughput
@@ -33,6 +36,83 @@ func BenchmarkSchedule(b *testing.B) {
 		e.Run()
 		if e.Executed() < events {
 			b.Fatalf("executed %d events, want >= %d", e.Executed(), events)
+		}
+		e.Recycle()
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// scheduleMix is the push-delay mix of the quick paper sweep (15.85M
+// timed pushes): each row is a delay range [lo, hi) and its share of
+// pushes in tenths of a percent.
+var scheduleMix = []struct {
+	lo, hi   Time
+	permille int
+}{
+	{1, 1020, 70}, // under 1.02 ns
+	{8200, 16400, 75},
+	{16400, 32800, 105},
+	{32800, 65500, 79},
+	{65500, 131000, 239},
+	{131000, 262000, 64},
+	{262000, 524000, 250},
+	{520000, 1050000, 40},
+	{1050000, 2100000, 64},
+	{2100000, 4200000, 12},
+	{4200000, 8400000, 3},
+}
+
+// mixDelays draws n delays (n a power of two) from scheduleMix with a
+// fixed seed.
+func mixDelays(n int) []Time {
+	total := 0
+	for _, m := range scheduleMix {
+		total += m.permille
+	}
+	rng := rand.New(rand.NewSource(1))
+	out := make([]Time, n)
+	for i := range out {
+		r := rng.Intn(total)
+		for _, m := range scheduleMix {
+			if r < m.permille {
+				out[i] = m.lo + Time(rng.Int63n(int64(m.hi-m.lo)))
+				break
+			}
+			r -= m.permille
+		}
+	}
+	return out
+}
+
+// BenchmarkScheduleMix measures the At+dispatch path under the quick
+// sweep's delay mix: 42 events stay pending (the sweep's mean at a
+// pop), and each one that runs schedules the next at a delay drawn
+// from scheduleMix. BenchmarkSchedule's two short delays flatter any
+// bucketed queue; this mix spans nanoseconds to several microseconds.
+func BenchmarkScheduleMix(b *testing.B) {
+	const (
+		pending = 42
+		events  = 1 << 14
+	)
+	delays := mixDelays(1 << 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		n := 0
+		var next func()
+		next = func() {
+			if n < events {
+				e.After(delays[n&(len(delays)-1)], next)
+				n++
+			}
+		}
+		for range pending {
+			next()
+		}
+		e.Run()
+		if e.Executed() != events {
+			b.Fatalf("executed %d events, want %d", e.Executed(), events)
 		}
 		e.Recycle()
 	}
