@@ -1,9 +1,8 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/attrib"
+	"repro/internal/hostmem"
 	"repro/internal/replay"
 	"repro/internal/sim"
 )
@@ -14,16 +13,16 @@ import (
 // ready and the completion queue is empty.
 
 // minDeadline returns the earliest recovery deadline among outstanding
-// descriptors (order-independent, so map iteration is safe).
-func minDeadline(waiting map[uint64]*descWait) sim.Time {
+// descriptors.
+func minDeadline(waiting *hostmem.IDRing[*descWait]) sim.Time {
 	var min sim.Time
 	first := true
-	for _, w := range waiting {
+	waiting.Range(func(_ uint64, w *descWait) {
 		if first || w.deadline < min {
 			min = w.deadline
 			first = false
 		}
-	}
+	})
 	return min
 }
 
@@ -46,19 +45,19 @@ func (q *descQueue) startWait(gate *sim.Gate) {
 func (q *descQueue) waitOrRecover() bool {
 	gate := q.gate
 	q.gate = nil
-	if q.e.faults == nil || len(q.waiting) == 0 {
+	if q.e.faults == nil || q.waiting.Len() == 0 {
 		q.step = dqIdle
 		return gate.Await(q.resumeFn)
 	}
 	var park bool
-	q.timeout, park = gate.AwaitTimeout(minDeadline(q.waiting)-q.e.eng.Now(), q.resumeFn)
+	q.timeout, park = gate.AwaitTimeout(minDeadline(&q.waiting)-q.e.eng.Now(), q.resumeFn)
 	q.step = dqWoke
 	return park
 }
 
 // woke ends the bounded wait: a completion ends the procedure, an
 // expired deadline starts recovery. Descriptor IDs are scanned in
-// sorted order to keep the run deterministic.
+// increasing order, the ring's, to keep the run deterministic.
 func (q *descQueue) woke() {
 	fired := q.timeout.GateFired()
 	q.timeout = nil
@@ -67,10 +66,7 @@ func (q *descQueue) woke() {
 		return
 	}
 	q.ids = q.ids[:0]
-	for id := range q.waiting {
-		q.ids = append(q.ids, id)
-	}
-	slices.Sort(q.ids)
+	q.waiting.Range(func(id uint64, _ *descWait) { q.ids = append(q.ids, id) })
 	q.i, q.resubmitted = 0, false
 	q.step = dqResubmit
 }
@@ -88,11 +84,11 @@ func (q *descQueue) resubmitOverdue() bool {
 	for ; q.i < len(q.ids); q.i++ {
 		now := e.eng.Now()
 		id := q.ids[q.i]
-		w := q.waiting[id]
+		w, _ := q.waiting.Get(id)
 		if w.deadline > now {
 			continue
 		}
-		delete(q.waiting, id)
+		q.waiting.Take(id)
 		e.timedOut(now, w.obs)
 		// Waiting out the timeout is retry backoff; the gap between the
 		// deadline expiring and the host acting on it is timeout slop.
@@ -130,7 +126,7 @@ func (q *descQueue) resubmit() {
 	w.deadline = now + e.cfg.RetryTimeout(w.attempts)
 	w.obs.Mark(now, "retry", attrib.PhaseRetry)
 	newID := q.rq.Push(w.addr, w.target, now, w.obs)
-	q.waiting[newID] = w
+	q.waiting.Put(newID, w)
 	q.resubmitted = true
 	q.i++
 	q.step = dqResubmit

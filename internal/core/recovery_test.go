@@ -62,12 +62,12 @@ func (h *recoveryHarness) submit(attempts int, d sim.Time) uint64 {
 	now := h.e.eng.Now()
 	id := h.q.rq.Push(0x1000, 0x2000, now, observe.Access{})
 	h.q.rq.PopBurst(1) // descriptor is at the device; host queue is empty
-	h.q.waiting[id] = &descWait{
+	h.q.waiting.Put(id, &descWait{
 		th: h.th, slot: 0, submitted: now,
 		addr: 0x1000, target: 0x2000,
 		attempts: attempts,
 		deadline: now + d,
-	}
+	})
 	return id
 }
 
@@ -95,9 +95,9 @@ func TestWaitCompletionOrRecoverParksWhenFaultFree(t *testing.T) {
 	if woke != 7*sim.Microsecond {
 		t.Errorf("fault-free wait woke at %v, want the gate fire at 7us", woke)
 	}
-	if h.c.timeouts != 0 || h.c.retries != 0 || len(h.q.waiting) != 1 {
+	if h.c.timeouts != 0 || h.c.retries != 0 || h.q.waiting.Len() != 1 {
 		t.Errorf("fault-free wait ran recovery: timeouts=%d retries=%d waiting=%d",
-			h.c.timeouts, h.c.retries, len(h.q.waiting))
+			h.c.timeouts, h.c.retries, h.q.waiting.Len())
 	}
 }
 
@@ -116,9 +116,9 @@ func TestWaitCompletionOrRecoverReturnsOnCompletion(t *testing.T) {
 	if woke != 1*sim.Microsecond {
 		t.Errorf("woke at %v, want the completion at 1us", woke)
 	}
-	if h.c.timeouts != 0 || len(h.q.waiting) != 1 {
+	if h.c.timeouts != 0 || h.q.waiting.Len() != 1 {
 		t.Errorf("completion before deadline still recovered: timeouts=%d waiting=%d",
-			h.c.timeouts, len(h.q.waiting))
+			h.c.timeouts, h.q.waiting.Len())
 	}
 }
 
@@ -137,9 +137,9 @@ func TestWaitCompletionOrRecoverResubmitsOverdue(t *testing.T) {
 		return h.q.ep.CompletionGate() // never fires: the completion was lost
 	}, func() {
 		woke = h.e.eng.Now()
-		for id, w := range h.q.waiting {
+		h.q.waiting.Range(func(id uint64, w *descWait) {
 			newID, neww = id, *w
-		}
+		})
 	})
 
 	if woke < 2*sim.Microsecond {
@@ -149,8 +149,8 @@ func TestWaitCompletionOrRecoverResubmitsOverdue(t *testing.T) {
 		t.Errorf("counters = (timeouts %d, retries %d, abandoned %d), want (1, 1, 0)",
 			h.c.timeouts, h.c.retries, h.c.abandoned)
 	}
-	if len(h.q.waiting) != 1 {
-		t.Fatalf("%d outstanding descriptors after resubmit, want 1", len(h.q.waiting))
+	if h.q.waiting.Len() != 1 {
+		t.Fatalf("%d outstanding descriptors after resubmit, want 1", h.q.waiting.Len())
 	}
 	if newID == oldID {
 		t.Error("resubmission reused the old descriptor ID; a straggling old completion would match it")
@@ -186,8 +186,8 @@ func TestWaitCompletionOrRecoverAbandonsPastBudget(t *testing.T) {
 	if h.c.abandoned != 1 || h.c.retries != 0 {
 		t.Errorf("counters = (abandoned %d, retries %d), want (1, 0)", h.c.abandoned, h.c.retries)
 	}
-	if len(h.q.waiting) != 0 || h.q.rq.Len() != 0 {
-		t.Errorf("abandoned descriptor still tracked: waiting=%d rq=%d", len(h.q.waiting), h.q.rq.Len())
+	if h.q.waiting.Len() != 0 || h.q.rq.Len() != 0 {
+		t.Errorf("abandoned descriptor still tracked: waiting=%d rq=%d", h.q.waiting.Len(), h.q.rq.Len())
 	}
 	st := h.q.states[h.th]
 	if st.remaining != 0 || st.payload == nil {
@@ -204,5 +204,63 @@ func TestWaitCompletionOrRecoverAbandonsPastBudget(t *testing.T) {
 	}
 	if got := h.q.ready.Pop(); got != h.th {
 		t.Error("abandoning the last slot did not make the thread runnable")
+	}
+}
+
+// TestDeliverDiscardsStragglerLine pins that a straggler's response line
+// does not outlive its completion. Every access straggles to 3x the
+// device latency against a 2x timeout, so the first descriptor is
+// resubmitted under a fresh ID (with a 4x backed-off deadline), and the
+// first one's completion lands while the core still waits for the
+// second. deliver no longer tracks the first ID; it must discard the
+// line that ID landed rather than leave it in the endpoint until the
+// run ends.
+func TestDeliverDiscardsStragglerLine(t *testing.T) {
+	cfg := platform.Default()
+	cfg.Faults = fault.Plan{StragglerProb: 1, StragglerFactor: 3}
+	cfg.AccessTimeout = 2 * cfg.DeviceLatency
+	cfg.RetryBackoffFactor = 2
+	h := newRecoveryHarness(cfg)
+	q, eng := h.q, h.e.eng
+	st := q.states[h.th]
+
+	step := 0
+	q.resumeFn = func() {
+		for !q.run() {
+			switch step {
+			case 0:
+				q.startSubmit(h.th, []uint64{0x1000})
+			case 1:
+				q.startDoorbell()
+			default:
+				gate := q.ep.CompletionGate()
+				q.deliver(q.cq.Drain(), eng.Now())
+				if st.remaining == 0 {
+					q.stop()
+					return
+				}
+				if q.cq.Len() == 0 {
+					q.startWait(gate)
+				}
+			}
+			step++
+		}
+	}
+	eng.At(0, q.resumeFn)
+	eng.Run()
+
+	if h.c.timeouts != 1 || h.c.retries != 1 || h.c.abandoned != 0 {
+		t.Fatalf("counters = (timeouts %d, retries %d, abandoned %d), want (1, 1, 0)",
+			h.c.timeouts, h.c.retries, h.c.abandoned)
+	}
+	if q.cq.Posted() != 2 || q.waiting.Len() != 0 {
+		t.Fatalf("%d completions posted, %d descriptors outstanding; want 2 and 0",
+			q.cq.Posted(), q.waiting.Len())
+	}
+	if len(st.data[0]) != platform.CacheLineBytes {
+		t.Fatalf("resubmitted descriptor delivered a %d-byte line", len(st.data[0]))
+	}
+	if line := q.ep.Data(0); line != nil {
+		t.Error("the straggler's line stayed in the endpoint after deliver dropped its completion")
 	}
 }

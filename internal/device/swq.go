@@ -31,7 +31,7 @@ type SWQEndpoint struct {
 	// previous one fired.
 	step sim.Gate
 
-	data map[uint64][]byte // response lines landed in host memory, by descriptor ID
+	data hostmem.IDRing[[]byte] // response lines landed in host memory, by descriptor ID
 
 	fetchBursts  uint64 // DMA burst reads issued
 	emptyBursts  uint64 // bursts that returned no descriptors
@@ -62,7 +62,6 @@ func (d *Device) NewSWQEndpoint(coreID int, rq *hostmem.RequestQueue, cq *hostme
 		coreID: coreID,
 		rq:     rq,
 		cq:     cq,
-		data:   map[uint64][]byte{},
 	}
 	e.doorbell.Init(d.eng)
 	e.resumeFn = e.resume
@@ -112,8 +111,7 @@ func (e *SWQEndpoint) CompletionGate() *sim.Gate {
 // it (it models the host reading the line from the descriptor's target
 // address).
 func (e *SWQEndpoint) Data(id uint64) []byte {
-	line := e.data[id]
-	delete(e.data, id)
+	line, _ := e.data.Take(id)
 	return line
 }
 
@@ -339,7 +337,7 @@ func (r *swqResponse) sent() {
 
 func (r *swqResponse) landed() {
 	e := r.ep
-	e.data[r.id] = r.data
+	e.data.Put(r.id, r.data)
 	r.obs.Mark(e.dev.eng.Now(), "data-landed", attrib.PhaseTransit)
 	*r = swqResponse{ep: e, sentFn: r.sentFn, landedFn: r.landedFn}
 	e.respFree = append(e.respFree, r)

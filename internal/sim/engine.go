@@ -9,8 +9,8 @@ import (
 )
 
 // event is a single scheduled callback. Events are stored by value in
-// the engine's heap: no interface boxing and no per-event pointer
-// allocation, which matters because every figure cell of the
+// the engine's wheel and heap: no interface boxing and no per-event
+// pointer allocation, which matters because every figure cell of the
 // reproduction is millions of events.
 type event struct {
 	at  Time
@@ -47,23 +47,33 @@ var heapSentinel = event{at: math.MaxInt64, seq: math.MaxUint64}
 // sharded fleet driver moves engines between fan-out goroutines this
 // way — but two goroutines must never drive one engine concurrently.
 //
-// Internally the engine keeps two pending-event structures:
+// Internally the engine keeps three pending-event structures:
 //
-//   - a 4-ary min-heap over []event, ordered by (at, seq), for events
-//     scheduled at future times;
+//   - a timing wheel of 4096 buckets of 1024 ps for events due within
+//     about 4.19 µs of the current bucket, nearly all of them;
+//   - a 4-ary min-heap over []event, ordered by (at, seq), for the
+//     events due later, the wheel's overflow tier;
 //   - a FIFO now-queue for events scheduled at the current timestamp
 //     (Gate.Fire waiters, Engine.Go starts, OnFire on fired gates — a
-//     large fraction of all events), which bypass the heap entirely.
+//     large fraction of all events), which bypass both.
 //
-// The split preserves the documented ordering: an event can only enter
-// the heap at time t while now < t, and can only enter the now-queue at
-// t while now == t, so every heap event at time t was scheduled (and
-// sequence-numbered) before every now-queue event at t. Draining heap
-// events at `now` before now-queue events is therefore exactly global
-// scheduling order.
+// An event stays in the tier it entered, and each timed tier yields its
+// earliest event by (at, seq). At equal times the heap's runs first,
+// which is scheduling order: a heap event at t was pushed while t lay
+// beyond the wheel's window and a wheel event at t while it lay inside,
+// and the window only moves forward, so every heap event at t was
+// sequence-numbered before every wheel event at t.
+//
+// The now-queue split preserves the documented ordering too: an event
+// can only enter a timed tier at time t while now < t, and can only
+// enter the now-queue at t while now == t, so every timed event at t
+// was scheduled (and sequence-numbered) before every now-queue event at
+// t. Draining timed events at `now` before now-queue events is
+// therefore exactly global scheduling order.
 type Engine struct {
 	now      Time
-	heap     []event // 4-ary min-heap by (at, seq), then heapPad sentinels
+	w        wheel   // timed events due within wheelSpan
+	heap     []event // later timed events: 4-ary min-heap by (at, seq), then heapPad sentinels
 	seq      uint64
 	executed uint64
 
@@ -89,6 +99,7 @@ type Engine struct {
 // sync.Pool keeps free lists per-P, so each runpool worker effectively
 // retains its own scratch across the cells it executes.
 type scratch struct {
+	wheel      wheelScratch
 	heap       []event
 	nowq       []func()
 	started    []*Proc
@@ -101,36 +112,40 @@ var scratchPool sync.Pool
 // backing arrays of a previously Recycle()d engine when available.
 func NewEngine() *Engine {
 	e := &Engine{}
+	var ws wheelScratch
 	if s, ok := scratchPool.Get().(*scratch); ok {
+		ws = s.wheel
 		e.heap = s.heap
 		e.nowq = s.nowq
 		e.started = s.started
 		e.waiterFree = s.waiterFree
 	}
+	e.w.init(ws)
 	for range heapPad {
 		e.heap = append(e.heap, heapSentinel)
 	}
 	return e
 }
 
-// Recycle returns the engine's backing arrays (event heap, now-queue,
-// process table, waiter free list) to the package pool for the next
-// NewEngine call. It is a no-op unless the engine is fully quiescent —
-// no pending events and no live processes — so a run that errored out
-// keeps its state for post-mortem inspection. The engine must not be
-// used again after Recycle.
+// Recycle returns the engine's backing arrays (wheel, event heap,
+// now-queue, process table, waiter free list) to the package pool for
+// the next NewEngine call. It is a no-op unless the engine is fully
+// quiescent — no pending events and no live processes — so a run that
+// errored out keeps its state for post-mortem inspection. The engine
+// must not be used again after Recycle.
 func (e *Engine) Recycle() {
 	if e.procs != 0 || e.Pending() != 0 {
 		return
 	}
 	clear(e.started)
 	s := &scratch{
+		wheel:      e.w.scratch(),
 		heap:       e.heap[:0],
 		nowq:       e.nowq[:0],
 		started:    e.started[:0],
 		waiterFree: e.waiterFree,
 	}
-	e.heap, e.nowq, e.started, e.waiterFree = nil, nil, nil, nil
+	e.w, e.heap, e.nowq, e.started, e.waiterFree = wheel{}, nil, nil, nil, nil
 	e.nowHead = 0
 	e.deadProcs = 0
 	scratchPool.Put(s)
@@ -146,7 +161,8 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a modeling bug, and silently clamping
 // would mask it. Scheduling at the current time enqueues on the FIFO
-// now-queue, skipping the heap.
+// now-queue; a later time goes to the wheel when it falls inside the
+// wheel's window and to the heap otherwise.
 func (e *Engine) At(t Time, fn func()) {
 	if t <= e.now {
 		if t < e.now {
@@ -156,7 +172,12 @@ func (e *Engine) At(t Time, fn func()) {
 		return
 	}
 	e.seq++
-	e.heapPush(event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	if t < e.now&^(wheelWidth-1)+wheelSpan {
+		e.w.push(ev)
+		return
+	}
+	e.heapPush(ev)
 }
 
 // After schedules fn to run d from now.
@@ -260,23 +281,31 @@ func (e *Engine) heapPop() event {
 	return top
 }
 
+// nextAt returns the time of the earliest timed event, math.MaxInt64
+// when there is none: the wheel's cached minimum and the heap's top
+// (a sentinel when the heap is empty).
+func (e *Engine) nextAt() Time { return min(e.w.minAt, e.heap[0].at) }
+
 // Step executes the single earliest pending event and reports whether
-// one existed. Heap events at the current time run before now-queue
+// one existed. Timed events at the current time run before now-queue
 // events: they were necessarily scheduled earlier (see the type
 // comment), so this is global scheduling order.
 func (e *Engine) Step() bool {
-	if e.nowHead < len(e.nowq) {
-		if e.heapLen() == 0 || e.heap[0].at > e.now {
-			fn := e.popNow()
-			e.executed++
-			fn()
-			return true
+	if e.nowHead < len(e.nowq) && e.nextAt() > e.now {
+		fn := e.popNow()
+		e.executed++
+		fn()
+		return true
+	}
+	var ev event
+	if e.heap[0].at <= e.w.minAt {
+		if e.heapLen() == 0 {
+			return false // both tiers are empty
 		}
+		ev = e.heapPop()
+	} else {
+		ev = e.w.pop()
 	}
-	if e.heapLen() == 0 {
-		return false
-	}
-	ev := e.heapPop()
 	e.now = ev.at
 	e.executed++
 	ev.fn()
@@ -295,11 +324,7 @@ func (e *Engine) Run() Time {
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.executed
 	for {
-		if e.nowHead < len(e.nowq) && e.now <= deadline {
-			e.Step()
-			continue
-		}
-		if e.heapLen() > 0 && e.heap[0].at <= deadline {
+		if e.nowHead < len(e.nowq) && e.now <= deadline || e.nextAt() <= deadline {
 			e.Step()
 			continue
 		}
@@ -312,7 +337,7 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 }
 
 // Pending returns the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return e.heapLen() + len(e.nowq) - e.nowHead }
+func (e *Engine) Pending() int { return e.w.n + e.heapLen() + len(e.nowq) - e.nowHead }
 
 // LiveProcs returns the number of processes started with Go that have
 // not yet returned. A non-zero value after Run indicates a process
