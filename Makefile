@@ -17,14 +17,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Engine, access-path and sweep benchmarks, gated against the committed
-# baseline (fails on a >25% rate regression or allocs/op >5% above the
-# baseline; see cmd/benchgate).
+# baseline (fails on a >25% rate regression, allocs/op >5% or B/op >10%
+# above the baseline; see cmd/benchgate).
 bench-engine:
 	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/core/ ./internal/experiments/ | tee bench_engine.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -input bench_engine.txt
 
 # Refresh BENCH_engine.json from a fresh run on this machine (old floors
-# and allocs/op ceilings are never loosened).
+# and allocs/op and B/op ceilings are never loosened).
 bench-baseline:
 	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/core/ ./internal/experiments/ | tee bench_engine.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -update -input bench_engine.txt

@@ -1,13 +1,14 @@
 // Command benchgate compares `go test -bench` output against a
 // committed baseline and fails on throughput or allocation regressions.
 // It is the CI regression gate for the engine microbenchmarks: the
-// benchmarks report a rate metric (events/sec, cells/sec) and
-// allocs/op, benchgate takes the best rate and the fewest allocs/op per
-// benchmark across -count repetitions (best-of filters scheduler noise
-// on shared runners), and compares them with the baseline file. -update
-// records each benchmark's median rate across the repetitions, so one
-// fast outlier cannot set a floor the typical run falls below, and
-// never loosens an existing floor or allocs/op ceiling.
+// benchmarks report a rate metric (events/sec, cells/sec), allocs/op
+// and B/op, benchgate takes the best rate and the fewest allocs/op and
+// B/op per benchmark across -count repetitions (best-of filters
+// scheduler noise on shared runners), and compares them with the
+// baseline file. -update records each benchmark's median rate across
+// the repetitions, so one fast outlier cannot set a floor the typical
+// run falls below, and never loosens an existing floor, allocs/op
+// ceiling or B/op ceiling.
 //
 // Usage:
 //
@@ -20,9 +21,10 @@
 // baseline) because CI machines vary; the committed baseline records
 // the rates of the machine that last ran -update, and the rate gate
 // exists to catch order-of-magnitude mistakes (an accidental
-// O(n log n)->O(n^2)), not 5% drift. Allocation counts do not depend
-// on the machine, so their ceiling is tight: a run fails when its
-// allocs/op exceed the baseline's by more than allocSlack.
+// O(n log n)->O(n^2)), not 5% drift. Allocation counts and bytes do
+// not depend on the machine's speed, so their ceilings are tight: a run
+// fails when its allocs/op exceed the baseline's by more than
+// allocSlack, or its B/op by more than bytesSlack.
 package main
 
 import (
@@ -51,9 +53,10 @@ type Baseline struct {
 // conditions that are hand-pinned in the baseline (and preserved by
 // -update, which only refreshes the measured fields).
 type Entry struct {
-	Metric string  `json:"metric"`        // rate unit, e.g. "events/sec"
-	Rate   float64 `json:"rate"`          // median rate of the -update run; the best of this run when parsed
-	Allocs float64 `json:"allocs_per_op"` // fewest observed allocs/op: a ceiling (0: not gated)
+	Metric string  `json:"metric"`                 // rate unit, e.g. "events/sec"
+	Rate   float64 `json:"rate"`                   // median rate of the -update run; the best of this run when parsed
+	Allocs float64 `json:"allocs_per_op"`          // fewest observed allocs/op: a ceiling (0: not gated)
+	Bytes  float64 `json:"bytes_per_op,omitempty"` // fewest observed B/op: a ceiling (0: not gated)
 
 	// MinProcs skips this entry entirely when the run's GOMAXPROCS
 	// (the -N benchmark-name suffix) is below it — for entries whose
@@ -98,6 +101,12 @@ func (h *Host) String() string {
 // rise before the gate fails. The counts are deterministic up to the
 // warm-up share of b.N, so the slack only absorbs that.
 const allocSlack = 0.05
+
+// bytesSlack is allocSlack for B/op. Bytes also count the pooled
+// scratch (engine, BFS walks) that a GC cycle drops and the next run
+// rebuilds, so they move with GC timing: a quick sweep's first
+// repetition in a process allocates about 10% more than the next ones.
+const bytesSlack = 0.10
 
 func main() {
 	var (
@@ -183,15 +192,11 @@ func main() {
 		fmt.Printf("%s %-28s %14.0f %s vs baseline %14.0f (%.2fx, floor %.0f)\n",
 			status, name, have.Rate, have.Metric, want.Rate, ratio, floor)
 
-		if want.Allocs > 0 {
-			ceiling := want.Allocs * (1 + allocSlack)
-			status := "ok  "
-			if have.Allocs > ceiling {
-				status = "FAIL"
-				failed = true
-			}
-			fmt.Printf("%s %-28s %14.0f allocs/op vs baseline %14.0f (ceiling %.0f)\n",
-				status, name, have.Allocs, want.Allocs, ceiling)
+		if !withinCeiling(os.Stdout, name, "allocs/op", have.Allocs, want.Allocs, allocSlack) {
+			failed = true
+		}
+		if !withinCeiling(os.Stdout, name, "B/op", have.Bytes, want.Bytes, bytesSlack) {
+			failed = true
 		}
 
 		// Speedup condition: compare against the Versus benchmark's
@@ -220,22 +225,42 @@ func main() {
 		}
 	}
 	if failed {
-		fmt.Printf("benchgate: regression beyond %.0f%% (rates) or %.0f%% (allocs/op) of %s\n", *threshold*100, allocSlack*100, *basePath)
+		fmt.Printf("benchgate: regression beyond %.0f%% (rates), %.0f%% (allocs/op) or %.0f%% (B/op) of %s\n",
+			*threshold*100, allocSlack*100, bytesSlack*100, *basePath)
 		os.Exit(1)
 	}
 	fmt.Printf("benchgate: %d benchmarks within %.0f%% of %s\n", len(names), *threshold*100, *basePath)
 }
 
+// withinCeiling reports whether have, a run's fewest allocs/op or B/op,
+// is at most slack above the baseline's ceiling want, and prints the
+// verdict to w. A zero want is not gated and prints nothing.
+func withinCeiling(w io.Writer, name, unit string, have, want, slack float64) bool {
+	if want <= 0 {
+		return true
+	}
+	ceiling := want * (1 + slack)
+	ok := have <= ceiling
+	status := "ok  "
+	if !ok {
+		status = "FAIL"
+	}
+	fmt.Fprintf(w, "%s %-28s %14.0f %s vs baseline %14.0f (ceiling %.0f)\n",
+		status, name, have, unit, want, ceiling)
+	return ok
+}
+
 // updated builds the baseline -update writes from this run's entries
 // and the previous baseline file's bytes (nil when there is none). Each
 // rate is the median of the repetitions (the lower middle one for an
-// even count) raised to the old floor, and allocs/op drops to the old
-// non-zero ceiling. Gate conditions (min_procs, versus, min_speedup) and
-// the note are hand-pinned policy, so an existing baseline's survive.
+// even count) raised to the old floor, and allocs/op and B/op each drop
+// to the old non-zero ceiling. Gate conditions (min_procs, versus,
+// min_speedup) and the note are hand-pinned policy, so an existing
+// baseline's survive.
 func updated(got map[string]Entry, host Host, prev []byte) Baseline {
 	b := Baseline{
 		Schema:     1,
-		Note:       "median-of-run engine benchmark rates (floors, met by each run's best rate) and fewest allocs/op (ceilings); regenerate with `make bench-baseline`",
+		Note:       "median-of-run engine benchmark rates (floors, met by each run's best rate) and fewest allocs/op and B/op (ceilings); regenerate with `make bench-baseline`",
 		Host:       &host,
 		Benchmarks: map[string]Entry{},
 	}
@@ -249,9 +274,8 @@ func updated(got map[string]Entry, host Host, prev []byte) Baseline {
 		e.Rate = rates[(len(rates)-1)/2]
 		if p, ok := old.Benchmarks[name]; ok {
 			e.Rate = max(e.Rate, p.Rate)
-			if p.Allocs > 0 && (e.Allocs == 0 || p.Allocs < e.Allocs) {
-				e.Allocs = p.Allocs
-			}
+			e.Allocs = keepCeiling(e.Allocs, p.Allocs)
+			e.Bytes = keepCeiling(e.Bytes, p.Bytes)
 			e.MinProcs, e.Versus, e.MinSpeedup = p.MinProcs, p.Versus, p.MinSpeedup
 		}
 		b.Benchmarks[name] = e
@@ -259,15 +283,27 @@ func updated(got map[string]Entry, host Host, prev []byte) Baseline {
 	return b
 }
 
+// keepCeiling returns the ceiling -update writes from a run's fewest
+// value and the old baseline's ceiling: the lower of the two, where a
+// zero old ceiling is ungated and a zero run value unmeasured.
+func keepCeiling(run, old float64) float64 {
+	if old > 0 && (run == 0 || old < run) {
+		return old
+	}
+	return run
+}
+
 // parseBench extracts the host, and the best rate and fewest allocs/op
-// per benchmark, from `go test -bench` output. A result line looks like:
+// and B/op per benchmark, from `go test -bench` output. A result line
+// looks like:
 //
 //	BenchmarkSchedule-8  242  4941329 ns/op  11367105 events/sec  376 B/op  6 allocs/op
 //
 // The rate is the value whose unit ends in "/sec"; the "-8" GOMAXPROCS
 // suffix is stripped so baselines transfer across machines. With
-// -count>1 the same name repeats; the maximum rate and the minimum
-// allocs/op win, each on its own, and Rates keeps every rate.
+// -count>1 the same name repeats; the maximum rate, the minimum
+// allocs/op and the minimum B/op win, each on its own, and Rates keeps
+// every rate.
 func parseBench(r io.Reader) (map[string]Entry, Host, error) {
 	out := map[string]Entry{}
 	var host Host
@@ -300,6 +336,7 @@ func parseBench(r io.Reader) (map[string]Entry, Host, error) {
 			rate   float64
 			metric string
 			allocs float64
+			bytes  float64
 		)
 		for i := 1; i+1 < len(fields); i++ {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -311,6 +348,8 @@ func parseBench(r io.Reader) (map[string]Entry, Host, error) {
 				rate, metric = v, unit
 			case unit == "allocs/op":
 				allocs = v
+			case unit == "B/op":
+				bytes = v
 			}
 		}
 		if metric == "" {
@@ -321,16 +360,15 @@ func parseBench(r io.Reader) (map[string]Entry, Host, error) {
 		}
 		prev, ok := out[name]
 		if !ok {
-			out[name] = Entry{Metric: metric, Rate: rate, Allocs: allocs, Procs: procs, Rates: []float64{rate}}
+			out[name] = Entry{Metric: metric, Rate: rate, Allocs: allocs, Bytes: bytes, Procs: procs, Rates: []float64{rate}}
 			continue
 		}
 		prev.Rates = append(prev.Rates, rate)
 		if rate > prev.Rate {
 			prev.Rate = rate
 		}
-		if allocs < prev.Allocs {
-			prev.Allocs = allocs
-		}
+		prev.Allocs = min(prev.Allocs, allocs)
+		prev.Bytes = min(prev.Bytes, bytes)
 		out[name] = prev
 	}
 	if err := sc.Err(); err != nil {

@@ -126,8 +126,12 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 	// loadDone[:k] holds the current batch's load completion times.
 	loadDone := make([]sim.Time, maxOutstanding)
 
-	records := make([]iterRecord, 0, len(trace))
-	ptr := 0 // monotone pointer into records for retirement queries
+	// records is the retirement timeline that retiredBy walks from
+	// ptr, which only moves forward. The records behind ptr are dropped
+	// whenever they are at least half the slice, so it stays about as
+	// long as the instruction window spans, not as long as the trace.
+	var records []iterRecord
+	ptr := 0
 	var base int64
 	var lastIssue, prevWorkEnd, prevComplete sim.Time
 
@@ -217,6 +221,10 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 		copy(slots[maxOutstanding-k:], loadDone[:k])
 		slices.Sort(slots)
 
+		if len(records) == cap(records) && 2*ptr >= len(records) {
+			records = records[:copy(records, records[ptr:])]
+			ptr = 0
+		}
 		records = append(records, iterRecord{
 			base: base, reads: k, workInstr: it.WorkInstr,
 			workStart: workStart, workEnd: workEnd,

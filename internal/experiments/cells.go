@@ -89,9 +89,10 @@ func (w WorkloadSpec) Name() string {
 }
 
 // memo memoizes a workload input by its generator parameters. The
-// inputs — Kronecker graphs, Bloom bit arrays, memcached value arenas —
-// are read-only after construction and costly to build, so concurrent
-// cells share one instance per parameterization.
+// inputs — Kronecker graphs, prepared BFS inputs, Bloom bit arrays,
+// memcached value arenas — are read-only after construction and costly
+// to build, so concurrent cells share one instance per
+// parameterization.
 type memo[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]V
@@ -117,6 +118,11 @@ type (
 		scale, edgefactor int
 		seed              int64
 	}
+	bfsKey struct {
+		graph           graphKey
+		sources         string // the roots, formatted
+		maxVisits, work int
+	}
 	bloomKey struct {
 		bits         uint64
 		hashes, keys int
@@ -125,6 +131,7 @@ type (
 
 var (
 	graphs     memo[graphKey, *workload.Graph]
+	bfsInputs  memo[bfsKey, *workload.BFSInput]
 	blooms     memo[bloomKey, *workload.BloomDataset]
 	memcacheds memo[[2]int, *workload.MemcachedDataset] // items, value lines
 )
@@ -150,10 +157,14 @@ func (w WorkloadSpec) Build() core.Workload {
 		})
 		return d.Workload(w.Lookups, w.Work)
 	case "bfs":
-		g := graphs.get(graphKey{w.BFSScale, w.BFSEdgeFactor, w.BFSSeed}, func(k graphKey) *workload.Graph {
-			return workload.NewKronecker(k.scale, k.edgefactor, k.seed)
+		key := bfsKey{graphKey{w.BFSScale, w.BFSEdgeFactor, w.BFSSeed}, fmt.Sprint(w.BFSSources), w.BFSMaxVisits, w.Work}
+		in := bfsInputs.get(key, func(k bfsKey) *workload.BFSInput {
+			g := graphs.get(k.graph, func(k graphKey) *workload.Graph {
+				return workload.NewKronecker(k.scale, k.edgefactor, k.seed)
+			})
+			return workload.NewBFSInput(g, append([]int(nil), w.BFSSources...), k.maxVisits, k.work)
 		})
-		return workload.NewBFS(g, append([]int(nil), w.BFSSources...), w.BFSMaxVisits, w.Work)
+		return in.Workload()
 	case "ptrchase":
 		return workload.NewPointerChase(w.ChaseNodes, w.Iters, w.Work)
 	}

@@ -112,16 +112,25 @@ func TestWorkloadSpecNames(t *testing.T) {
 	}
 }
 
-// TestBuildSharesDatasets: two builds of a Bloom or memcached spec
-// share one read-only dataset, and a run over the shared dataset —
-// including a second run after the first has read it — matches a run
-// over a freshly built one.
+// TestBuildSharesDatasets: two builds of a BFS, Bloom or memcached spec
+// share one read-only prepared input or dataset, and a run over the
+// shared one — including a second run after the first has read it, and
+// for BFS walked on the first run's pooled scratch — matches a run over
+// a freshly built one.
 func TestBuildSharesDatasets(t *testing.T) {
 	s := Quick()
 	s.AppLookups = 40
 	for _, spec := range s.appSpecs() {
 		var fresh core.Workload
 		switch spec.Kind {
+		case "bfs":
+			a, b := spec.Build().(*workload.BFS), spec.Build().(*workload.BFS)
+			if a.BFSInput != b.BFSInput || a == b {
+				t.Errorf("bfs builds: shared input %v, shared instance %v; want a shared input only",
+					a.BFSInput == b.BFSInput, a == b)
+			}
+			g := workload.NewKronecker(spec.BFSScale, spec.BFSEdgeFactor, spec.BFSSeed)
+			fresh = workload.NewBFS(g, spec.BFSSources, spec.BFSMaxVisits, spec.Work)
 		case "bloom":
 			a, b := spec.Build().(*workload.Bloom), spec.Build().(*workload.Bloom)
 			if a.BloomDataset != b.BloomDataset || a == b {

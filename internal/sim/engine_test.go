@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +123,52 @@ func TestRunUntil(t *testing.T) {
 	e.RunUntil(100 * Nanosecond)
 	if e.Now() != 100*Nanosecond || fired != 5 {
 		t.Errorf("now = %v fired = %d, want 100ns and 5", e.Now(), fired)
+	}
+}
+
+// TestRunYieldsToOtherGoroutines: on one processor, a goroutine started
+// before a long run gets to run within two yield intervals of events,
+// through Run and through RunUntil, so a GC mark worker waiting for the
+// processor does not wait for asynchronous preemption. The yield moves
+// neither the clock nor the event count.
+func TestRunYieldsToOtherGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const events = 20000
+	for _, c := range []struct {
+		name string
+		run  func(e *Engine)
+	}{
+		{"Run", func(e *Engine) { e.Run() }},
+		{"RunUntil", func(e *Engine) { e.RunUntil(events * Nanosecond) }},
+	} {
+		e := NewEngine()
+		var flag atomic.Bool
+		seenAt := uint64(0)
+		var tick func()
+		tick = func() {
+			if seenAt == 0 && flag.Load() {
+				seenAt = e.Executed()
+			}
+			if e.Now() < events*Nanosecond {
+				e.After(Nanosecond, tick)
+			}
+		}
+		e.After(Nanosecond, tick)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			flag.Store(true)
+		}()
+		c.run(e)
+		wg.Wait()
+		if seenAt == 0 || seenAt > 2*yieldEvery {
+			t.Errorf("%s: the other goroutine's store was seen at event %d of %d, want by event %d",
+				c.name, seenAt, e.Executed(), 2*yieldEvery)
+		}
+		if e.Executed() != events || e.Now() != events*Nanosecond {
+			t.Errorf("%s: executed %d events to %v, want %d to %v", c.name, e.Executed(), e.Now(), events, events*Nanosecond)
+		}
 	}
 }
 

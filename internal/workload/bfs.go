@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/replay"
@@ -68,6 +69,25 @@ func (t *Tree) Validate(g *Graph) error {
 // Graph500's many-roots methodology while keeping runs comparable
 // across thread counts.
 type BFS struct {
+	// The graph, traversal set and functional pass the threads run
+	// against, shared read-only with any other BFS built over it.
+	*BFSInput
+
+	// RecordTrees makes thread bodies capture the parent tree of every
+	// traversal into Trees, for Graph500-style result validation.
+	RecordTrees bool
+
+	// observed results
+	Visited int     // vertices expanded across all traversals and cores
+	Trees   []*Tree // captured when RecordTrees is set
+}
+
+// BFSInput is a BFS benchmark's prepared input: the graph and its
+// traversal set, the adjacency array's device image, and the baseline
+// trace and expected visit count of a functional traversal pass.
+// Nothing writes it once it is built, so one input may back any number
+// of BFS workloads.
+type BFSInput struct {
 	G *Graph
 	// Sources are the per-core traversal roots.
 	Sources []int
@@ -76,16 +96,7 @@ type BFS struct {
 	// WorkInstr is the benign work per batch.
 	WorkInstr int
 
-	// RecordTrees makes thread bodies capture the parent tree of every
-	// traversal into Trees, for Graph500-style result validation.
-	RecordTrees bool
-
-	adj []byte
-
-	// observed results
-	Visited int     // vertices expanded across all traversals and cores
-	Trees   []*Tree // captured when RecordTrees is set
-
+	adj            []byte
 	trace          []cpu.IterSpec
 	expectedVisits int // per core
 }
@@ -93,23 +104,34 @@ type BFS struct {
 // NewBFS builds the benchmark over g. The baseline trace and expected
 // visit counts are computed once by a functional traversal pass.
 func NewBFS(g *Graph, sources []int, maxVisits, workInstr int) *BFS {
-	b := &BFS{G: g, Sources: sources, MaxVisits: maxVisits, WorkInstr: workInstr, adj: g.adjBytes()}
-	// Functional pass: direct reads, recording the batch shapes.
-	w := &bfsWalk{b: b}
+	return NewBFSInput(g, sources, maxVisits, workInstr).Workload()
+}
+
+// NewBFSInput prepares the input of a BFS benchmark over g: it encodes
+// the adjacency array and runs the functional pass, direct reads that
+// record the batch shapes.
+func NewBFSInput(g *Graph, sources []int, maxVisits, workInstr int) *BFSInput {
+	in := &BFSInput{G: g, Sources: sources, MaxVisits: maxVisits, WorkInstr: workInstr, adj: g.adjBytes()}
+	w := &bfsWalk{b: in}
 	onBatch := func(batchLines int) {
-		b.trace = append(b.trace, cpu.IterSpec{Reads: batchLines, WorkInstr: workInstr})
+		in.trace = append(in.trace, cpu.IterSpec{Reads: batchLines, WorkInstr: workInstr})
 	}
 	for _, src := range sources {
-		b.expectedVisits += b.traverse(w, src, onBatch, nil)
+		in.expectedVisits += in.traverse(w, src, onBatch, nil)
 	}
-	return b
+	w.release()
+	return in
 }
+
+// Workload returns a BFS benchmark over the input, with its own
+// observed results.
+func (in *BFSInput) Workload() *BFS { return &BFS{BFSInput: in} }
 
 // traverse runs one truncated BFS from src to completion, reading its
 // adjacency lines straight from the dataset and invoking onBatch for
 // every batch issued. It returns the number of vertices expanded.
-func (b *BFS) traverse(w *bfsWalk, src int, onBatch func(batchLines int), tree *Tree) int {
-	backing := mirrorBacking{data: b.adj}
+func (in *BFSInput) traverse(w *bfsWalk, src int, onBatch func(batchLines int), tree *Tree) int {
+	backing := mirrorBacking{data: in.adj}
 	var lines [2][]byte
 	w.start(src, tree)
 	for addrs := w.next(); addrs != nil; addrs = w.next() {
@@ -124,9 +146,11 @@ func (b *BFS) traverse(w *bfsWalk, src int, onBatch func(batchLines int), tree *
 
 // TreeFor runs a functional traversal from src and returns its parent
 // tree — the reference for validating device-run trees.
-func (b *BFS) TreeFor(src int) *Tree {
+func (in *BFSInput) TreeFor(src int) *Tree {
 	tree := newTree(src)
-	b.traverse(&bfsWalk{b: b}, src, func(int) {}, tree)
+	w := &bfsWalk{b: in}
+	in.traverse(w, src, func(int) {}, tree)
+	w.release()
 	return tree
 }
 
@@ -134,23 +158,22 @@ func (b *BFS) TreeFor(src int) *Tree {
 func (b *BFS) Name() string { return fmt.Sprintf("bfs-s%d", len(b.Sources)) }
 
 // Backing exposes the adjacency array in every core region.
-func (b *BFS) Backing() replay.Backing { return mirrorBacking{data: b.adj} }
+func (in *BFSInput) Backing() replay.Backing { return mirrorBacking{data: in.adj} }
 
 // bfsWalk is one truncated BFS at a time as a resumable cursor: start
 // begins a traversal, next returns the addresses of its next batch of
 // at most two adjacency lines, and deliver decodes that batch's lines,
 // queueing the unvisited neighbors. The functional pass and a thread's
-// step both drive it, so the traversal exists once. Its visited marks,
-// frontier queue and batch addresses are reused across the traversals
-// of one thread (or of one functional pass).
+// step both drive it, so the traversal exists once. Its scratch and
+// batch addresses are reused across the traversals of one thread (or
+// of one functional pass).
 type bfsWalk struct {
-	b        *BFS
+	b        *BFSInput
 	coreBase uint64 // offsets device addresses into the walking core's region
 	tree     *Tree  // the traversal's parent tree, if recorded
 
-	visited []bool
-	queue   []int
-	addrs   [2]uint64
+	*walkScratch // taken by the first start, handed back by release
+	addrs        [2]uint64
 
 	head     int // queue index of the next vertex to expand
 	expanded int // vertices expanded so far
@@ -160,17 +183,48 @@ type bfsWalk struct {
 	line, lastLine int // u's next adjacency line to read, and its last
 }
 
+// walkScratch is a walk's working memory: its visited marks, all clear
+// whenever no traversal is under way, and its frontier queue.
+type walkScratch struct {
+	visited []bool
+	queue   []int
+}
+
+// walkScratches recycles walk scratch across the threads and cells of
+// a process, as the engine's scratch pool does. It holds plain data
+// with no callbacks, so nothing ties a scratch to one run. A walk hands
+// its scratch back only after its last traversal ended, which leaves
+// every mark clear; a walk abandoned mid-traversal (a thread stopped by
+// a run's teardown, a panicking step) keeps its marked scratch out of
+// the pool.
+var walkScratches sync.Pool
+
 // start begins a traversal from src, recording its parent tree into
 // tree when that is not nil.
 func (w *bfsWalk) start(src int, tree *Tree) {
-	if w.visited == nil {
-		w.visited = make([]bool, w.b.G.V)
+	if w.walkScratch == nil {
+		v := w.b.G.V
+		if s, ok := walkScratches.Get().(*walkScratch); ok && cap(s.visited) >= v {
+			s.visited = s.visited[:v]
+			w.walkScratch = s
+		} else {
+			w.walkScratch = &walkScratch{visited: make([]bool, v)}
+		}
 	}
 	w.visited[src] = true
 	w.queue = append(w.queue[:0], src)
 	w.tree = tree
 	w.head, w.expanded = 0, 0
 	w.line, w.lastLine = 0, -1
+}
+
+// release returns the walk's scratch to walkScratches. Call it only
+// when next has ended the last traversal, which cleared its marks.
+func (w *bfsWalk) release() {
+	if w.walkScratch != nil {
+		walkScratches.Put(w.walkScratch)
+		w.walkScratch = nil
+	}
 }
 
 // next returns the addresses of the traversal's next batch, valid until
@@ -244,7 +298,7 @@ func (w *bfsWalk) deliver(lines [][]byte) {
 // issues the next batch, moving on to the thread's next traversal when
 // one ends.
 func (b *BFS) Body(coreID, threadID, threadsPerCore int) uthread.Step {
-	w := &bfsWalk{b: b, coreBase: coreRegion(coreID)}
+	w := &bfsWalk{b: b.BFSInput, coreBase: coreRegion(coreID)}
 	j, walking := threadID-threadsPerCore, false // the traversal under way
 	return func(lines [][]byte) (uthread.Request, bool) {
 		if lines != nil {
@@ -264,6 +318,7 @@ func (b *BFS) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 				}
 			}
 			if j += threadsPerCore; j >= len(b.Sources) {
+				w.release()
 				return uthread.Request{}, false
 			}
 			var tree *Tree
@@ -278,15 +333,15 @@ func (b *BFS) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 
 // BaselineTrace implements core.Workload: the batch shapes recorded by
 // the functional pass.
-func (b *BFS) BaselineTrace(coreID int) []cpu.IterSpec { return b.trace }
+func (in *BFSInput) BaselineTrace(coreID int) []cpu.IterSpec { return in.trace }
 
 // Reset clears observed counters between runs.
 func (b *BFS) Reset() { b.Visited, b.Trees = 0, nil }
 
 // ExpectedVisitsPerCore returns the ground-truth vertex expansions of
 // one core's traversal set.
-func (b *BFS) ExpectedVisitsPerCore() int { return b.expectedVisits }
+func (in *BFSInput) ExpectedVisitsPerCore() int { return in.expectedVisits }
 
 // Batches returns the per-core device batch count (iterations of the
 // benchmark loop).
-func (b *BFS) Batches() int { return len(b.trace) }
+func (in *BFSInput) Batches() int { return len(in.trace) }

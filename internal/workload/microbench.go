@@ -97,27 +97,29 @@ func (m *Microbench) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 	base := coreRegion(coreID) | uint64(threadID)<<28
 	wbase := base | 1<<27 // write lines disjoint from read lines
 	work := m.WorkInstr
-	addrs := make([]uint64, m.Reads)
-	waddrs := make([]uint64, m.Writes)
-	line, wline := uint64(0), uint64(0)
-	i, phase := 0, 0 // the iteration, and its next request: reads, writes, work
+	st := &ubenchState{}
+	buf := st.buf[:]
+	if n := m.Reads + m.Writes; n > len(buf) {
+		buf = make([]uint64, n)
+	}
+	addrs, waddrs := buf[:m.Reads:m.Reads], buf[m.Reads:m.Reads+m.Writes]
 	return func([][]byte) (uthread.Request, bool) {
-		for i < iters {
-			p := phase
-			if phase++; phase == 3 {
-				phase, i = 0, i+1
+		for st.i < iters {
+			p := st.phase
+			if st.phase++; st.phase == 3 {
+				st.phase, st.i = 0, st.i+1
 			}
 			switch {
 			case p == 0 && len(addrs) > 0:
 				for j := range addrs {
-					addrs[j] = base + line*LineSize
-					line++
+					addrs[j] = base + st.line*LineSize
+					st.line++
 				}
 				return uthread.Request{Kind: uthread.KindAccess, Addrs: addrs}, true
 			case p == 1 && len(waddrs) > 0:
 				for j := range waddrs {
-					waddrs[j] = wbase + wline*LineSize
-					wline++
+					waddrs[j] = wbase + st.wline*LineSize
+					st.wline++
 				}
 				return uthread.Request{Kind: uthread.KindWrite, Addrs: waddrs}, true
 			case p == 2 && work > 0:
@@ -126,6 +128,14 @@ func (m *Microbench) Body(coreID, threadID, threadsPerCore int) uthread.Step {
 		}
 		return uthread.Request{}, false
 	}
+}
+
+// ubenchState is a microbenchmark thread's mutable state in one
+// allocation: its place in the loop and its batch address buffers.
+type ubenchState struct {
+	line, wline uint64    // the next read and write line
+	i, phase    int       // the iteration, and its next request: reads, writes, work
+	buf         [4]uint64 // backs the address batches when they fit
 }
 
 // BaselineTrace returns the single-threaded demand trace: the same
