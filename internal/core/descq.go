@@ -66,7 +66,7 @@ type descQueue struct {
 	cq       *hostmem.CompletionQueue
 	ep       *device.SWQEndpoint
 	ready    *uthread.FIFO
-	states   map[*uthread.Thread]*swqThreadState
+	states   []swqThreadState          // by thread ID
 	waiting  hostmem.IDRing[*descWait] // outstanding descriptors, by ID
 
 	waitFree []*descWait // settled descriptor records, for reuse
@@ -101,7 +101,8 @@ const (
 
 // newDescQueue builds core coreID's queues and device endpoint, hooks
 // their depths to the occupancy gauges, and makes every thread ready.
-// resume is the owning core's continuation.
+// resume is the owning core's continuation. Thread states are indexed
+// by thread ID, so threads[i] must have ID i.
 func newDescQueue(e *Env, coreID int, threads []*uthread.Thread, resume func()) *descQueue {
 	q := &descQueue{
 		e:        e,
@@ -110,14 +111,16 @@ func newDescQueue(e *Env, coreID int, threads []*uthread.Thread, resume func()) 
 		rq:       hostmem.NewRequestQueue(),
 		cq:       hostmem.NewCompletionQueue(),
 		ready:    uthread.NewFIFO(),
-		states:   make(map[*uthread.Thread]*swqThreadState, len(threads)),
+		states:   make([]swqThreadState, len(threads)),
 	}
 	q.ep = e.dev.NewSWQEndpoint(coreID, q.rq, q.cq)
 	q.rq.OnChange = e.gauge(telemetry.GaugeSQ, fmt.Sprintf("sq/core%d", coreID))
 	q.cq.OnChange = e.gauge(telemetry.GaugeCQ, fmt.Sprintf("cq/core%d", coreID))
 	q.ready.OnChange = e.gauge(telemetry.GaugeRunnable, fmt.Sprintf("runnable/core%d", coreID))
-	for _, th := range threads {
-		q.states[th] = &swqThreadState{}
+	for i, th := range threads {
+		if th.ID() != i {
+			panic(fmt.Sprintf("core: thread %d of core %d has ID %d; descriptor queues need IDs 0..%d in order", i, coreID, th.ID(), len(threads)-1))
+		}
 		q.ready.Push(th)
 	}
 	return q
@@ -141,7 +144,7 @@ func (q *descQueue) stop() {
 // "even when the accesses are batched"). The caller charges the
 // batch's fixed cost.
 func (q *descQueue) startSubmit(th *uthread.Thread, addrs []uint64) {
-	st := q.states[th]
+	st := &q.states[th.ID()]
 	st.data = resize(st.data, len(addrs))
 	st.remaining = len(addrs)
 	q.th, q.addrs, q.i = th, addrs, 0
@@ -270,7 +273,7 @@ func (q *descQueue) deliver(compls []hostmem.Completion, waitEnd sim.Time) {
 		w.obs.Span.End(compl.Posted)
 		w.obs.Ledger.To(attrib.PhaseComplWait, waitEnd)
 		w.obs.Ledger.To(attrib.PhaseSwitch, now)
-		st := q.states[w.th]
+		st := &q.states[w.th.ID()]
 		if w.obs.Ledger != (attrib.Access{}) {
 			if n := len(st.data) - len(st.atr); n > 0 {
 				st.atr = append(st.atr, make([]attrib.Access, n)...)
@@ -286,7 +289,7 @@ func (q *descQueue) deliver(compls []hostmem.Completion, waitEnd sim.Time) {
 // wakes with its whole batch; threads become ready in completion order
 // (FIFO, §IV-B).
 func (q *descQueue) fill(th *uthread.Thread, slot int, data []byte) {
-	st := q.states[th]
+	st := &q.states[th.ID()]
 	st.data[slot] = data
 	st.remaining--
 	if st.remaining == 0 {

@@ -23,6 +23,7 @@ import (
 type Env struct {
 	eng      *sim.Engine
 	cfg      platform.Config
+	work     platform.WorkMemo // cfg.WorkTime's last answer, for the executors
 	link     *pcie.Link
 	chip     *sim.TokenPool
 	dram     *mem.DRAM

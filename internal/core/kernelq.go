@@ -102,7 +102,7 @@ func (c *kernelQCore) resume() {
 				}
 				continue
 			}
-			st := c.q.states[c.th]
+			st := &c.q.states[c.th.ID()]
 			if !st.started {
 				st.started = true
 				c.req = c.th.Start()
@@ -142,7 +142,7 @@ func (c *kernelQCore) resume() {
 			// Ready-queue time is completion wait; the kernel switch
 			// plus syscall return is switch overhead, closing the
 			// batch's ledgers at the moment the thread gets its data.
-			st := c.q.states[c.th]
+			st := &c.q.states[c.th.ID()]
 			for _, aw := range st.atr {
 				aw.To(attrib.PhaseComplWait, c.mark)
 				aw.Close(attrib.PhaseSwitch, e.eng.Now())
@@ -156,7 +156,7 @@ func (c *kernelQCore) resume() {
 			switch c.req.Kind {
 			case uthread.KindWork:
 				c.state = kqWorked
-				if e.eng.Delay(e.cfg.WorkTime(c.req.Instr), c.resumeFn) {
+				if e.eng.Delay(e.work.Time(&e.cfg, c.req.Instr), c.resumeFn) {
 					return
 				}
 			case uthread.KindAccess:

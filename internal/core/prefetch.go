@@ -166,7 +166,7 @@ func (c *prefetchCore) resume() {
 			switch c.req.Kind {
 			case uthread.KindWork:
 				c.state = pfWorked
-				if e.eng.Delay(e.cfg.WorkTime(c.req.Instr), c.resumeFn) {
+				if e.eng.Delay(e.work.Time(&e.cfg, c.req.Instr), c.resumeFn) {
 					return
 				}
 			case uthread.KindWrite:

@@ -25,9 +25,10 @@ type recoveryHarness struct {
 func newRecoveryHarness(cfg platform.Config) *recoveryHarness {
 	e := NewEnv(cfg, replay.ZeroBacking{})
 	h := &recoveryHarness{e: e, c: &e.c}
-	h.q = newDescQueue(e, 0, nil, nil)
 	h.th = uthread.NewStep(0, func([][]byte) (uthread.Request, bool) { return uthread.Request{}, false })
-	h.q.states[h.th] = &swqThreadState{data: make([][]byte, 1), remaining: 1}
+	h.q = newDescQueue(e, 0, []*uthread.Thread{h.th}, nil)
+	h.q.ready.Pop() // the thread waits on its batch, so it is not ready
+	h.q.states[h.th.ID()] = swqThreadState{data: make([][]byte, 1), remaining: 1}
 	return h
 }
 
@@ -189,7 +190,7 @@ func TestWaitCompletionOrRecoverAbandonsPastBudget(t *testing.T) {
 	if h.q.waiting.Len() != 0 || h.q.rq.Len() != 0 {
 		t.Errorf("abandoned descriptor still tracked: waiting=%d rq=%d", h.q.waiting.Len(), h.q.rq.Len())
 	}
-	st := h.q.states[h.th]
+	st := &h.q.states[h.th.ID()]
 	if st.remaining != 0 || st.payload == nil {
 		t.Fatalf("thread batch not completed: remaining=%d payload=%v", st.remaining, st.payload)
 	}
@@ -222,7 +223,7 @@ func TestDeliverDiscardsStragglerLine(t *testing.T) {
 	cfg.RetryBackoffFactor = 2
 	h := newRecoveryHarness(cfg)
 	q, eng := h.q, h.e.eng
-	st := q.states[h.th]
+	st := &q.states[h.th.ID()]
 
 	step := 0
 	q.resumeFn = func() {

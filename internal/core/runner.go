@@ -47,7 +47,7 @@ func RunDRAMBaseline(cfg platform.Config, w Workload) (Result, error) {
 	r := cpu.DRAMBaseline(cfg, trace)
 	return Result{Measurement: stats.Measurement{
 		Label:          fmt.Sprintf("dram-baseline/%s", w.Name()),
-		Iterations:     len(trace),
+		Iterations:     cpu.Iterations(trace),
 		Accesses:       r.Accesses,
 		WorkInstr:      float64(r.WorkInstr),
 		ElapsedSeconds: r.Elapsed.Seconds(),
@@ -89,7 +89,7 @@ func RunOnDemandDevice(cfg platform.Config, w Workload) (Result, error) {
 	at := newProbe(cfg, label, rec)
 	var observe cpu.LoadObserver
 	if run != nil || rec != nil || at != nil {
-		rtt := 2*cfg.PCIePropagation + cfg.TLPTime(0) + cfg.TLPTime(platform.CacheLineBytes)
+		rtt := cfg.MMIORoundTrip()
 		observe = func(issue, complete sim.Time, out fault.AccessOutcome) {
 			sp := tk.BeginSpan(issue, "access", "")
 			rec.Started(issue)
@@ -131,7 +131,7 @@ func RunOnDemandDevice(cfg platform.Config, w Workload) (Result, error) {
 	r := cpu.DeviceOnDemandObserved(cfg, iters, inj, observe)
 	res := Result{Measurement: stats.Measurement{
 		Label:          label,
-		Iterations:     len(iters),
+		Iterations:     cpu.Iterations(iters),
 		Accesses:       r.Accesses,
 		WorkInstr:      float64(r.WorkInstr),
 		ElapsedSeconds: r.Elapsed.Seconds(),

@@ -412,7 +412,7 @@ func (w *serverWorker) resume() {
 
 		case swWork:
 			w.state = swServed
-			if s.workInstr > 0 && e.eng.Delay(e.cfg.WorkTime(s.workInstr), w.resumeFn) {
+			if s.workInstr > 0 && e.eng.Delay(e.work.Time(&e.cfg, s.workInstr), w.resumeFn) {
 				return
 			}
 

@@ -124,7 +124,7 @@ func (c *swqCore) resume() {
 			c.state = swqResume
 
 		case swqResume:
-			st := c.q.states[c.th]
+			st := &c.q.states[c.th.ID()]
 			if st.started {
 				// Close the batch's ledgers at delivery: ready-queue time
 				// is completion wait, the switch interval (when one
@@ -149,7 +149,7 @@ func (c *swqCore) resume() {
 			switch c.req.Kind {
 			case uthread.KindWork:
 				c.state = swqWorked
-				if e.eng.Delay(e.cfg.WorkTime(c.req.Instr), c.resumeFn) {
+				if e.eng.Delay(e.work.Time(&e.cfg, c.req.Instr), c.resumeFn) {
 					return
 				}
 			case uthread.KindWrite:

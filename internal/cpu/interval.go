@@ -38,19 +38,35 @@ import (
 // chasing), so they cannot issue until those complete, whatever the
 // window would otherwise allow — the pattern the paper's introduction
 // singles out as defeating out-of-order latency hiding.
+//
+// Repeat is how many consecutive identical iterations the spec stands
+// for; zero counts as one, so a literal without it is one iteration.
 type IterSpec struct {
 	Reads     int
 	WorkInstr int
 	Dependent bool
+	Repeat    int
 }
 
-// UniformTrace returns n identical iterations.
-func UniformTrace(n, reads, workInstr int) []IterSpec {
-	t := make([]IterSpec, n)
-	for i := range t {
-		t[i] = IterSpec{Reads: reads, WorkInstr: workInstr}
+// Iterations returns how many iterations the spec stands for.
+func (it IterSpec) Iterations() int { return max(it.Repeat, 1) }
+
+// Iterations returns how many iterations a trace stands for.
+func Iterations(trace []IterSpec) int {
+	n := 0
+	for _, it := range trace {
+		n += it.Iterations()
 	}
-	return t
+	return n
+}
+
+// UniformTrace returns n identical iterations as one repeated spec; an
+// n of zero or less is the empty trace.
+func UniformTrace(n, reads, workInstr int) []IterSpec {
+	if n <= 0 {
+		return nil
+	}
+	return []IterSpec{{Reads: reads, WorkInstr: workInstr, Repeat: n}}
 }
 
 // OnDemandResult summarizes an interval-model run.
@@ -119,6 +135,7 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 	if len(trace) == 0 {
 		return res
 	}
+	var work platform.WorkMemo
 
 	// slots[i] is the time the i-th oldest outstanding-access slot
 	// frees; with a single latency class, slots free in FIFO order.
@@ -169,72 +186,74 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 		if k > maxOutstanding {
 			k = maxOutstanding
 		}
+		for range it.Iterations() {
+			// (a) Window constraint: the youngest load of the batch
+			// (index base+k-1) dispatches when instruction
+			// base+k-1-window retired.
+			windowReady := retiredBy(base + int64(k) - int64(cfg.WindowSize))
+			// (b) Slot constraint: the k-th earliest-freeing slot.
+			slotReady := slots[k-1]
+			// (c) Address dependence: a chained load waits for the load
+			// that produced its address.
+			if it.Dependent {
+				windowReady = maxTime(windowReady, prevComplete)
+			}
 
-		// (a) Window constraint: the youngest load of the batch (index
-		// base+k-1) dispatches when instruction base+k-1-window retired.
-		windowReady := retiredBy(base + int64(k) - int64(cfg.WindowSize))
-		// (b) Slot constraint: the k-th earliest-freeing slot.
-		slotReady := slots[k-1]
-		// (c) Address dependence: a chained load waits for the load
-		// that produced its address.
-		if it.Dependent {
-			windowReady = maxTime(windowReady, prevComplete)
-		}
-
-		issue := maxTime(maxTime(windowReady, slotReady), lastIssue)
-		lastIssue = issue
-		if res.Latencies == nil {
-			res.Latencies = stats.NewHistogram()
-		}
-		// The batch's loads complete staggered by the memory's issue
-		// gap; the dependent work waits for the last of them. Under
-		// fault injection each load's latency is its own recovery-
-		// inclusive draw instead of the uniform value.
-		for i := 0; i < k; i++ {
-			lat := latency
-			out := fault.AccessOutcome{Latency: lat}
-			if draw != nil {
-				out = draw()
-				lat = out.Latency
-				res.Retries += out.Retries
-				res.Timeouts += out.Timeouts
-				if out.Abandoned {
-					res.Abandoned++
+			issue := maxTime(maxTime(windowReady, slotReady), lastIssue)
+			lastIssue = issue
+			if res.Latencies == nil {
+				res.Latencies = stats.NewHistogram()
+			}
+			// The batch's loads complete staggered by the memory's issue
+			// gap; the dependent work waits for the last of them. Under
+			// fault injection each load's latency is its own recovery-
+			// inclusive draw instead of the uniform value.
+			for i := 0; i < k; i++ {
+				lat := latency
+				out := fault.AccessOutcome{Latency: lat}
+				if draw != nil {
+					out = draw()
+					lat = out.Latency
+					res.Retries += out.Retries
+					res.Timeouts += out.Timeouts
+					if out.Abandoned {
+						res.Abandoned++
+					}
+				}
+				res.Latencies.Record(int64(out.Latency))
+				loadDone[i] = issue + lat + sim.Time(i)*issueGap
+				if observe != nil {
+					observe(issue, loadDone[i], out)
 				}
 			}
-			res.Latencies.Record(int64(out.Latency))
-			loadDone[i] = issue + lat + sim.Time(i)*issueGap
-			if observe != nil {
-				observe(issue, loadDone[i], out)
+			complete := loadDone[0]
+			for _, t := range loadDone[1:k] {
+				complete = maxTime(complete, t)
 			}
+
+			workStart := maxTime(complete, prevWorkEnd)
+			workEnd := workStart + work.Time(&cfg, it.WorkInstr)
+
+			// Recycle the k slots used: each frees at its own completion.
+			copy(slots, slots[k:])
+			copy(slots[maxOutstanding-k:], loadDone[:k])
+			slices.Sort(slots)
+
+			if len(records) == cap(records) && 2*ptr >= len(records) {
+				records = records[:copy(records, records[ptr:])]
+				ptr = 0
+			}
+			records = append(records, iterRecord{
+				base: base, reads: k, workInstr: it.WorkInstr,
+				workStart: workStart, workEnd: workEnd,
+			})
+			base += int64(k) + int64(it.WorkInstr)
+			prevWorkEnd = workEnd
+			prevComplete = complete
+
+			res.Accesses += k
+			res.WorkInstr += int64(it.WorkInstr)
 		}
-		complete := loadDone[0]
-		for _, t := range loadDone[1:k] {
-			complete = maxTime(complete, t)
-		}
-
-		workStart := maxTime(complete, prevWorkEnd)
-		workEnd := workStart + cfg.WorkTime(it.WorkInstr)
-
-		// Recycle the k slots used: each frees at its own completion.
-		copy(slots, slots[k:])
-		copy(slots[maxOutstanding-k:], loadDone[:k])
-		slices.Sort(slots)
-
-		if len(records) == cap(records) && 2*ptr >= len(records) {
-			records = records[:copy(records, records[ptr:])]
-			ptr = 0
-		}
-		records = append(records, iterRecord{
-			base: base, reads: k, workInstr: it.WorkInstr,
-			workStart: workStart, workEnd: workEnd,
-		})
-		base += int64(k) + int64(it.WorkInstr)
-		prevWorkEnd = workEnd
-		prevComplete = complete
-
-		res.Accesses += k
-		res.WorkInstr += int64(it.WorkInstr)
 	}
 	res.Elapsed = prevWorkEnd
 	return res

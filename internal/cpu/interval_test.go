@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -155,13 +157,64 @@ func TestZeroReadsTreatedAsOne(t *testing.T) {
 
 func TestUniformTrace(t *testing.T) {
 	tr := UniformTrace(3, 2, 100)
-	if len(tr) != 3 {
-		t.Fatalf("len = %d", len(tr))
+	if n := Iterations(tr); n != 3 {
+		t.Fatalf("iterations = %d", n)
 	}
 	for _, it := range tr {
 		if it.Reads != 2 || it.WorkInstr != 100 {
 			t.Errorf("iter = %+v", it)
 		}
+	}
+	if tr := UniformTrace(0, 2, 100); len(tr) != 0 {
+		t.Errorf("UniformTrace(0) = %+v, want the empty trace", tr)
+	}
+}
+
+// TestRepeatMatchesExpandedTrace pins that a repeated spec runs
+// exactly as the same iterations written out one by one, with a fault
+// draw and an observer attached, and across a mix of spec shapes.
+func TestRepeatMatchesExpandedTrace(t *testing.T) {
+	c := cfg()
+	packed := []IterSpec{
+		{Reads: 2, WorkInstr: 150, Repeat: 40},
+		{Reads: 1, WorkInstr: 10, Dependent: true, Repeat: 7},
+		{Reads: 0, WorkInstr: 3},
+		{Reads: 12, WorkInstr: 5000, Repeat: 3},
+		{Reads: 1, WorkInstr: 0, Repeat: 1},
+	}
+	var expanded []IterSpec
+	for _, it := range packed {
+		for range it.Iterations() {
+			expanded = append(expanded, IterSpec{Reads: it.Reads, WorkInstr: it.WorkInstr, Dependent: it.Dependent})
+		}
+	}
+	if Iterations(packed) != len(expanded) {
+		t.Fatalf("Iterations = %d, want %d", Iterations(packed), len(expanded))
+	}
+	run := func(trace []IterSpec) (OnDemandResult, []sim.Time) {
+		var seq uint64
+		draw := func() fault.AccessOutcome {
+			seq++
+			out := fault.AccessOutcome{Latency: sim.Microsecond + sim.Time(seq%7)*100*sim.Nanosecond}
+			if seq%11 == 0 {
+				out.Retries, out.Timeouts = 1, 1
+			}
+			return out
+		}
+		var times []sim.Time
+		observe := func(issue, complete sim.Time, _ fault.AccessOutcome) {
+			times = append(times, issue, complete)
+		}
+		return runOnDemand(c, trace, sim.Microsecond, 10, 3*sim.Nanosecond, draw, observe), times
+	}
+	got, gotTimes := run(packed)
+	want, wantTimes := run(expanded)
+	if got.Elapsed != want.Elapsed || got.Accesses != want.Accesses || got.WorkInstr != want.WorkInstr ||
+		got.Retries != want.Retries || got.Timeouts != want.Timeouts || got.Abandoned != want.Abandoned {
+		t.Errorf("repeated trace = %+v, expanded = %+v", got, want)
+	}
+	if !slices.Equal(gotTimes, wantTimes) {
+		t.Error("repeated trace issued or completed a load at a different time than the expanded trace")
 	}
 }
 

@@ -51,9 +51,11 @@ type Device struct {
 	hostDRAM *mem.DRAM
 	backing  replay.Backing // dataset copy for the on-demand module
 
-	modules     map[int]*replay.Module   // per-core replay modules
-	recorders   map[int]*replay.Recorder // per-core recording-run capture
+	modules     []*replay.Module   // per-core replay modules, by core ID
+	recorders   []*replay.Recorder // per-core recording-run capture, by core ID
 	loadedBytes int64
+
+	rtt sim.Time // cfg.MMIORoundTrip, which internalDelayFor subtracts
 
 	replayServed   uint64
 	directServed   uint64
@@ -77,8 +79,24 @@ func New(eng *sim.Engine, cfg platform.Config, link *pcie.Link, hostDRAM *mem.DR
 		link:      link,
 		hostDRAM:  hostDRAM,
 		backing:   backing,
-		modules:   map[int]*replay.Module{},
-		recorders: map[int]*replay.Recorder{},
+		modules:   make([]*replay.Module, cfg.Cores),
+		recorders: make([]*replay.Recorder, cfg.Cores),
+		rtt:       cfg.MMIORoundTrip(),
+	}
+}
+
+// internalDelayFor is cfg.InternalDelayFor(latency) with the round trip
+// computed once.
+func (d *Device) internalDelayFor(latency sim.Time) sim.Time {
+	return max(latency-d.rtt, 0)
+}
+
+// addCore extends the per-core slices, which start at cfg.Cores
+// entries, to hold coreID; they always have the same length.
+func (d *Device) addCore(coreID int) {
+	if n := coreID + 1 - len(d.modules); n > 0 {
+		d.modules = append(d.modules, make([]*replay.Module, n)...)
+		d.recorders = append(d.recorders, make([]*replay.Recorder, n)...)
 	}
 }
 
@@ -90,6 +108,7 @@ func (d *Device) LoadRecording(coreID int, rec *replay.Recording, offset uint64)
 	if err := d.reserve(coreID, rec.Bytes()); err != nil {
 		return err
 	}
+	d.addCore(coreID)
 	d.modules[coreID] = replay.NewModule(rec, d.cfg.ReplayWindow, offset)
 	return nil
 }
@@ -101,8 +120,9 @@ func (d *Device) LoadRecording(coreID int, rec *replay.Recording, offset uint64)
 // sequence's size is needed, so it works after EnableCounting as well
 // as after EnableRecording.
 func (d *Device) KeepRecording(coreID int) error {
+	d.addCore(coreID)
 	r := d.recorders[coreID]
-	delete(d.recorders, coreID)
+	d.recorders[coreID] = nil
 	return d.reserve(coreID, r.Bytes())
 }
 
@@ -117,7 +137,12 @@ func (d *Device) reserve(coreID int, bytes int64) error {
 }
 
 // Module returns coreID's replay module (nil if none is loaded).
-func (d *Device) Module(coreID int) *replay.Module { return d.modules[coreID] }
+func (d *Device) Module(coreID int) *replay.Module {
+	if coreID < len(d.modules) {
+		return d.modules[coreID]
+	}
+	return nil
+}
 
 // ReplayServed returns how many requests the replay modules matched
 // (including recording-run captures).
@@ -138,6 +163,7 @@ func (d *Device) OnDemandServed() uint64 { return d.onDemandServed }
 // sequence is captured. This is the first of the paper's two runs per
 // experiment (§IV-A), or, without faults, the measured run itself.
 func (d *Device) EnableRecording(coreID int) {
+	d.addCore(coreID)
 	d.recorders[coreID] = replay.NewRecorder(d.backing, &replay.Recording{})
 }
 
@@ -145,6 +171,7 @@ func (d *Device) EnableRecording(coreID int) {
 // access sequence: requests are served the same way, but only the
 // number of captured lines is kept, which is all KeepRecording needs.
 func (d *Device) EnableCounting(coreID int) {
+	d.addCore(coreID)
 	d.recorders[coreID] = replay.NewRecorder(d.backing, nil)
 }
 
@@ -152,8 +179,9 @@ func (d *Device) EnableCounting(coreID int) {
 // sequence, ready to be loaded (typically into a fresh Device for the
 // measured run) with LoadRecording.
 func (d *Device) TakeRecording(coreID int) *replay.Recording {
+	d.addCore(coreID)
 	r := d.recorders[coreID]
-	delete(d.recorders, coreID)
+	d.recorders[coreID] = nil
 	if r == nil {
 		return nil
 	}
@@ -166,11 +194,16 @@ func (d *Device) TakeRecording(coreID int) *replay.Recording {
 // dataset-DRAM detour (a replay-window miss: a wrong-path or otherwise
 // unrecorded request, §IV-A).
 func (d *Device) serve(coreID int, addr uint64) ([]byte, bool) {
-	if rec := d.recorders[coreID]; rec != nil {
+	var rec *replay.Recorder
+	var m *replay.Module
+	if coreID < len(d.modules) {
+		rec, m = d.recorders[coreID], d.modules[coreID]
+	}
+	if rec != nil {
 		d.replayServed++
 		return rec.ReadLine(addr), true
 	}
-	if m := d.modules[coreID]; m != nil {
+	if m != nil {
 		if data, ok := m.Lookup(addr); ok {
 			d.replayServed++
 			return data, true
@@ -279,7 +312,7 @@ func (r *mmioRead) arrived() {
 	data, fromReplay := d.serve(r.coreID, r.addr)
 	// The delay module timestamps the request and computes when the
 	// response must leave so it lands at issue + latency.
-	sendAt := r.issue + r.latency - d.link.Propagation() - d.cfg.TLPTime(platform.CacheLineBytes)
+	sendAt := r.issue + r.latency - d.link.Propagation() - d.link.TLPTime(platform.CacheLineBytes)
 	if fromReplay {
 		sp.Point(now, "serve-replay")
 	} else {

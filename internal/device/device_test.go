@@ -359,3 +359,23 @@ func TestSWQCompletionGateLostWakeupFree(t *testing.T) {
 		t.Errorf("cq len = %d", s.cq.Len())
 	}
 }
+
+// TestInternalDelayForMatchesConfig pins the device's precomputed round
+// trip: its per-request internal delay equals cfg.InternalDelayFor for
+// latencies around and far past the round trip, including ones below
+// it, which clamp to zero.
+func TestInternalDelayForMatchesConfig(t *testing.T) {
+	for _, cfg := range []platform.Config{platform.Default(), platform.Default().AsMemBus()} {
+		r := newRig(cfg)
+		rtt := cfg.MMIORoundTrip()
+		lats := []sim.Time{-sim.Microsecond, 0, 1, rtt / 2, rtt - 1, rtt, rtt + 1, sim.Microsecond, 4 * sim.Microsecond, 3*cfg.DeviceLatency + 7}
+		for _, lat := range lats {
+			if got, want := r.dev.internalDelayFor(lat), cfg.InternalDelayFor(lat); got != want {
+				t.Errorf("round trip %v: internalDelayFor(%v) = %v, want %v", rtt, lat, got, want)
+			}
+		}
+		if got := r.dev.internalDelayFor(rtt - 1); got != 0 {
+			t.Errorf("latency below the round trip gave delay %v, want 0", got)
+		}
+	}
+}

@@ -267,7 +267,7 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 		// submission timestamp, so the emulated latency is measured
 		// from the host's enqueue — but a response can never leave
 		// before its descriptor has been fetched.
-		sendAt := desc.Submitted + e.dev.cfg.InternalDelayFor(lat)
+		sendAt := desc.Submitted + e.dev.internalDelayFor(lat)
 		if sendAt < arrival {
 			sendAt = arrival
 		}

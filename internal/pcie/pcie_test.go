@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/platform"
@@ -130,5 +131,34 @@ func TestChipQueueCapacity(t *testing.T) {
 	q := NewChipQueue(eng, cfg)
 	if q.Capacity() != 14 {
 		t.Errorf("chip queue capacity %d, paper says 14 (§V-B)", q.Capacity())
+	}
+}
+
+// TestLinkTLPTableMatchesConfig pins the link's service-time table to
+// the function it caches: every payload in the table, and the first one
+// past it (the fallback), equals cfg.TLPTime, for the default platform
+// and for randomized bandwidths, headers and descriptor bursts.
+func TestLinkTLPTableMatchesConfig(t *testing.T) {
+	cfgs := []platform.Config{platform.Default()}
+	rng := rand.New(rand.NewSource(39))
+	for i := 0; i < 200; i++ {
+		cfg := platform.Default()
+		cfg.PCIeBandwidth = 1e8 + rng.Float64()*3e10
+		cfg.PCIeHeaderBytes = rng.Intn(64)
+		cfg.FetchBurst = 1 + rng.Intn(64)
+		cfg.DescriptorBytes = 1 + rng.Intn(128)
+		cfgs = append(cfgs, cfg)
+	}
+	for _, cfg := range cfgs {
+		l := NewLink(sim.NewEngine(), cfg)
+		top := max(cfg.FetchBurst*cfg.DescriptorBytes, platform.CacheLineBytes, cfg.CompletionBytes, 8)
+		if len(l.tlp) != min(top, maxTLPTable-1)+1 {
+			t.Fatalf("table holds %d payloads, want 0..%d", len(l.tlp), top)
+		}
+		for p := 0; p <= len(l.tlp); p++ {
+			if got, want := l.TLPTime(p), cfg.TLPTime(p); got != want {
+				t.Fatalf("bandwidth %g header %d: TLPTime(%d) = %v, want %v", cfg.PCIeBandwidth, cfg.PCIeHeaderBytes, p, got, want)
+			}
+		}
 	}
 }

@@ -102,8 +102,9 @@ func TestMicrobenchBaselineMatchesBodies(t *testing.T) {
 	trace := m.BaselineTrace(0)
 	var tAcc, tWork int64
 	for _, it := range trace {
-		tAcc += int64(it.Reads)
-		tWork += int64(it.WorkInstr)
+		n := int64(it.Iterations())
+		tAcc += n * int64(it.Reads)
+		tWork += n * int64(it.WorkInstr)
 	}
 	var bAcc, bWork int64
 	for tid := 0; tid < 3; tid++ {
