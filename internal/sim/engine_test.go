@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -555,5 +556,17 @@ func TestWaitTimeoutAlreadyFiredAndNonPositive(t *testing.T) {
 	}
 	if at != 0 {
 		t.Errorf("non-blocking calls advanced time to %v", at)
+	}
+}
+
+// TestHotResourcesFillCacheLines pins the padding of the resources a
+// fleet's shards write concurrently: each occupies whole cache lines,
+// so neighbouring instances never share one.
+func TestHotResourcesFillCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(TokenPool{}); n%cacheLine != 0 {
+		t.Errorf("TokenPool is %d bytes, not a multiple of %d", n, cacheLine)
+	}
+	if n := unsafe.Sizeof(Server{}); n%cacheLine != 0 {
+		t.Errorf("Server is %d bytes, not a multiple of %d", n, cacheLine)
 	}
 }

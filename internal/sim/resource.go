@@ -27,7 +27,15 @@ type TokenPool struct {
 	// onChange, when set, observes every occupancy change (tracing).
 	// It must not schedule events or otherwise perturb the simulation.
 	onChange func(inUse int)
+
+	_ [16]byte // fill two cache lines (see cacheLine)
 }
+
+// cacheLine is the line size the hot resources below are padded to. A
+// fleet builds its instances on one goroutine and then runs them on
+// several, so without padding two instances' pools or link directions
+// can share a line written from two threads.
+const cacheLine = 64
 
 // NewTokenPool creates a pool with the given capacity. Capacity must be
 // positive.
@@ -155,6 +163,8 @@ type Server struct {
 	freeAt Time
 	busy   Time // total busy time, for utilization
 	jobs   uint64
+
+	_ [16]byte // fill one cache line (see cacheLine)
 }
 
 // NewServer creates an idle server.
